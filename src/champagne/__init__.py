@@ -13,8 +13,8 @@ from .errors import (ChampagneError, ChartError, ConfigurationError,
                      DomainError, FitError, ModelRangeError,
                      SampleSizeError, TransportError)
 from .special_functions import fourier_constant, psi_n, psi_n_prime
-from .radial_spectrum import (DiscretizationConfig, JointEigenvalue,
-                              PotentialSpec, SpectrumTable, joint_spectrum)
+from .radial_spectrum import (DiscretizationConfig, PotentialSpec,
+                              SpectrumTable, joint_spectrum)
 from .bohr_sommerfeld import (QuantizationModel, fit_model, g_n,
                               predict_line, predicted_gap)
 from .classical_actions import (action_sample, classical_monodromy,
@@ -31,8 +31,8 @@ __all__ = [
     "ChampagneError", "ChartError", "ConfigurationError", "DomainError",
     "FitError", "ModelRangeError", "SampleSizeError", "TransportError",
     "fourier_constant", "psi_n", "psi_n_prime",
-    "DiscretizationConfig", "JointEigenvalue", "PotentialSpec",
-    "SpectrumTable", "joint_spectrum",
+    "DiscretizationConfig", "PotentialSpec", "SpectrumTable",
+    "joint_spectrum",
     "QuantizationModel", "fit_model", "g_n", "predict_line",
     "predicted_gap",
     "action_sample", "classical_monodromy", "radial_action",

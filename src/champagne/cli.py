@@ -228,7 +228,7 @@ def _unwind_json(table, poly, res, counts=None) -> dict:
         monodromy=res.monodromy.matrix.tolist(),
         monodromy_shift=res.monodromy.shift.tolist(),
         unwound_vertices=res.vertices.tolist(),
-        polygon=[[v.E1, v.E2] for v in poly.vertices])
+        polygon=poly.vertex_points().tolist())
     if counts is not None:
         out["counts"] = dict(spec=counts[0], pick=counts[1])
     return out
@@ -244,7 +244,7 @@ def _cmd_unwind(args) -> int:
     table = _load_spectrum(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     res = ml.unwind(poly, table, table.h)
-    counts = ml.count_in_polygon(table, poly)
+    counts = ml.count_in_polygon(table, poly, res)
     with open(cfg["out"], "w") as fh:
         json.dump(_unwind_json(table, poly, res, counts), fh, indent=2,
                   sort_keys=True)
@@ -259,7 +259,8 @@ def _cmd_count(args) -> int:
     cfg = _resolve(args, _POLY_DEFAULTS)
     table = _load_spectrum(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
-    n_spec, n_pick = ml.count_in_polygon(table, poly)
+    n_spec, n_pick = ml.count_in_polygon(table, poly,
+                                         ml.unwind(poly, table, table.h))
     print(json.dumps(dict(spec=n_spec, pick=n_pick,
                           equal=n_spec == n_pick), sort_keys=True))
     return 0
@@ -370,7 +371,7 @@ def _reproduce_unwinding(cfg) -> bool:
                               workers=cfg["workers"])
     poly = ml.make_loop_polygon(table, 20.0, seed=cfg["seed"])
     res = ml.unwind(poly, table, h)
-    counts = ml.count_in_polygon(table, poly)
+    counts = ml.count_in_polygon(table, poly, res)
     with open(cfg["prefix"] + "unwinding.json", "w") as fh:
         json.dump(_unwind_json(table, poly, res, counts), fh, indent=2,
                   sort_keys=True)

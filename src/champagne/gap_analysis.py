@@ -56,7 +56,7 @@ def measure_gaps(spectrum, n: int, x_window,
     if model is None:
         model = reference_model(h)
     x = spectrum.line_x(n)
-    x = np.sort(x[(x >= x_window[0]) & (x <= x_window[1])])
+    x = x[(x >= x_window[0]) & (x <= x_window[1])]
     if len(x) == 0:
         warnings.warn(f"no eigenvalues on line n={n} in {x_window}")
         return []

@@ -9,8 +9,8 @@ eigenvalue count of a spectrum polygon through Pick's formula.
 
 All integer geometry (point-in-polygon, Pick counts, transitions) is done
 in exact arithmetic; floating point only enters through the chart fits,
-whose rounding residuals are explicitly budgeted (0.05 for charts, 0.1
-for transitions, both configurable).
+whose rounding residuals are explicitly budgeted (CHART_RESIDUAL_MAX =
+0.05 for charts, TRANSITION_RESIDUAL_MAX = 0.1 for transitions).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartError, DomainError, TransportError
+from .radial_spectrum import POINT_DTYPE
 
 CHART_RESIDUAL_MAX = 0.05
 TRANSITION_RESIDUAL_MAX = 0.1
@@ -29,9 +30,14 @@ MIN_CHART_POINTS = 6
 
 
 def _points_array(spectrum) -> np.ndarray:
+    """(E1, E2) rows of a SpectrumTable, or an (m, 2) array as given."""
     if isinstance(spectrum, np.ndarray):
         return np.asarray(spectrum, dtype=float)
-    return np.array([[p.E1, p.E2] for p in spectrum.points], dtype=float)
+    return _plane(spectrum.points)
+
+
+def _plane(records) -> np.ndarray:
+    return np.column_stack([records.E1, records.E2])
 
 
 # --- charts --------------------------------------------------------------
@@ -113,8 +119,8 @@ def local_spacing(points: np.ndarray, center, k: int = 9) -> float:
     return float(np.median(np.min(dist, axis=1)))
 
 
-def fit_local_chart(points, center, h: float, radius: float | None = None,
-                    residual_max: float = CHART_RESIDUAL_MAX) -> LatticeChart:
+def fit_local_chart(points, center, h: float,
+                    radius: float | None = None) -> LatticeChart:
     """Fit an affine lattice chart on the disc around center.
 
     Basis candidates are the two shortest linearly independent
@@ -123,7 +129,8 @@ def fit_local_chart(points, center, h: float, radius: float | None = None,
     stable.  When no radius is given, starts at 3.5 local spacings and
     shrinks until the residual budget is met.  Raises ChartError when
     fewer than 6 points fall in the disc, the neighbor geometry is
-    degenerate, the infinity-norm rounding residual exceeds residual_max,
+    degenerate, the infinity-norm rounding residual exceeds
+    CHART_RESIDUAL_MAX,
     or the linear part is ill conditioned.
     """
     pts_all = _points_array(points)
@@ -133,16 +140,16 @@ def fit_local_chart(points, center, h: float, radius: float | None = None,
         last = None
         for _ in range(4):
             try:
-                return _fit_chart_fixed(pts_all, center, h, r, residual_max)
+                return _fit_chart_fixed(pts_all, center, h, r)
             except ChartError as exc:
                 last = exc
                 r *= 0.75
         raise last
-    return _fit_chart_fixed(pts_all, center, h, float(radius), residual_max)
+    return _fit_chart_fixed(pts_all, center, h, float(radius))
 
 
-def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
-                     residual_max: float) -> LatticeChart:
+def _fit_chart_fixed(pts_all: np.ndarray, center, h: float,
+                     radius: float) -> LatticeChart:
     d = np.hypot(pts_all[:, 0] - center[0], pts_all[:, 1] - center[1])
     pts = pts_all[d <= radius]
     if len(pts) < MIN_CHART_POINTS:
@@ -189,19 +196,46 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
         offset = sol[2]
     real = (pts @ linear.T + offset) / h
     resid = float(np.max(np.abs(real - np.rint(real))))
-    if resid > residual_max:
+    if resid > CHART_RESIDUAL_MAX:
         raise ChartError(
-            f"chart residual {resid:.4f} > {residual_max} at {center}")
+            f"chart residual {resid:.4f} > {CHART_RESIDUAL_MAX} at {center}")
     if np.linalg.cond(linear) >= CHART_CONDITION_MAX:
         raise ChartError(f"ill-conditioned chart at {center}")
     return LatticeChart(center=center, linear=linear, offset=offset,
                         radius=float(radius), h=float(h), residual=resid)
 
 
+def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
+                    pts: np.ndarray, where: str) -> ChartTransition:
+    """Integer-affine map k_to = T k_from + s between two chart frames.
+
+    Fitted by least squares on the labels both charts give to the points
+    in both discs, then rounded.  Raises TransportError when the overlap
+    holds fewer than MIN_CHART_POINTS points or the rounding residual
+    exceeds TRANSITION_RESIDUAL_MAX; ChartTransition rejects |det| != 1.
+    """
+    overlap = pts[chart_from.contains(pts) & chart_to.contains(pts)]
+    if len(overlap) < MIN_CHART_POINTS:
+        raise TransportError(
+            f"only {len(overlap)} points in the chart overlap {where}")
+    k_from = chart_from.labels(overlap).astype(float)
+    A = np.column_stack([k_from, np.ones(len(k_from))])
+    sol, _, _, _ = np.linalg.lstsq(A, chart_to.labels(overlap).astype(float),
+                                   rcond=None)
+    T_real, s_real = sol[:2].T, sol[2]
+    T = np.rint(T_real).astype(int)
+    s = np.rint(s_real).astype(int)
+    resid = max(float(np.max(np.abs(T_real - T))),
+                float(np.max(np.abs(s_real - s))))
+    if resid > TRANSITION_RESIDUAL_MAX:
+        raise TransportError(
+            f"transition rounding residual {resid:.4f} > "
+            f"{TRANSITION_RESIDUAL_MAX} {where}")
+    return ChartTransition(T, s)
+
+
 def transport_chart(chart: LatticeChart, new_center, points,
                     radius: float | None = None,
-                    residual_max: float = CHART_RESIDUAL_MAX,
-                    transition_max: float = TRANSITION_RESIDUAL_MAX,
                     ) -> tuple[LatticeChart, ChartTransition]:
     """Continue a chart frame to a nearby disc.
 
@@ -212,27 +246,8 @@ def transport_chart(chart: LatticeChart, new_center, points,
     transition that was found.
     """
     pts_all = _points_array(points)
-    fresh = fit_local_chart(pts_all, new_center, chart.h, radius=radius,
-                            residual_max=residual_max)
-    both = chart.contains(pts_all) & fresh.contains(pts_all)
-    overlap = pts_all[both]
-    if len(overlap) < MIN_CHART_POINTS:
-        raise TransportError(
-            f"only {len(overlap)} points in the chart overlap at {new_center}")
-    k_old = chart.labels(overlap).astype(float)
-    k_new = fresh.labels(overlap).astype(float)
-    A = np.column_stack([k_new, np.ones(len(k_new))])
-    sol, _, _, _ = np.linalg.lstsq(A, k_old, rcond=None)
-    T_real, s_real = sol[:2].T, sol[2]
-    T = np.rint(T_real).astype(int)
-    s = np.rint(s_real).astype(int)
-    resid = max(float(np.max(np.abs(T_real - T))),
-                float(np.max(np.abs(s_real - s))))
-    if resid > transition_max:
-        raise TransportError(
-            f"transition rounding residual {resid:.4f} > {transition_max} "
-            f"at {new_center} (chart spacing too coarse)")
-    trans = ChartTransition(T, s)  # validates |det| = 1
+    fresh = fit_local_chart(pts_all, new_center, chart.h, radius=radius)
+    trans = _fit_transition(fresh, chart, pts_all, f"at {new_center}")
     corrected = LatticeChart(center=fresh.center,
                              linear=trans.matrix @ fresh.linear,
                              offset=trans.matrix @ fresh.offset
@@ -248,18 +263,25 @@ def transport_chart(chart: LatticeChart, new_center, points,
 class SpectrumPolygon:
     """Closed polygonal line through joint eigenvalues.
 
-    vertices: JointEigenvalue list, cyclic (first vertex not repeated).
+    vertices: rows of a SpectrumTable in loop order, cyclic (first vertex
+    not repeated), kept as a record array of the table's POINT_DTYPE
+    (fields h, n, k, E1, E2, x), so vertices.n is the column of line
+    numbers and vertices[j].E1 one vertex's energy.
     For loops enclosing the critical value the polygon must start on the
     n = 0 line at E1 > 0 and contain exactly two n = 0 vertices, so that
     its intersection with every lattice line is a segment with vertex
     extremities.
     """
 
-    vertices: list
+    vertices: np.recarray
     starts_on_L0: bool = False
 
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices,
+                                   dtype=POINT_DTYPE).view(np.recarray)
+
     def vertex_points(self) -> np.ndarray:
-        return np.array([[v.E1, v.E2] for v in self.vertices], dtype=float)
+        return _plane(self.vertices)
 
 
 @dataclass
@@ -283,10 +305,8 @@ def winding_around_origin(pts: np.ndarray) -> int:
     return int(round(np.sum(dang) / (2.0 * math.pi)))
 
 
-def unwind(polygon: SpectrumPolygon, spectrum, h: float | None = None,
-           chart_radius: float | None = None,
-           residual_max: float = CHART_RESIDUAL_MAX,
-           transition_max: float = TRANSITION_RESIDUAL_MAX) -> UnwindResult:
+def unwind(polygon: SpectrumPolygon, spectrum,
+           h: float | None = None) -> UnwindResult:
     """Develop the polygon onto the integer lattice chart by chart.
 
     A chart is fitted at the first vertex and transported vertex to
@@ -299,23 +319,19 @@ def unwind(polygon: SpectrumPolygon, spectrum, h: float | None = None,
     pts_all = _points_array(spectrum)
     verts = polygon.vertex_points()
     if h is None:
-        h = polygon.vertices[0].h
+        h = float(polygon.vertices.h[0])
     ell = len(verts)
     if ell < 3:
         raise DomainError("polygon needs at least 3 vertices")
 
     try:
-        chart0 = fit_local_chart(pts_all, verts[0], h, radius=chart_radius,
-                                 residual_max=residual_max)
+        chart0 = fit_local_chart(pts_all, verts[0], h)
     except ChartError as exc:
         raise ChartError(f"chart chain failed at vertex 0: {exc}") from exc
     def step(chart, target, depth=4):
         # subdivide the segment when the chart overlap is too thin
         try:
-            return transport_chart(chart, target, pts_all,
-                                   radius=chart_radius,
-                                   residual_max=residual_max,
-                                   transition_max=transition_max)
+            return transport_chart(chart, target, pts_all)
         except TransportError:
             if depth == 0:
                 raise
@@ -341,25 +357,23 @@ def unwind(polygon: SpectrumPolygon, spectrum, h: float | None = None,
         labels.append(current.labels(v)[0])
 
     # monodromy: continued frame vs the original chart on the start disc
-    both = chart0.contains(pts_all) & current.contains(pts_all)
-    overlap = pts_all[both]
-    if len(overlap) < MIN_CHART_POINTS:
-        raise TransportError("start/end chart overlap too small")
-    k_start = chart0.labels(overlap).astype(float)
-    k_cont = current.labels(overlap).astype(float)
-    A = np.column_stack([k_start, np.ones(len(k_start))])
-    sol, _, _, _ = np.linalg.lstsq(A, k_cont, rcond=None)
-    T = np.rint(sol[:2].T).astype(int)
-    s = np.rint(sol[2]).astype(int)
-    resid = max(float(np.max(np.abs(sol[:2].T - T))),
-                float(np.max(np.abs(sol[2] - s))))
-    if resid > transition_max:
-        raise TransportError(
-            f"monodromy rounding residual {resid:.4f} > {transition_max}")
-    monodromy = ChartTransition(T, s)
+    monodromy = _fit_transition(chart0, current, pts_all,
+                                "of the start and end charts")
     return UnwindResult(vertices=np.array(labels, dtype=int),
                         monodromy=monodromy, charts=charts,
                         transitions=transitions)
+
+
+def _first_chart_labels(pts: np.ndarray, charts) -> tuple:
+    """Labels of each point in the first chart (in chain order) whose disc
+    contains it, and the mask of points some chart covers."""
+    labels = np.zeros((len(pts), 2), dtype=int)
+    covered = np.zeros(len(pts), dtype=bool)
+    for ch in charts:
+        new = ch.contains(pts) & ~covered
+        labels[new] = ch.labels(pts[new])
+        covered |= new
+    return labels, covered
 
 
 def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
@@ -367,30 +381,24 @@ def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
 
     charts must form a consistent closed chain (as returned by unwind);
     the monodromy defaults to the end-to-start transition implied by the
-    first and last charts.  Returns [] with a warning when the monodromy
-    is the identity (every line is then fixed) or no fixed lattice points
-    exist.
+    first and last charts, fitted like every chart transition (so a
+    non-integral one raises TransportError).  Returns the fixed rows of
+    spectrum.points, in table order; none, with a warning, when the
+    monodromy is the identity (every line is then fixed) or no fixed
+    lattice points exist.
     """
     import warnings
 
     pts = _points_array(spectrum)
+    none = spectrum.points[:0]
     if monodromy is None:
         if len(charts) < 2:
             raise ChartError("need a chart chain to define the monodromy")
-        first, last = charts[0], charts[-1]
-        both = first.contains(pts) & last.contains(pts)
-        overlap = pts[both]
-        if len(overlap) < MIN_CHART_POINTS:
-            raise ChartError("first/last chart overlap too small")
-        A = np.column_stack([first.labels(overlap).astype(float),
-                             np.ones(len(overlap))])
-        sol, _, _, _ = np.linalg.lstsq(A, last.labels(overlap).astype(float),
-                                       rcond=None)
-        monodromy = ChartTransition(np.rint(sol[:2].T).astype(int),
-                                    np.rint(sol[2]).astype(int))
+        monodromy = _fit_transition(charts[0], charts[-1], pts,
+                                    "of the first and last charts")
     if monodromy.is_identity():
         warnings.warn("identity monodromy: fixed line is undefined")
-        return []
+        return none
     N = monodromy.matrix - np.eye(2, dtype=int)
     rhs = -monodromy.shift
     # fixed points solve N k = rhs; N is rank one for unipotent monodromy
@@ -398,25 +406,16 @@ def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
     rows = [r for r in rows if r[0] != 0 or r[1] != 0]
     if not rows:
         warnings.warn("no constraint rows; fixed line undefined")
-        return []
+        return none
     a, b, c = rows[0]
     g = math.gcd(a, b)
     if c % g != 0:
         warnings.warn("monodromy has no fixed lattice points")
-        return []
+        return none
 
-    out = []
-    seen = set()
-    for idx, p in enumerate(spectrum.points):
-        pt = np.array([[p.E1, p.E2]])
-        for ch in charts:
-            if ch.contains(pt)[0]:
-                k = ch.labels(pt)[0]
-                if np.array_equal(N @ k, rhs) and idx not in seen:
-                    seen.add(idx)
-                    out.append(p)
-                break
-    return out
+    labels, covered = _first_chart_labels(pts, charts)
+    fixed = covered & np.all(labels @ N.T == rhs, axis=1)
+    return spectrum.points[fixed]
 
 
 # --- exact integer geometry ----------------------------------------------
@@ -510,72 +509,54 @@ def lattice_point_in_polygon(p, vertices) -> bool:
 
 # --- the counting theorem -------------------------------------------------
 
-def _line_tables(spectrum) -> dict:
-    lines: dict[int, list] = {}
-    for p in spectrum.points:
-        lines.setdefault(p.n, []).append(p)
-    for n in lines:
-        lines[n].sort(key=lambda q: q.E1)
-    return lines
-
-
-def _enumerate_line_labels(line_pts, charts) -> tuple[np.ndarray, np.ndarray]:
+def _enumerate_line_labels(line_pts: np.ndarray, charts) -> np.ndarray:
     """Chain-frame labels for every point of one lattice line.
 
-    Points covered by a chart get their labels directly; the rest are
-    filled in by the consecutive-integer structure of the line (labels
-    are affine in the x-order index).  All covered points must agree with
-    that affine enumeration exactly; a mismatch means the chart chain is
-    inconsistent with the line enumeration and raises ChartError.
+    line_pts: the (E1, E2) rows of the line in x order.  Points covered by
+    a chart get their labels directly; the rest are filled in by the
+    consecutive-integer structure of the line (labels are affine in the
+    x-order index).  All covered points must agree with that affine
+    enumeration exactly; a mismatch means the chart chain is inconsistent
+    with the line enumeration and raises ChartError.
     """
-    pts = np.array([[p.E1, p.E2] for p in line_pts], dtype=float)
-    covered: dict[int, np.ndarray] = {}
-    masks = [ch.contains(pts) for ch in charts]
-    for i in range(len(pts)):
-        for ch, mask in zip(charts, masks):
-            if mask[i]:
-                covered[i] = ch.labels(pts[i])[0]
-                break
-    if len(covered) < 2:
+    labels, covered = _first_chart_labels(line_pts, charts)
+    idx = np.flatnonzero(covered)
+    if len(idx) < 2:
         raise ChartError("line has fewer than 2 chart-covered points")
-    idx = sorted(covered)
-    step = None
-    for a, b in zip(idx[:-1], idx[1:]):
-        if b == a + 1:
-            step = covered[b] - covered[a]
-            base_i, base = a, covered[a]
-            break
-    if step is None:
+    adjacent = np.flatnonzero(np.diff(idx) == 1)
+    if not len(adjacent):
         raise ChartError("no adjacent chart-covered pair on the line")
-    for i in idx:
-        expect = base + (i - base_i) * step
-        if not np.array_equal(covered[i], expect):
-            raise ChartError(
-                f"line enumeration inconsistent at index {i}: chart label "
-                f"{covered[i].tolist()} vs affine {expect.tolist()}")
-    i_all = np.arange(len(pts))
-    labels = base[None, :] + (i_all - base_i)[:, None] * step[None, :]
-    return labels, pts
+    base_i = idx[adjacent[0]]
+    base = labels[base_i]
+    step = labels[base_i + 1] - base
+    affine = base + (np.arange(len(line_pts)) - base_i)[:, None] * step
+    bad = idx[np.any(labels[idx] != affine[idx], axis=1)]
+    if len(bad):
+        i = bad[0]
+        raise ChartError(
+            f"line enumeration inconsistent at index {i}: chart label "
+            f"{labels[i].tolist()} vs affine {affine[i].tolist()}")
+    return affine
 
 
 def _count_lines(spectrum, charts, poly_vertices, n_values) -> int:
-    lines = _line_tables(spectrum)
     poly = [tuple(map(int, v)) for v in poly_vertices]
     total = 0
     for n in n_values:
-        if n not in lines:
+        line = spectrum.line(n)
+        if not len(line):
             continue
-        labels, _ = _enumerate_line_labels(lines[n], charts)
-        for lab in labels:
+        for lab in _enumerate_line_labels(_plane(line), charts):
             if lattice_point_in_polygon(lab, poly):
                 total += 1
     return total
 
 
 def count_in_polygon(spectrum, polygon: SpectrumPolygon,
-                     chart_radius: float | None = None) -> tuple[int, int]:
+                     unwound: UnwindResult) -> tuple[int, int]:
     """Verify the counting identity on one spectrum polygon.
 
+    unwound is unwind(polygon, spectrum), which the caller already holds.
     Returns (N_spec, N_pick): N_spec counts the joint eigenvalues whose
     unwound labels land inside or on the unwound polygon (per-line affine
     enumeration anchored in the boundary charts; enclosing loops are split
@@ -583,44 +564,38 @@ def count_in_polygon(spectrum, polygon: SpectrumPolygon,
     N_pick applies Pick's formula to the unwound vertices.  The theorem
     asserts they are equal.
     """
-    verts = polygon.vertex_points()
-    wind = winding_around_origin(verts)
-    h = polygon.vertices[0].h
-    res = unwind(polygon, spectrum, h, chart_radius=chart_radius)
-
-    if wind == 0:
-        n_vals = range(min(v.n for v in polygon.vertices),
-                       max(v.n for v in polygon.vertices) + 1)
-        n_spec = _count_lines(spectrum, res.charts, res.vertices[:-1], n_vals)
-        n_pick = pick_count(res.vertices[:-1])
+    n = polygon.vertices.n
+    if winding_around_origin(polygon.vertex_points()) == 0:
+        n_vals = range(int(n.min()), int(n.max()) + 1)
+        n_spec = _count_lines(spectrum, unwound.charts,
+                              unwound.vertices[:-1], n_vals)
+        n_pick = pick_count(unwound.vertices[:-1])
         return n_spec, n_pick
 
-    if not (polygon.starts_on_L0 and polygon.vertices[0].n == 0):
+    if not (polygon.starts_on_L0 and n[0] == 0):
         raise DomainError(
             "an enclosing polygon must start on the n = 0 line")
-    if not res.closed:
+    if not unwound.closed:
         raise ChartError("enclosing loop anchored on the n = 0 line did "
                          "not unwind to a closed polygon")
-    zero_idx = [j for j, v in enumerate(polygon.vertices) if v.n == 0]
+    zero_idx = np.flatnonzero(n == 0)
     if len(zero_idx) != 2:
         raise DomainError(
             f"enclosing polygon must have exactly 2 vertices on n = 0, "
             f"found {len(zero_idx)}")
-    ia = zero_idx[1]
-    ell = len(polygon.vertices)
-    upper_is_first = all(v.n >= 0 for v in polygon.vertices[:ia + 1])
-    if upper_is_first and not all(v.n <= 0 for v in polygon.vertices[ia:]):
+    ia = int(zero_idx[1])
+    upper_is_first = bool(np.all(n[:ia + 1] >= 0))
+    if upper_is_first and not np.all(n[ia:] <= 0):
         raise DomainError("polygon arcs must separate at the n = 0 line")
     if not upper_is_first:
-        if not (all(v.n <= 0 for v in polygon.vertices[:ia + 1])
-                and all(v.n >= 0 for v in polygon.vertices[ia:])):
+        if not (np.all(n[:ia + 1] <= 0) and np.all(n[ia:] >= 0)):
             raise DomainError("polygon arcs must separate at the n = 0 line")
 
-    first_arc = res.vertices[:ia + 1]          # vertices 0..ia
-    first_charts = res.charts[:ia + 1]
-    second_arc = res.vertices[ia:]             # vertices ia..l (= vertex 0)
-    second_charts = res.charts[ia:]
-    n_top = max(abs(v.n) for v in polygon.vertices)
+    first_arc = unwound.vertices[:ia + 1]  # vertices 0..ia
+    first_charts = unwound.charts[:ia + 1]
+    second_arc = unwound.vertices[ia:]     # vertices ia..l (= vertex 0)
+    second_charts = unwound.charts[ia:]
+    n_top = int(np.max(np.abs(n)))
     if upper_is_first:
         up_arc, up_charts = first_arc, first_charts
         lo_arc, lo_charts = second_arc, second_charts
@@ -631,18 +606,18 @@ def count_in_polygon(spectrum, polygon: SpectrumPolygon,
     # its boundary); the lower polytope counts strictly negative lines.
     n_spec = _count_lines(spectrum, up_charts, up_arc, range(0, n_top + 1))
     n_spec += _count_lines(spectrum, lo_charts, lo_arc, range(-n_top, 0))
-    n_pick = pick_count(res.vertices[:-1])
+    n_pick = pick_count(unwound.vertices[:-1])
     return n_spec, n_pick
 
 
 # --- polygon construction -------------------------------------------------
 
-def _snap(lines: dict, n: int, tx: float):
-    pts = lines.get(n)
-    if not pts:
+def _snap(spectrum, n: int, tx: float) -> int:
+    """Row of spectrum.points on line n nearest to x = tx."""
+    lo, hi = np.searchsorted(spectrum.points.n, (n, n + 1))
+    if lo == hi:
         raise DomainError(f"no eigenvalues on line n={n}")
-    xs = np.array([p.x for p in pts])
-    return pts[int(np.argmin(np.abs(xs - tx)))]
+    return int(lo + np.argmin(np.abs(spectrum.points.x[lo:hi] - tx)))
 
 
 def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
@@ -659,7 +634,6 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
     jitter is seeded for reproducibility.
     """
     rng = np.random.default_rng(seed)
-    lines = _line_tables(spectrum)
     cx, cn = float(center[0]), float(center[1])
     if n_top is None:
         n_top = max(1, int(round(0.75 * radius_x)))
@@ -672,32 +646,33 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
     if enclosing:
         n0 = int(round(cn))
         for n in range(n0, n0 + n_top + 1):          # right side, upward
-            chosen.append(_snap(lines, n, cx + half_width(n - cn)))
+            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
         for n in range(n0 + n_top, n0 - n_top - 1, -1):   # left side, down
-            chosen.append(_snap(lines, n, cx - half_width(n - cn)))
+            chosen.append(_snap(spectrum, n, cx - half_width(n - cn)))
         for n in range(n0 - n_top, n0, 1):            # right side, back up
-            chosen.append(_snap(lines, n, cx + half_width(n - cn)))
+            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
     else:
         n0 = int(round(cn))
         for n in range(n0 - n_top, n0 + n_top + 1):
-            chosen.append(_snap(lines, n, cx + half_width(n - cn)))
+            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
         for n in range(n0 + n_top, n0 - n_top - 1, -1):
-            chosen.append(_snap(lines, n, cx - half_width(n - cn)))
+            chosen.append(_snap(spectrum, n, cx - half_width(n - cn)))
 
     dedup = []
-    for p in chosen:
-        if dedup and p is dedup[-1]:
+    for i in chosen:
+        if dedup and i == dedup[-1]:
             continue
-        dedup.append(p)
-    while len(dedup) > 1 and dedup[0] is dedup[-1]:
+        dedup.append(i)
+    while len(dedup) > 1 and dedup[0] == dedup[-1]:
         dedup.pop()
+    vertices = spectrum.points[dedup]
     if enclosing:
-        zero_count = sum(1 for p in dedup if p.n == int(round(cn)))
+        zero_count = int(np.count_nonzero(vertices.n == int(round(cn))))
         if zero_count != 2:
             raise DomainError(
                 f"loop construction produced {zero_count} anchor-line "
                 "vertices; adjust radius")
     if len(dedup) < 3:
         raise DomainError("loop construction found too few vertices")
-    return SpectrumPolygon(vertices=dedup,
-                           starts_on_L0=enclosing and dedup[0].n == 0)
+    return SpectrumPolygon(vertices=vertices,
+                           starts_on_L0=bool(enclosing and vertices.n[0] == 0))

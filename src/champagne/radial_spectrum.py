@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -28,11 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConfigurationError, DomainError
 
 SQRT2 = math.sqrt(2.0)
-
-try:  # fast Sturm counts; falls back to a Python loop when unavailable
-    from numba import njit as _njit
-except Exception:  # pragma: no cover
-    _njit = None
+MAX_GRID_POINTS = 1 << 22
 
 
 # --- potentials ---------------------------------------------------------
@@ -131,6 +128,7 @@ def default_config(h: float, e_max: float,
     enough barrier (WKB integral >= 12 h) that truncation shifts levels by
     less than ~1e-10 relative.  delta: from the fd2 error model
     delta^2 p^4 / (24 h^2), or delta^4 p^6 / (720 h^4) with Richardson.
+    Raises ConfigurationError when that takes more than MAX_GRID_POINTS.
     """
     potential = potential or PotentialSpec.champagne_bottle()
     level = 2.0 * max(e_max, 0.01)
@@ -153,7 +151,10 @@ def default_config(h: float, e_max: float,
     else:
         delta = (24.0 * h**2 * eps / p_max2**2) ** 0.5
     n = max(64, 1 << int(math.ceil(math.log2(r_max / delta))))
-    n = min(n, 1 << 22)
+    if n > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"h={h:g}, e_max={e_max:g} needs {n} grid points, more than "
+            f"the {MAX_GRID_POINTS} the fd2 solver allows")
     return DiscretizationConfig(r_max=r_max, grid_points=n, h=h,
                                 richardson=richardson, e_max=e_max)
 
@@ -190,33 +191,18 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
     return TridiagonalOperator(int(n), diag, off, config, potential)
 
 
-if _njit is not None:
-    @_njit(cache=False)
-    def _sturm_kernel(diag, off, x):  # pragma: no cover - jitted
-        count = 0
-        d = diag[0] - x
+def _sturm_kernel(diag, off, x):
+    count = 0
+    d = diag[0] - x
+    if d < 0.0:
+        count += 1
+    for i in range(1, len(diag)):
+        if d == 0.0:
+            d = 1e-300
+        d = diag[i] - x - off[i - 1] * off[i - 1] / d
         if d < 0.0:
             count += 1
-        for i in range(1, diag.shape[0]):
-            if d == 0.0:
-                d = 1e-300
-            d = diag[i] - x - off[i - 1] * off[i - 1] / d
-            if d < 0.0:
-                count += 1
-        return count
-else:  # pragma: no cover
-    def _sturm_kernel(diag, off, x):
-        count = 0
-        d = diag[0] - x
-        if d < 0.0:
-            count += 1
-        for i in range(1, len(diag)):
-            if d == 0.0:
-                d = 1e-300
-            d = diag[i] - x - off[i - 1] * off[i - 1] / d
-            if d < 0.0:
-                count += 1
-        return count
+    return count
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
@@ -229,7 +215,8 @@ def _eig_range(op: TridiagonalOperator, lo: float, hi: float) -> np.ndarray:
         return np.empty(0)
     vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
                             select="v", select_range=(lo, hi))
-    return np.asarray(vals, dtype=float)
+    # a copy: the levels are a view of a grid-sized buffer
+    return np.array(vals, dtype=float)
 
 
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
@@ -245,10 +232,15 @@ def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
     return vals
 
 
+# one radial level: index k from the bottom and eigenvalue E1
+LEVEL_DTYPE = np.dtype([("k", np.int64), ("E1", np.float64)])
+
+
 def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                           potential: PotentialSpec,
-                          lo: float, hi: float) -> list[tuple[int, float]]:
-    """(k, E1) pairs in [lo, hi); k is the radial index from the bottom.
+                          lo: float, hi: float) -> np.recarray:
+    """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
+    index from the bottom.
 
     With config.richardson the values are extrapolated from grids N and 2N
     (error O(delta^4)); indices are aligned through Sturm counts so the
@@ -261,55 +253,64 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     ext_lo, ext_hi = lo - 4.0 * err, hi + 4.0 * err
 
     def indexed(op):
-        vals = _eig_range(op, ext_lo, ext_hi)
-        k0 = sturm_count(op, ext_lo)
-        return {k0 + i: v for i, v in enumerate(vals)}
+        return sturm_count(op, ext_lo), _eig_range(op, ext_lo, ext_hi)
 
-    d1 = indexed(op1)
+    k0, vals = indexed(op1)
     if config.richardson:
         op2 = build_radial_operator(n, config, potential,
                                     grid_points=2 * config.grid_points)
-        d2 = indexed(op2)
-        out = []
-        for k in sorted(set(d1) & set(d2)):
-            v = (4.0 * d2[k] - d1[k]) / 3.0
-            if lo <= v < hi:
-                out.append((k, v))
-        return out
-    return [(k, v) for k, v in sorted(d1.items()) if lo <= v < hi]
+        k2, vals2 = indexed(op2)
+        first = max(k0, k2)
+        last = max(first, min(k0 + len(vals), k2 + len(vals2)))
+        vals = (4.0 * vals2[first - k2:last - k2]
+                - vals[first - k0:last - k0]) / 3.0
+        k0 = first
+    keep = (vals >= lo) & (vals < hi)
+    return np.rec.fromarrays([k0 + np.flatnonzero(keep), vals[keep]],
+                             dtype=LEVEL_DTYPE)
 
 
 # --- joint spectrum -----------------------------------------------------
 
-@dataclass(frozen=True)
-class JointEigenvalue:
-    n: int
-    k: int
-    E1: float
-    E2: float
-    h: float
-    x: float
+# one joint eigenvalue, in the column order of the CSV
+POINT_DTYPE = np.dtype([("h", np.float64), ("n", np.int64), ("k", np.int64),
+                        ("E1", np.float64), ("E2", np.float64),
+                        ("x", np.float64)])
 
 
 @dataclass
 class SpectrumTable:
+    """Joint eigenvalues of one h over a window of lines and energies.
+
+    points is a numpy record array of POINT_DTYPE with fields h, n, k, E1,
+    E2 = h n and x = E1 / (sqrt 2 h), sorted by (n, E1) when the table is
+    built, and read-only.  Columns read as points.E1, rows as
+    points[i].E1; the rows of line n are the contiguous slice line(n).
+    """
+
     h: float
     n_range: tuple
     e_window: tuple
-    points: list
+    points: np.recarray
     config: DiscretizationConfig
     potential: PotentialSpec
     empty_lines: list = field(default_factory=list)
 
-    def line(self, n: int) -> list:
-        return sorted((p for p in self.points if p.n == n),
-                      key=lambda p: p.E1)
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=POINT_DTYPE)
+        self.points = pts[np.lexsort((pts["E1"], pts["n"]))].view(np.recarray)
+        # line(n) and line_x(n) are views: keep callers from editing the table
+        self.points.flags.writeable = False
+
+    def line(self, n: int) -> np.recarray:
+        lo, hi = np.searchsorted(self.points.n, (n, n + 1))
+        return self.points[lo:hi]
 
     def line_x(self, n: int) -> np.ndarray:
-        return np.array([p.x for p in self.line(n)])
+        return self.line(n).x
 
     def n_values(self) -> list:
-        return sorted({p.n for p in self.points})
+        return np.unique(self.points.n).tolist()
 
 
 def to_epsilon_coords(E1: float, E2: float, h: float) -> tuple[float, int]:
@@ -356,33 +357,29 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
     else:
         results = dict(_line_payload(j) for j in jobs)
 
-    points, empty = [], []
-    for n in range(n_min, n_max + 1):
-        pairs = results[abs(n)]
-        if not pairs:
-            empty.append(n)
-            continue
-        for k, e1 in pairs:
-            points.append(JointEigenvalue(n=n, k=k, E1=e1, E2=h * n, h=h,
-                                          x=e1 / (SQRT2 * h)))
-    points.sort(key=lambda p: (p.n, p.E1))
+    ns = np.arange(n_min, n_max + 1)
+    lines = [results[abs(n)] for n in ns.tolist()]
+    sizes = np.array([len(levels) for levels in lines])
+    n = np.repeat(ns, sizes)
+    levels = np.concatenate(lines)
+    points = np.rec.fromarrays(
+        [np.full(len(n), h), n, levels["k"], levels["E1"], h * n,
+         levels["E1"] / (SQRT2 * h)], dtype=POINT_DTYPE)
     return SpectrumTable(h=h, n_range=(n_min, n_max), e_window=(lo, hi),
                          points=points, config=config, potential=potential,
-                         empty_lines=empty)
+                         empty_lines=ns[sizes == 0].tolist())
 
 
 # --- serialization ------------------------------------------------------
 
 CSV_HEADER = "h,n,k,E1,E2,x"
+CSV_FORMAT = "%.17g,%d,%d,%.17g,%.17g,%.17g"
 
 
 def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
     """CSV with 17 significant digits plus a JSON sidecar <path>.meta.json."""
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for p in table.points:
-            fh.write("%.17g,%d,%d,%.17g,%.17g,%.17g\n"
-                     % (p.h, p.n, p.k, p.E1, p.E2, p.x))
+    np.savetxt(path, table.points, fmt=CSV_FORMAT, header=CSV_HEADER,
+               comments="")
     meta = {
         "h": table.h,
         "n_range": list(table.n_range),
@@ -398,26 +395,21 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
 
 
 def read_spectrum_csv(path: str) -> SpectrumTable:
-    points = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigurationError(f"bad spectrum CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            hs, ns, ks, e1s, e2s, xs = line.split(",")
-            points.append(JointEigenvalue(n=int(ns), k=int(ks),
-                                          E1=float(e1s), E2=float(e2s),
-                                          h=float(hs), x=float(xs)))
-    if not points:
+    if header != CSV_HEADER:
+        raise ConfigurationError(f"bad spectrum CSV header: {header!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # an empty file is raised below
+        points = np.loadtxt(path, dtype=POINT_DTYPE, delimiter=",",
+                            skiprows=1, ndmin=1)
+    if not len(points):
         raise ConfigurationError(f"no rows in {path}")
-    h = points[0].h
+    h = float(points["h"][0])
     meta_path = path + ".meta.json"
     config = potential = None
-    n_range = (min(p.n for p in points), max(p.n for p in points))
-    e_window = (min(p.E1 for p in points), max(p.E1 for p in points))
+    n_range = (int(points["n"].min()), int(points["n"].max()))
+    e_window = (float(points["E1"].min()), float(points["E1"].max()))
     empty = []
     if os.path.exists(meta_path):
         with open(meta_path) as fh:

@@ -212,7 +212,7 @@ def test_criterion_10_quantum_monodromy_and_counting(spec_h5em3,
             mono_ok &= (int(np.trace(m)) == 2
                         and round(float(np.linalg.det(m))) == 1
                         and not np.array_equal(m, eye))
-            n_spec, n_pick = ml.count_in_polygon(spec, poly)
+            n_spec, n_pick = ml.count_in_polygon(spec, poly, res)
             good += n_spec == n_pick
         ok &= mono_ok and good == 10
         details.append(f"h={spec.h:g}: unipotent non-identity = {mono_ok}, "

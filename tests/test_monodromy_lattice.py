@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from champagne.errors import ChartError, DomainError, TransportError
-from champagne.monodromy_lattice import (ChartTransition, SpectrumPolygon,
-                                         count_in_polygon, fit_local_chart,
-                                         l0_line, lattice_point_in_polygon,
+from champagne.monodromy_lattice import (ChartTransition, LatticeChart,
+                                         SpectrumPolygon, count_in_polygon,
+                                         fit_local_chart, l0_line,
+                                         lattice_point_in_polygon,
                                          make_loop_polygon, pick_count,
                                          transport_chart, unwind,
                                          winding_around_origin)
@@ -188,7 +189,8 @@ def test_unwind_non_enclosing_is_identity(spec_h5em3):
 
 def test_count_equality_and_oracle(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=7)
-    n_spec, n_pick = count_in_polygon(spec_h5em3, poly)
+    n_spec, n_pick = count_in_polygon(spec_h5em3, poly,
+                                      unwind(poly, spec_h5em3))
     assert n_spec == n_pick
     assert n_spec == exact_line_count(spec_h5em3, poly)
 
@@ -197,16 +199,18 @@ def test_count_non_enclosing(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
                              center=(-18.0, -5.0), enclosing=False)
     assert winding_around_origin(poly.vertex_points()) == 0
-    n_spec, n_pick = count_in_polygon(spec_h5em3, poly)
+    n_spec, n_pick = count_in_polygon(spec_h5em3, poly,
+                                      unwind(poly, spec_h5em3))
     assert n_spec == n_pick == exact_line_count(spec_h5em3, poly)
 
 
 def test_enclosing_must_start_on_l0(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=3)
-    shifted = SpectrumPolygon(vertices=poly.vertices[5:] + poly.vertices[:5],
+    shifted = SpectrumPolygon(vertices=np.roll(poly.vertices, -5),
                               starts_on_L0=False)
+    res = unwind(shifted, spec_h5em3)
     with pytest.raises(DomainError):
-        count_in_polygon(spec_h5em3, shifted)
+        count_in_polygon(spec_h5em3, shifted, res)
 
 
 def test_l0_line_is_the_n0_line(spec_h5em3):
@@ -222,7 +226,20 @@ def test_l0_line_identity_monodromy_warns(spec_h5em3):
                              center=(18.0, 6.0), enclosing=False)
     res = unwind(poly, spec_h5em3)
     with pytest.warns(UserWarning):
-        assert l0_line(spec_h5em3, res.charts, res.monodromy) == []
+        assert len(l0_line(spec_h5em3, res.charts, res.monodromy)) == 0
+
+
+def test_l0_line_rejects_a_non_integral_monodromy(spec_h5em3):
+    # a last chart sheared by 0.4 against the first: the end-to-start
+    # transition rounds to the identity but is not integral
+    p = spec_h5em3.line(0)[-1]
+    first = fit_local_chart(spec_h5em3, (p.E1, p.E2), spec_h5em3.h)
+    shear = np.array([[1.0, 0.4], [0.0, 1.0]])
+    last = LatticeChart(center=first.center, linear=shear @ first.linear,
+                        offset=shear @ first.offset, radius=first.radius,
+                        h=first.h)
+    with pytest.raises(TransportError, match="residual"):
+        l0_line(spec_h5em3, [first, last])
 
 
 def test_chain_failure_names_the_segment(spec_h5em3):

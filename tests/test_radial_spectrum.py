@@ -115,6 +115,26 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     for a, b in zip(back.points, spec_h1em2.points):
         assert (a.n, a.k, a.E1) == (b.n, b.k, b.E1)
 
+    # rows in any order read back into the same (n, E1)-sorted lines
+    header, *rows = open(path).read().splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    shuffled = str(tmp_path / "shuffled.csv")
+    with open(shuffled, "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+    back = read_spectrum_csv(shuffled)
+    assert back.n_values() == spec_h1em2.n_values()
+    for n in spec_h1em2.n_values():
+        assert np.array_equal(back.line(n), spec_h1em2.line(n))
+        assert np.array_equal(back.line_x(n), spec_h1em2.line_x(n))
+
+
+def test_grid_size_is_capped_loudly():
+    # |x| <= 2.5: h = 1e-6 needs 2^25 points, more than the 2^22 allowed
+    x_half = 2.5 * math.sqrt(2.0)
+    assert default_config(1e-5, x_half * 1e-5).grid_points == 1 << 21
+    with pytest.raises(ConfigurationError, match="grid points"):
+        default_config(1e-6, x_half * 1e-6)
+
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):

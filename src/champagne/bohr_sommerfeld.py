@@ -51,8 +51,6 @@ class QuantizationModel:
     C: float
     offset_mod_2pi: float
     h: float
-    A: float | None = None
-    D: float | None = None
     residual: float | None = None
     source: str = "fit"
     warning: bool = False
@@ -65,7 +63,11 @@ class QuantizationModel:
     @staticmethod
     def from_json(path: str) -> "QuantizationModel":
         with open(path) as fh:
-            return QuantizationModel(**json.load(fh))
+            fields = json.load(fh)
+        # files written before the unused A and D were dropped carry them
+        fields.pop("A", None)
+        fields.pop("D", None)
+        return QuantizationModel(**fields)
 
 
 def _check_range(x, h: float) -> None:

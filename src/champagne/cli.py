@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ChampagneError, ConfigurationError
 from . import special_functions as sf
@@ -24,6 +22,7 @@ from . import radial_spectrum as rs
 from . import bohr_sommerfeld as bs
 from . import gap_analysis as ga
 from . import monodromy_lattice as ml
+from . import experiments as ex
 
 
 def _read_config_file(path: str) -> dict:
@@ -48,13 +47,18 @@ def _resolve(args, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-        elif key in file_cfg:
-            cast = type(default) if default is not None else str
-            raw = file_cfg[key]
-            cfg[key] = (raw.lower() in ("1", "true", "yes")
-                        if cast is bool else cast(raw))
-        else:
+        elif key not in file_cfg:
             cfg[key] = default
+        elif isinstance(default, bool):
+            cfg[key] = file_cfg[key].lower() in ("1", "true", "yes")
+        else:
+            # cast by the flag's argparse type, as if given on the line
+            cast = args.flag_types.get(key) or str
+            try:
+                cfg[key] = cast(file_cfg[key])
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"bad config value {key}={file_cfg[key]!r}") from exc
     print("resolved config: " + json.dumps(cfg, sort_keys=True, default=str))
     return cfg
 
@@ -64,10 +68,6 @@ def _sidecar(path: str, cfg: dict) -> None:
         json.dump({"config": cfg, "version": __version__}, fh,
                   indent=2, sort_keys=True, default=str)
         fh.write("\n")
-
-
-def _load_spectrum(path: str):
-    return rs.read_spectrum_csv(path)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -97,7 +97,7 @@ def _cmd_bs(args) -> int:
     if args.bs_op == "fit":
         cfg = _resolve(args, dict(spectrum="spectrum.csv", x_min=-10.0,
                                   x_max=10.0, out="model.json"))
-        table = _load_spectrum(cfg["spectrum"])
+        table = rs.read_spectrum_csv(cfg["spectrum"])
         model = bs.fit_model(table, x_window=(cfg["x_min"], cfg["x_max"]))
         model.to_json(cfg["out"])
         _sidecar(cfg["out"], cfg)
@@ -121,7 +121,7 @@ def _cmd_bs(args) -> int:
 def _cmd_gaps(args) -> int:
     cfg = _resolve(args, dict(spectrum="spectrum.csv", n=0, x_min=-10.0,
                               x_max=10.0, out="gaps.csv"))
-    table = _load_spectrum(cfg["spectrum"])
+    table = rs.read_spectrum_csv(cfg["spectrum"])
     recs = ga.measure_gaps(table, cfg["n"], (cfg["x_min"], cfg["x_max"]))
     ga.write_gaps_csv(cfg["out"], recs)
     _sidecar(cfg["out"], cfg)
@@ -160,7 +160,7 @@ def _cmd_weyl(args) -> int:
     cfg = _resolve(args, dict(spectrum="spectrum.csv", t1_min=-10.0,
                               t1_max=10.0, t2_min=-3.0, t2_max=3.0,
                               out="weyl.csv"))
-    table = _load_spectrum(cfg["spectrum"])
+    table = rs.read_spectrum_csv(cfg["spectrum"])
     n, pred = ga.weyl_count(table, _window(cfg))
     ga.write_weyl_csv(cfg["out"], [(table.h, n, pred)])
     _sidecar(cfg["out"], cfg)
@@ -218,8 +218,8 @@ def _make_polygon(cfg, table):
         enclosing=not cfg["non_enclosing"])
 
 
-def _unwind_json(table, poly, res, counts=None) -> dict:
-    out = dict(
+def _unwind_json(poly, res, counts) -> dict:
+    return dict(
         charts=[dict(center=list(c.center), linear=c.linear.tolist(),
                      offset=c.offset.tolist(), radius=c.radius, h=c.h,
                      residual=c.residual) for c in res.charts],
@@ -228,10 +228,8 @@ def _unwind_json(table, poly, res, counts=None) -> dict:
         monodromy=res.monodromy.matrix.tolist(),
         monodromy_shift=res.monodromy.shift.tolist(),
         unwound_vertices=res.vertices.tolist(),
-        polygon=poly.vertex_points().tolist())
-    if counts is not None:
-        out["counts"] = dict(spec=counts[0], pick=counts[1])
-    return out
+        polygon=poly.vertex_points().tolist(),
+        counts=dict(spec=counts[0], pick=counts[1]))
 
 
 _POLY_DEFAULTS = dict(spectrum="spectrum.csv", loop_radius=20.0, n_top=None,
@@ -241,12 +239,12 @@ _POLY_DEFAULTS = dict(spectrum="spectrum.csv", loop_radius=20.0, n_top=None,
 
 def _cmd_unwind(args) -> int:
     cfg = _resolve(args, _POLY_DEFAULTS)
-    table = _load_spectrum(cfg["spectrum"])
+    table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     res = ml.unwind(poly, table, table.h)
     counts = ml.count_in_polygon(table, poly, res)
     with open(cfg["out"], "w") as fh:
-        json.dump(_unwind_json(table, poly, res, counts), fh, indent=2,
+        json.dump(_unwind_json(poly, res, counts), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
     _sidecar(cfg["out"], cfg)
@@ -257,7 +255,7 @@ def _cmd_unwind(args) -> int:
 
 def _cmd_count(args) -> int:
     cfg = _resolve(args, _POLY_DEFAULTS)
-    table = _load_spectrum(cfg["spectrum"])
+    table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     n_spec, n_pick = ml.count_in_polygon(table, poly,
                                          ml.unwind(poly, table, table.h))
@@ -284,110 +282,72 @@ def _cmd_special(args) -> int:
 
 
 # --- figure pipelines -------------------------------------------------------
-
-def _gap_pipeline(h: float, x_half: float, workers) -> list:
-    e1 = (x_half + 0.5) * math.sqrt(2.0) * h
-    table = rs.joint_spectrum(h, (0, 0), (-e1, e1), workers=workers)
-    return ga.measure_gaps(table, 0, (-x_half, x_half))
-
+# each solves the tables its experiment names, writes the measurements and
+# prints the verdict; inputs and bounds live in experiments.py
 
 def _reproduce_cusp(cfg) -> bool:
-    recs = _gap_pipeline(cfg["h"], 10.0, cfg["workers"])
+    h = cfg["h"]
+    out = ex.gap_law([ex.gap_law_lines(h).solve(cfg["workers"])])
+    winner, records = out.measured
+    recs = records[h]
     ga.write_plot_data(cfg["prefix"] + "cusp_measured.dat",
                        [r.x_mid for r in recs],
                        [r.gap_measured for r in recs])
-    winner, table = ga.gap_verdict({cfg["h"]: recs})
     key = ("gap_pred_champagne" if winner == bs.VARIANT_CHAMPAGNE
            else "gap_pred_general")
     ga.write_plot_data(cfg["prefix"] + "cusp_predicted.dat",
                        [r.x_mid for r in recs],
                        [getattr(r, key) for r in recs])
-    err = min(table[cfg["h"]])
-    print(f"cusp: h={cfg['h']} winner={winner} max_rel_err={err:.3%} "
-          f"(tolerance 15%)")
-    return err <= 0.15
+    print(f"cusp: {out.detail}")
+    return out.ok
 
 
 def _reproduce_cusp_z(cfg) -> bool:
-    errs = {}
-    for h in (1e-4, 1e-5):
-        recs = _gap_pipeline(h, 10.0, cfg["workers"])
-        winner, table = ga.gap_verdict({h: recs})
-        errs[h] = min(table[h])
+    out = ex.gap_law([ex.gap_law_lines(h).solve(cfg["workers"])
+                      for h in ex.GAP_LAW_H])
+    for h, recs in out.measured[1].items():
         ga.write_plot_data(cfg["prefix"] + f"cusp_z_{h:g}.dat",
                            [r.x_mid for r in recs],
                            [r.gap_measured for r in recs])
-        print(f"cusp-z: h={h:g} winner={winner} max_rel_err={errs[h]:.3%}")
-    ok = errs[1e-5] < errs[1e-4]
-    print(f"cusp-z: refinement {'improves' if ok else 'DOES NOT improve'} "
-          "the fit")
-    return ok
+    print(f"cusp-z: {out.detail}")
+    return out.ok
 
 
 def _reproduce_gaps_formule(cfg) -> bool:
-    h_list = [1e-2, 1e-3, 1e-4, 1e-5]
-    scan = ga.smallest_gap_scan(h_list, workers=cfg["workers"])
+    out = ex.smallest_gap([ex.smallest_gap_lines(h).solve(cfg["workers"])
+                           for h in ex.SMALLEST_GAP_H])
     ga.write_plot_data(cfg["prefix"] + "gaps_formule.dat",
-                       [r.lnh_abs for r in scan.rows],
-                       [1.0 / r.gap_min_measured for r in scan.rows])
-    target = 1.0 / (2.0 * math.pi * math.sqrt(2.0))
-    ok = (abs(scan.slope - target) <= 0.05 * target
-          and scan.r_squared >= 0.995)
-    print(f"gaps-formule: slope={scan.slope:.6f} target={target:.6f} "
-          f"R^2={scan.r_squared:.5f} (5% / 0.995)")
-    return ok
+                       [r.lnh_abs for r in out.measured.rows],
+                       [1.0 / r.gap_min_measured for r in out.measured.rows])
+    print(f"gaps-formule: {out.detail}")
+    return out.ok
 
 
 def _reproduce_weyl(cfg) -> bool:
-    K = ga.Window(4.0, 14.0, -2.0, 2.0)
-    rows = []
-    for h in (1e-2, 1e-3, 1e-4):
-        x_hi = K.t1_max / math.sqrt(2.0)
-        e1 = (x_hi + 1.0) * math.sqrt(2.0) * h
-        table = rs.joint_spectrum(h, (int(K.t2_min), int(K.t2_max)),
-                                  (h * K.t1_min - 2 * h, e1),
-                                  workers=cfg["workers"])
-        n, pred = ga.weyl_count(table, K)
-        rows.append((h, n, pred))
-        print(f"weyl: h={h:g} N={n} predicted={pred:.2f} "
-              f"N/|ln h|={n / abs(math.log(h)):.3f}")
+    out = ex.weyl([ex.weyl_lines(h).solve(cfg["workers"])
+                   for h in ex.WEYL_H])
+    rows = out.measured
     ga.write_weyl_csv(cfg["prefix"] + "weyl.csv", rows)
     ga.write_plot_data(cfg["prefix"] + "weyl.dat",
                        [abs(math.log(h)) for h, _, _ in rows],
                        [n / abs(math.log(h)) for h, n, _ in rows])
-    ratios = [abs(n / pred - 1.0) for _, n, pred in rows[1:]]
-    resid = [abs(n - pred) for _, n, pred in rows]
-    ok = (max(ratios) <= 0.20
-          and max(resid) <= 2.0 * min(resid) + 5.0)
-    print(f"weyl: max ratio dev {max(ratios):.3%} (20%), residuals "
-          f"{[round(r, 2) for r in resid]} (max <= 2 min + 5)")
-    return ok
+    print(f"weyl: {out.detail}")
+    return out.ok
 
 
 def _reproduce_unwinding(cfg) -> bool:
-    h = 5e-3
-    e1 = 27.0 * math.sqrt(2.0) * h
-    table = rs.joint_spectrum(h, (-24, 24), (-e1, e1),
-                              workers=cfg["workers"])
-    poly = ml.make_loop_polygon(table, 20.0, seed=cfg["seed"])
-    res = ml.unwind(poly, table, h)
-    counts = ml.count_in_polygon(table, poly, res)
+    table = ex.UNWINDING_LINES.solve(cfg["workers"])
+    out = ex.quantum_loop(table, ex.UNWINDING_RADIUS, cfg["seed"])
     with open(cfg["prefix"] + "unwinding.json", "w") as fh:
-        json.dump(_unwind_json(table, poly, res, counts), fh, indent=2,
-                  sort_keys=True)
+        json.dump(_unwind_json(*out.measured), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    M = res.monodromy.matrix
-    unipotent = (int(np.trace(M)) == 2
-                 and round(float(np.linalg.det(M))) == 1
-                 and not res.monodromy.is_identity())
-    ok = unipotent and counts[0] == counts[1]
-    print(f"unwinding: monodromy {M.tolist()} unipotent={unipotent} "
-          f"counts spec={counts[0]} pick={counts[1]}")
-    return ok
+    print(f"unwinding: {out.detail}")
+    return out.ok
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _resolve(args, dict(h=1e-4, seed=0, workers=None, prefix=""))
+    cfg = _resolve(args, dict(h=ex.GAP_LAW_H[0], seed=0, workers=None,
+                              prefix=""))
     fig = args.figure_id
     pipelines = {"cusp": _reproduce_cusp, "cusp-z": _reproduce_cusp_z,
                  "gaps-formule": _reproduce_gaps_formule,
@@ -402,7 +362,10 @@ def _cmd_reproduce(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 def _add(p, *names, **kw):
-    p.add_argument(*names, **kw)
+    """add_argument that also records the flag's type for _resolve."""
+    action = p.add_argument(*names, **kw)
+    types = p.get_default("flag_types") or {}
+    p.set_defaults(flag_types={**types, action.dest: action.type})
 
 
 def build_parser() -> argparse.ArgumentParser:

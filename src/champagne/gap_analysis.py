@@ -126,22 +126,21 @@ class SmallestGapScan:
     r_squared: float
 
 
-def smallest_gap_scan(h_list, model: QuantizationModel | None = None,
-                      x_half_window: float = 2.5,
-                      workers: int | None = None) -> SmallestGapScan:
-    """Minimum n = 0 gap per h and the 1/|ln h| scaling regression.
+def smallest_gap_fit(tables, model: QuantizationModel | None = None,
+                     x_half_window: float = 2.5) -> SmallestGapScan:
+    """Minimum n = 0 gap of each table and the 1/|ln h| scaling regression.
 
-    The smallest gap sits at the center of the spectrum where the level
-    density peaks, so only a small window around x = 0 is computed per h.
-    Gaps are reported in Delta E / h units; the regression of
-    1/gap_min_measured against |ln h| has slope 1/(2 pi sqrt 2) to leading
-    order.
+    Each table holds the n = 0 line of one h over at least |x| <=
+    x_half_window; only the gaps inside that window are measured, since
+    the smallest gap sits at the center of the spectrum where the level
+    density peaks.  Gaps are reported in Delta E / h units; the regression
+    of 1/gap_min_measured against |ln h| has slope 1/(2 pi sqrt 2) to
+    leading order.  Rows are ordered by decreasing h.
     """
     rows = []
-    for h in sorted(h_list, reverse=True):
+    for spec in sorted(tables, key=lambda t: t.h, reverse=True):
+        h = spec.h
         m = model if model is not None and model.h == h else reference_model(h)
-        e1 = x_half_window * SQRT2 * h
-        spec = joint_spectrum(h, (0, 0), (-e1, e1), workers=workers)
         recs = measure_gaps(spec, 0, (-x_half_window, x_half_window), m)
         best = min(recs, key=lambda r: r.gap_measured)
         rows.append(SmallestGapRow(
@@ -161,6 +160,18 @@ def smallest_gap_scan(h_list, model: QuantizationModel | None = None,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return SmallestGapScan(rows=rows, slope=float(slope),
                            intercept=float(intercept), r_squared=r2)
+
+
+def smallest_gap_scan(h_list, model: QuantizationModel | None = None,
+                      x_half_window: float = 2.5,
+                      workers: int | None = None) -> SmallestGapScan:
+    """smallest_gap_fit on the n = 0 lines of h_list, solved on |x| <=
+    x_half_window only."""
+    tables = []
+    for h in sorted(h_list, reverse=True):
+        e1 = x_half_window * SQRT2 * h
+        tables.append(joint_spectrum(h, (0, 0), (-e1, e1), workers=workers))
+    return smallest_gap_fit(tables, model, x_half_window)
 
 
 # --- log-Weyl counting ------------------------------------------------------

@@ -482,29 +482,28 @@ def pick_count(vertices) -> int:
     return (area2 + boundary) // 2 + 1
 
 
-def lattice_point_in_polygon(p, vertices) -> bool:
-    """Exact inside-or-on test for an integer point against an integer polygon."""
-    v = [(int(q[0]), int(q[1])) for q in vertices]
-    if len(v) > 1 and v[0] == v[-1]:
+def lattice_point_in_polygon(p, vertices):
+    """Exact inside-or-on test of integer points against an integer polygon.
+
+    p is one point, giving a bool, or an (m, 2) array of points, giving an
+    (m,) bool array.  The arithmetic is int64 throughout, exact for
+    coordinates below 2^30 in magnitude.
+    """
+    v = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
+    if len(v) > 1 and (v[0] == v[-1]).all():
         v = v[:-1]
-    x, y = int(p[0]), int(p[1])
-    m = len(v)
-    for i in range(m):
-        if _on_segment(v[i], v[(i + 1) % m], (x, y)):
-            return True
-    inside = False
-    for i in range(m):
-        (ax, ay), (bx, by) = v[i], v[(i + 1) % m]
-        if (ay > y) != (by > y):
-            # x < x-intersection of the edge with the horizontal through y
-            lhs = (bx - ax) * (y - ay) - (x - ax) * (by - ay)
-            if by > ay:
-                if lhs > 0:
-                    inside = not inside
-            else:
-                if lhs < 0:
-                    inside = not inside
-    return inside
+    pts = np.asarray(p, dtype=np.int64)
+    x, y = pts.reshape(-1, 2).T[:, :, None]      # (m, 1) against the edges
+    (ax, ay), (bx, by) = v.T, np.vstack((v[1:], v[:1])).T
+    cross = (bx - ax) * (y - ay) - (x - ax) * (by - ay)
+    # collinear with an edge and between its ends
+    on_edge = (cross == 0) & ((x - ax) * (x - bx) + (y - ay) * (y - by) <= 0)
+    # edges that straddle the horizontal through the point and pass on its
+    # right cross the ray to +x; a straddling edge through the point is
+    # already counted by on_edge
+    crosses = ((ay > y) != (by > y)) & ((cross > 0) == (by > ay))
+    inside = on_edge.any(axis=1) | (crosses.sum(axis=1) % 2 == 1)
+    return bool(inside[0]) if pts.ndim == 1 else inside
 
 
 # --- the counting theorem -------------------------------------------------
@@ -540,15 +539,13 @@ def _enumerate_line_labels(line_pts: np.ndarray, charts) -> np.ndarray:
 
 
 def _count_lines(spectrum, charts, poly_vertices, n_values) -> int:
-    poly = [tuple(map(int, v)) for v in poly_vertices]
     total = 0
     for n in n_values:
         line = spectrum.line(n)
-        if not len(line):
-            continue
-        for lab in _enumerate_line_labels(_plane(line), charts):
-            if lattice_point_in_polygon(lab, poly):
-                total += 1
+        if len(line):
+            labels = _enumerate_line_labels(_plane(line), charts)
+            total += int(np.count_nonzero(
+                lattice_point_in_polygon(labels, poly_vertices)))
     return total
 
 

@@ -395,6 +395,8 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
 
 
 def read_spectrum_csv(path: str) -> SpectrumTable:
+    """Table written by write_spectrum_csv.  Without its .meta.json sidecar
+    it warns, and assumes the champagne potential and default_config."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != CSV_HEADER:
@@ -407,7 +409,6 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
         raise ConfigurationError(f"no rows in {path}")
     h = float(points["h"][0])
     meta_path = path + ".meta.json"
-    config = potential = None
     n_range = (int(points["n"].min()), int(points["n"].max()))
     e_window = (float(points["E1"].min()), float(points["E1"].max()))
     empty = []
@@ -420,8 +421,11 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
         n_range = tuple(meta["n_range"])
         e_window = tuple(meta["e_window"])
         empty = meta.get("empty_lines", [])
+    else:
+        warnings.warn(f"{meta_path} not found: assuming the champagne "
+                      "potential and default_config for the table")
+        potential = PotentialSpec.champagne_bottle()
+        config = default_config(h, e_window[1], potential)
     return SpectrumTable(h=h, n_range=n_range, e_window=e_window,
-                         points=points,
-                         config=config or default_config(h, e_window[1]),
-                         potential=potential or PotentialSpec.champagne_bottle(),
+                         points=points, config=config, potential=potential,
                          empty_lines=empty)

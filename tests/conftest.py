@@ -5,46 +5,36 @@ fast.  Windows are sized so each consumer has margin past its region of
 interest.
 """
 
-import math
-
 import pytest
 
-from champagne.radial_spectrum import joint_spectrum
-
-SQRT2 = math.sqrt(2.0)
-
-
-def _spectrum(h, n_max, x_half, workers=3):
-    e1 = x_half * SQRT2 * h
-    return joint_spectrum(h, (-n_max, n_max), (-e1, e1), workers=workers)
+from champagne.experiments import UNWINDING_LINES, Lines
 
 
 @pytest.fixture(scope="session")
 def spec_h1em2():
     """h = 1e-2, lines |n| <= 4, |x| <= 10.5."""
-    return _spectrum(1e-2, 4, 10.5)
+    return Lines(1e-2, 4, (-10.5, 10.5)).solve(workers=3)
 
 
 @pytest.fixture(scope="session")
 def spec_h1em3():
     """h = 1e-3, lines |n| <= 32, |x| <= 27: the workhorse table."""
-    return _spectrum(1e-3, 32, 27.0)
+    return Lines(1e-3, 32, (-27.0, 27.0)).solve(workers=3)
 
 
 @pytest.fixture(scope="session")
 def spec_h5em3():
     """h = 5e-3, lines |n| <= 24, |x| <= 27: the unwinding annulus."""
-    return _spectrum(5e-3, 24, 27.0)
+    return UNWINDING_LINES.solve(workers=3)
 
 
 @pytest.fixture(scope="session")
 def spec_h1em4():
     """h = 1e-4, lines |n| <= 2, |x| <= 10.6."""
-    return _spectrum(1e-4, 2, 10.6)
+    return Lines(1e-4, 2, (-10.6, 10.6)).solve(workers=3)
 
 
 @pytest.fixture(scope="session")
 def spec_h1em5():
     """h = 1e-5, n = 0 only, |x| <= 10.6 (the slow one)."""
-    e1 = 10.6 * SQRT2 * 1e-5
-    return joint_spectrum(1e-5, (0, 0), (-e1, e1), workers=1)
+    return Lines(1e-5, 0, (-10.6, 10.6)).solve(workers=1)

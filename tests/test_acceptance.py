@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from champagne import bohr_sommerfeld as bs
 from champagne import classical_actions as ca
+from champagne import experiments as ex
 from champagne import gap_analysis as ga
 from champagne import monodromy_lattice as ml
 from champagne import radial_spectrum as rs
@@ -97,49 +97,21 @@ def test_criterion_3_simplicity_of_the_joint_spectrum():
 
 def test_criterion_4_gap_law_variants(spec_h1em4, spec_h1em5):
     t0 = time.perf_counter()
-    records = {1e-4: ga.measure_gaps(spec_h1em4, 0, (-10, 10)),
-               1e-5: ga.measure_gaps(spec_h1em5, 0, (-10, 10))}
-    winner, table = ga.gap_verdict(records)
-    err4 = min(table[1e-4])
-    err5 = min(table[1e-5])
-    constant = ("(9/2) ln 2" if winner == bs.VARIANT_CHAMPAGNE
-                else "(7/2) ln 2")
+    out = ex.gap_law([spec_h1em4, spec_h1em5])
     dt = time.perf_counter() - t0
-    ok = err4 <= 0.15 and err5 < err4 and dt < 600.0
-    report(4, "gap law", ok,
-           f"winner = {winner} (constant {constant} + gamma), max rel err "
-           f"{err4:.3%} at h=1e-4 (<=15%), {err5:.3%} at h=1e-5 "
-           f"(strictly smaller), analysis {dt:.0f}s < 600s")
+    report(4, "gap law", out.ok and dt < 600.0,
+           f"{out.detail}, analysis {dt:.0f}s < 600s")
 
 
-def test_criterion_5_smallest_gap_scaling():
-    scan = ga.smallest_gap_scan([1e-2, 1e-3, 1e-4, 1e-5], workers=2)
-    target = 1.0 / (TWO_PI * SQRT2)
-    row4 = next(r for r in scan.rows if r.h == 1e-4)
-    dev = abs(scan.slope - target) / target
-    gap_dev = abs(row4.gap_min_measured - row4.gap_min_champagne) \
-        / row4.gap_min_champagne
-    ok = dev <= 0.05 and scan.r_squared >= 0.995 and gap_dev <= 0.10
-    report(5, "smallest-gap scaling", ok,
-           f"slope = {scan.slope:.5f} vs 1/(2 pi sqrt2) = {target:.5f} "
-           f"({dev:.2%} <= 5%), R^2 = {scan.r_squared:.5f} >= 0.995, "
-           f"h=1e-4 measured vs champagne variant {gap_dev:.2%} <= 10%")
+def test_criterion_5_smallest_gap_scaling(spec_h1em2, spec_h1em3,
+                                          spec_h1em4, spec_h1em5):
+    out = ex.smallest_gap([spec_h1em2, spec_h1em3, spec_h1em4, spec_h1em5])
+    report(5, "smallest-gap scaling", out.ok, out.detail)
 
 
 def test_criterion_6_log_weyl_count(spec_h1em3, spec_h1em4):
-    K = ga.Window(4.0, 13.0, -2.0, 2.0)
-    rows = {}
-    for spec in (spec_h1em3, spec_h1em4):
-        n, pred = ga.weyl_count(spec, K)
-        rows[spec.h] = (n, pred, abs(n - pred))
-    devs = {h: abs(n / pred - 1.0) for h, (n, pred, _) in rows.items()}
-    resid = [r for _, _, r in rows.values()]
-    ok = max(devs.values()) <= 0.20 \
-        and max(resid) <= 2.0 * min(resid) + 5.0
-    report(6, "log-Weyl counting", ok,
-           f"N/predicted deviations {devs[1e-3]:.2%}, {devs[1e-4]:.2%} "
-           f"(<=20%), residuals {resid[0]:.1f}, {resid[1]:.1f} "
-           f"(max <= 2 min + 5)")
+    out = ex.weyl([spec_h1em3, spec_h1em4])
+    report(6, "log-Weyl counting", out.ok, out.detail)
 
 
 def test_criterion_7_symplectic_volume():
@@ -198,37 +170,15 @@ def test_criterion_9_regularized_action():
 
 def test_criterion_10_quantum_monodromy_and_counting(spec_h5em3,
                                                      spec_h1em3):
-    details, ok = [], True
-    eye = np.eye(2, dtype=int)
-    for spec in (spec_h5em3, spec_h1em3):
-        good = 0
-        mono_ok = True
-        for seed in range(10):
-            rng = np.random.default_rng(1000 + seed)
-            radius = float(rng.uniform(14.0, 22.0))
-            poly = ml.make_loop_polygon(spec, radius, seed=seed)
-            res = ml.unwind(poly, spec)
-            m = res.monodromy.matrix
-            mono_ok &= (int(np.trace(m)) == 2
-                        and round(float(np.linalg.det(m))) == 1
-                        and not np.array_equal(m, eye))
-            n_spec, n_pick = ml.count_in_polygon(spec, poly, res)
-            good += n_spec == n_pick
-        ok &= mono_ok and good == 10
-        details.append(f"h={spec.h:g}: unipotent non-identity = {mono_ok}, "
-                       f"N_spec == N_pick on {good}/10 polygons")
+    out = ex.quantum_monodromy([spec_h5em3, spec_h1em3])
+    ok, details = out.ok, [out.detail]
     # brute-force check of the Pick counter on 100 random polygons
-    from test_monodromy_lattice import random_simple_polygon
+    from test_monodromy_lattice import brute_force_count, random_simple_polygon
     rng = np.random.default_rng(7)
     brute_ok = 0
     for _ in range(100):
         v = random_simple_polygon(rng)
-        xs = [p[0] for p in v]
-        ys = [p[1] for p in v]
-        brute = sum(ml.lattice_point_in_polygon((x, y), v)
-                    for x in range(min(xs), max(xs) + 1)
-                    for y in range(min(ys), max(ys) + 1))
-        brute_ok += ml.pick_count(v) == brute
+        brute_ok += ml.pick_count(v) == brute_force_count(v)
     ok &= brute_ok == 100
     details.append(f"pick_count == brute force on {brute_ok}/100 polygons")
     report(10, "quantum monodromy and counting", ok, "; ".join(details))

@@ -1,5 +1,6 @@
 """Singular quantization rule: slope, fit recovery, gap variants."""
 
+import json
 import math
 
 import numpy as np
@@ -132,3 +133,8 @@ def test_model_json_roundtrip(tmp_path):
     model.to_json(path)
     back = QuantizationModel.from_json(path)
     assert back == model
+    # files from before the unused A and D fields were dropped still load
+    older = json.load(open(path))
+    older.update(A=None, D=None)
+    json.dump(older, open(path, "w"))
+    assert QuantizationModel.from_json(path) == model

@@ -133,16 +133,20 @@ def random_simple_polygon(rng):
         return v
 
 
+def brute_force_count(v):
+    """Points of the bounding box of v that lie inside or on it, each
+    tested on its own."""
+    xs, ys = zip(*v)
+    box = np.mgrid[min(xs):max(xs) + 1, min(ys):max(ys) + 1]
+    return int(np.count_nonzero(
+        lattice_point_in_polygon(box.reshape(2, -1).T, v)))
+
+
 def test_pick_against_brute_force_100_polygons():
     rng = np.random.default_rng(42)
     for _ in range(100):
         v = random_simple_polygon(rng)
-        xs = [p[0] for p in v]
-        ys = [p[1] for p in v]
-        brute = sum(lattice_point_in_polygon((x, y), v)
-                    for x in range(min(xs), max(xs) + 1)
-                    for y in range(min(ys), max(ys) + 1))
-        assert pick_count(v) == brute, v
+        assert pick_count(v) == brute_force_count(v), v
 
 
 def test_point_in_polygon_boundary_inclusive():
@@ -151,6 +155,36 @@ def test_point_in_polygon_boundary_inclusive():
     assert lattice_point_in_polygon((2, 2), sq)
     assert not lattice_point_in_polygon((5, 2), sq)
     assert not lattice_point_in_polygon((-1, 0), sq)
+
+
+def reference_point_in_polygon(p, v):
+    """Point by point in Python integers: on an edge, or an odd number of
+    edge crossings of the ray to +x."""
+    x, y = p
+    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+        if ((bx - ax) * (y - ay) == (x - ax) * (by - ay)
+                and min(ax, bx) <= x <= max(ax, bx)
+                and min(ay, by) <= y <= max(ay, by)):
+            return True
+    inside = False
+    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+        if (ay > y) != (by > y):
+            lhs = (bx - ax) * (y - ay) - (x - ax) * (by - ay)
+            inside ^= lhs > 0 if by > ay else lhs < 0
+    return inside
+
+
+def test_point_in_polygon_on_an_array_of_points():
+    # one (m, 2) call gives the point-by-point answers, closed input too
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        v = random_simple_polygon(rng)
+        pts = rng.integers(-21, 22, (300, 2))
+        ref = [reference_point_in_polygon(p, v) for p in pts.tolist()]
+        assert lattice_point_in_polygon(pts, v).tolist() == ref
+        assert lattice_point_in_polygon(pts, v + v[:1]).tolist() == ref
+        assert [lattice_point_in_polygon(p, v) for p in pts[:20]] \
+            == ref[:20]
 
 
 # --- real spectra -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Radial eigensolver: harmonic oracle, convergence order, bookkeeping."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -121,11 +122,38 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     shuffled = str(tmp_path / "shuffled.csv")
     with open(shuffled, "w") as fh:
         fh.write("\n".join([header] + rows) + "\n")
-    back = read_spectrum_csv(shuffled)
+    with pytest.warns(UserWarning, match="meta.json"):
+        back = read_spectrum_csv(shuffled)
     assert back.n_values() == spec_h1em2.n_values()
     for n in spec_h1em2.n_values():
         assert np.array_equal(back.line(n), spec_h1em2.line(n))
         assert np.array_equal(back.line_x(n), spec_h1em2.line_x(n))
+
+
+def test_csv_without_sidecar_warns(tmp_path):
+    table = joint_spectrum(0.1, (0, 1), (0.0, 0.5), potential=HARMONIC)
+    path = str(tmp_path / "spec.csv")
+    write_spectrum_csv(table, path)
+    assert read_spectrum_csv(path).potential == HARMONIC
+    os.remove(path + ".meta.json")
+    with pytest.warns(UserWarning, match="meta.json not found"):
+        back = read_spectrum_csv(path)
+    # what the warning says is assumed
+    assert back.potential == PotentialSpec.champagne_bottle()
+    assert back.config == default_config(0.1, float(np.max(table.points.E1)))
+
+
+def test_custom_polynomial_potential():
+    # the harmonic oscillator, given as a custom polynomial
+    custom = PotentialSpec.custom_polynomial((0.0, 0.5))
+    assert custom.kind == "custom_polynomial"
+    a = joint_spectrum(0.1, (-2, 2), (0.0, 1.2), potential=custom)
+    b = joint_spectrum(0.1, (-2, 2), (0.0, 1.2), potential=HARMONIC)
+    assert len(a.points) == len(b.points) > 10
+    assert a.points.tobytes() == b.points.tobytes()
+    for coefficients in ((0.0, 1.0, -1.0), (0.0, -0.5), (1.0,)):
+        with pytest.raises(ConfigurationError):
+            PotentialSpec.custom_polynomial(coefficients)
 
 
 def test_grid_size_is_capped_loudly():

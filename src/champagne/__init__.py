@@ -10,8 +10,8 @@ counting.
 __version__ = "0.1.0"
 
 from .errors import (ChampagneError, ChartError, ConfigurationError,
-                     DomainError, FitError, ModelRangeError,
-                     SampleSizeError, TransportError)
+                     ConvergenceError, DomainError, FitError,
+                     ModelRangeError, SampleSizeError, TransportError)
 from .special_functions import fourier_constant, psi_n, psi_n_prime
 from .radial_spectrum import (DiscretizationConfig, PotentialSpec,
                               SpectrumTable, joint_spectrum)
@@ -28,8 +28,9 @@ from .gap_analysis import (GapRecord, Window, dh_volume, measure_gaps,
                            smallest_gap_scan, weyl_count)
 
 __all__ = [
-    "ChampagneError", "ChartError", "ConfigurationError", "DomainError",
-    "FitError", "ModelRangeError", "SampleSizeError", "TransportError",
+    "ChampagneError", "ChartError", "ConfigurationError",
+    "ConvergenceError", "DomainError", "FitError", "ModelRangeError",
+    "SampleSizeError", "TransportError",
     "fourier_constant", "psi_n", "psi_n_prime",
     "DiscretizationConfig", "PotentialSpec", "SpectrumTable",
     "joint_spectrum",

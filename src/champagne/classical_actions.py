@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -44,8 +44,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss(f, a: float, b: float, n0: int = 64, tol: float = 1e-9,
-           max_n: int = 1 << 16) -> float:
-    """Gauss-Legendre with node doubling until the relative change < tol."""
+           max_n: int = 1 << 11) -> float:
+    """Gauss-Legendre with node doubling until the relative change < tol.
+
+    Raises ConvergenceError if max_n nodes do not get there.  The actions
+    converge by 512 nodes; leggauss builds a dense n x n matrix, so the
+    nodes cost O(n^2) memory and O(n^3) time (4096 nodes take about 30 s
+    on 2 CPUs).
+    """
     if b <= a:
         return 0.0
     half = 0.5 * (b - a)
@@ -53,14 +59,18 @@ def _gauss(f, a: float, b: float, n0: int = 64, tol: float = 1e-9,
     n = n0
     xs, ws = _leggauss(n)
     prev = half * float(np.dot(ws, f(mid + half * xs)))
+    change = math.inf
     while n < max_n:
         n *= 2
         xs, ws = _leggauss(n)
         cur = half * float(np.dot(ws, f(mid + half * xs)))
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+        change = abs(cur - prev)
+        if change <= tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    return prev
+    raise ConvergenceError(
+        f"Gauss-Legendre on [{a:g}, {b:g}] still changed by {change:.3g} "
+        f"at {n} nodes, above the relative tolerance {tol:g}")
 
 
 # --- turning points ----------------------------------------------------

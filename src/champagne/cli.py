@@ -345,16 +345,26 @@ def _reproduce_unwinding(cfg) -> bool:
     return out.ok
 
 
+# each pipeline with the one optional flag it reads, if any
+_PIPELINES = {"cusp": (_reproduce_cusp, "h"),
+              "cusp-z": (_reproduce_cusp_z, None),
+              "gaps-formule": (_reproduce_gaps_formule, None),
+              "weyl": (_reproduce_weyl, None),
+              "unwinding": (_reproduce_unwinding, "seed")}
+
+
 def _cmd_reproduce(args) -> int:
+    fig = args.figure_id
+    if fig not in _PIPELINES:
+        raise ConfigurationError(f"unknown figure id {fig!r}")
+    pipeline, reads = _PIPELINES[fig]
+    for key in ("h", "seed"):
+        if getattr(args, key) is not None and key != reads:
+            raise ConfigurationError(
+                f"reproduce {fig} does not read --{key}")
     cfg = _resolve(args, dict(h=ex.GAP_LAW_H[0], seed=0, workers=None,
                               prefix=""))
-    fig = args.figure_id
-    pipelines = {"cusp": _reproduce_cusp, "cusp-z": _reproduce_cusp_z,
-                 "gaps-formule": _reproduce_gaps_formule,
-                 "weyl": _reproduce_weyl, "unwinding": _reproduce_unwinding}
-    if fig not in pipelines:
-        raise ConfigurationError(f"unknown figure id {fig!r}")
-    ok = pipelines[fig](cfg)
+    ok = pipeline(cfg)
     print(f"reproduce {fig}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -31,3 +31,7 @@ class TransportError(ChartError):
 
 class SampleSizeError(ChampagneError):
     """Monte Carlo standard error exceeds the requested tolerance."""
+
+
+class ConvergenceError(ChampagneError):
+    """An iteration reached its cap before meeting its tolerance."""

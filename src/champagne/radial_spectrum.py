@@ -10,6 +10,13 @@ endpoint implicitly (no boundary row is needed for any n) and keeps the
 scheme second-order accurate, with an optional two-grid Richardson step
 that upgrades eigenvalues to fourth order.
 
+A window of levels is solved by LAPACK bisection (stebz) on the fine grid
+2N, and one Sturm count gives the radial index of its first level.  The
+coarse grid N is then solved for exactly those indices, so the two grids
+pair by index.  Completeness at the window edges is checked from the
+measured Richardson correction, not from an error model, and a correction
+above RICHARDSON_GAP_BUDGET local gaps raises ConfigurationError.
+
 Joint eigenvalues are reported as (E1, E2) = (radial eigenvalue, h n)
 together with the zoomed coordinate x = E1 / (sqrt(2) h).
 """
@@ -191,17 +198,24 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
     return TridiagonalOperator(int(n), diag, off, config, potential)
 
 
+# rows per numpy-to-Python conversion in the Sturm count: iterating over
+# Python floats is about five times faster than indexing numpy scalars,
+# and chunks keep the converted copy small next to the operator
+_STURM_CHUNK = 1 << 15
+
+
 def _sturm_kernel(diag, off, x):
-    count = 0
-    d = diag[0] - x
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        if d == 0.0:
-            d = 1e-300
-        d = diag[i] - x - off[i - 1] * off[i - 1] / d
-        if d < 0.0:
-            count += 1
+    d = float(diag[0]) - x
+    count = int(d < 0.0)
+    for s in range(1, len(diag), _STURM_CHUNK):
+        shifted = (diag[s:s + _STURM_CHUNK] - x).tolist()
+        off2 = (off[s - 1:s - 1 + _STURM_CHUNK] ** 2).tolist()
+        for a, b2 in zip(shifted, off2):
+            if d == 0.0:
+                d = 1e-300
+            d = a - b2 / d
+            if d < 0.0:
+                count += 1
     return count
 
 
@@ -211,12 +225,35 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
 
 
 def _eig_range(op: TridiagonalOperator, lo: float, hi: float) -> np.ndarray:
+    """Eigenvalues in (lo, hi], the half-open interval of LAPACK stebz."""
     if hi <= lo:
         return np.empty(0)
     vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
                             select="v", select_range=(lo, hi))
     # a copy: the levels are a view of a grid-sized buffer
     return np.array(vals, dtype=float)
+
+
+def _eig_index(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
+    """Eigenvalues of index first..stop-1, counted from the bottom."""
+    if stop <= first:
+        return np.empty(0)
+    vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
+                            select="i", select_range=(first, stop - 1))
+    return np.array(vals, dtype=float)
+
+
+def _first_index(op: TridiagonalOperator, vals: np.ndarray,
+                 lo: float, hi: float) -> int:
+    """Index of the first level above lo, given vals, all levels in (lo, hi].
+
+    One Sturm count, taken in the middle of the widest gap between lo, the
+    levels and hi, so that no level lies within rounding of the point
+    counted at (at lo itself the count can disagree with stebz).
+    """
+    edges = np.concatenate(([lo], vals, [hi]))
+    i = int(np.argmax(np.diff(edges)))
+    return sturm_count(op, 0.5 * (edges[i] + edges[i + 1])) - i
 
 
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
@@ -235,6 +272,19 @@ def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
 # one radial level: index k from the bottom and eigenvalue E1
 LEVEL_DTYPE = np.dtype([("k", np.int64), ("E1", np.float64)])
 
+# largest Richardson correction |E_rich - E_2N| allowed, in local gaps
+RICHARDSON_GAP_BUDGET = 0.5
+
+
+def _richardson_ratio(fine: np.ndarray, rich: np.ndarray) -> float:
+    """max over levels of |rich - fine| / the gap to the nearer neighbour;
+    inf when the extrapolated levels are not increasing."""
+    gaps = np.diff(rich)
+    if np.any(gaps <= 0.0):
+        return math.inf
+    local = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    return float(np.max(np.abs(rich - fine) / local, initial=0.0))
+
 
 def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                           potential: PotentialSpec,
@@ -242,31 +292,58 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
     index from the bottom.
 
-    With config.richardson the values are extrapolated from grids N and 2N
-    (error O(delta^4)); indices are aligned through Sturm counts so the
-    pairing is exact even when a level sits near the window edge.
+    The grid 2N (N without config.richardson) is solved on (lo, hi], and
+    one Sturm count gives the index of its first level.  With
+    config.richardson the grid N is solved for exactly those indices and
+    E1 = (4 E_2N - E_N) / 3, so the pairing is by index and cannot drop a
+    level.  A window with fewer than two levels takes its neighbours too,
+    so that a correction and a gap are measured.  Completeness comes from
+    the measured correction: with c = 2 max |E1 - E_2N|, the levels the
+    fine grid has in (lo - c, lo] and (hi, hi + c] are added on both grids,
+    until c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET
+    local gaps raises ConfigurationError.
     """
-    op1 = build_radial_operator(n, config, potential)
-    delta = config.r_max / config.grid_points
-    p2 = 2.0 * max(hi - potential.v_min(), 1e-3)
-    err = delta**2 * p2**2 / (24.0 * config.h**2) + 1e-12
-    ext_lo, ext_hi = lo - 4.0 * err, hi + 4.0 * err
-
-    def indexed(op):
-        return sturm_count(op, ext_lo), _eig_range(op, ext_lo, ext_hi)
-
-    k0, vals = indexed(op1)
+    grid = config.grid_points
+    fine = build_radial_operator(
+        n, config, potential,
+        grid_points=2 * grid if config.richardson else grid)
+    e_fine = _eig_range(fine, lo, hi)
+    inside = len(e_fine)
+    first = window_first = _first_index(fine, e_fine, lo, hi)
+    e1 = e_fine
     if config.richardson:
-        op2 = build_radial_operator(n, config, potential,
-                                    grid_points=2 * config.grid_points)
-        k2, vals2 = indexed(op2)
-        first = max(k0, k2)
-        last = max(first, min(k0 + len(vals), k2 + len(vals2)))
-        vals = (4.0 * vals2[first - k2:last - k2]
-                - vals[first - k0:last - k0]) / 3.0
-        k0 = first
-    keep = (vals >= lo) & (vals < hi)
-    return np.rec.fromarrays([k0 + np.flatnonzero(keep), vals[keep]],
+        if inside < 2:
+            first = max(first - 1, 0)
+            e_fine = _eig_index(fine, first, first + 2)
+        coarse = build_radial_operator(n, config, potential)
+        e_coarse = _eig_index(coarse, first, first + len(e_fine))
+        while True:
+            e1 = (4.0 * e_fine - e_coarse) / 3.0
+            ratio = _richardson_ratio(e_fine, e1)
+            if ratio > RICHARDSON_GAP_BUDGET:
+                raise ConfigurationError(
+                    f"line n={n}: the Richardson correction is {ratio:.3g} "
+                    f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}"
+                    f"; N={grid} is too coarse")
+            # below[j] has index window_first - len(below) + j, and
+            # above[j] has index window_first + inside + j
+            c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
+            below = _eig_range(fine, lo - c, lo)
+            above = _eig_range(fine, hi, hi + c)
+            known = first + len(e_fine)
+            start = min(first, window_first - len(below))
+            stop = max(known, window_first + inside + len(above))
+            if (start, stop) == (first, known):
+                break
+            e_fine = np.concatenate((
+                below[:first - start], e_fine,
+                above[known - window_first - inside:]))
+            e_coarse = np.concatenate((
+                _eig_index(coarse, start, first), e_coarse,
+                _eig_index(coarse, known, stop)))
+            first = start
+    keep = (e1 >= lo) & (e1 < hi)
+    return np.rec.fromarrays([first + np.flatnonzero(keep), e1[keep]],
                              dtype=LEVEL_DTYPE)
 
 

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from champagne.classical_actions import (HOMOCLINIC_ACTION, action_sample,
-                                         circle_loop, classical_monodromy,
+from champagne.classical_actions import (HOMOCLINIC_ACTION, _gauss,
+                                         action_sample, circle_loop,
+                                         classical_monodromy,
                                          radial_action, regularized_action,
                                          rotation_number, rotation_winding,
                                          theta_tilde, turning_points,
                                          write_samples_csv)
-from champagne.errors import DomainError
+from champagne.errors import ConvergenceError, DomainError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,6 +122,14 @@ def test_homoclinic_value_is_exact_integral():
     from scipy.integrate import quad
     val, _ = quad(lambda r: 2.0 * r * math.sqrt(2.0 * (1 - r * r)), 0, 1)
     assert HOMOCLINIC_ACTION == pytest.approx(val, abs=1e-12)
+
+
+def test_quadrature_raises_when_it_does_not_converge():
+    # a small cap keeps leggauss's dense n x n companion matrix small
+    assert _gauss(np.cos, 0.0, 1.0, max_n=512) == pytest.approx(
+        math.sin(1.0), rel=1e-12)
+    with pytest.raises(ConvergenceError, match="512 nodes"):
+        _gauss(lambda x: np.where(x < 0.3, 0.0, 1.0), 0.0, 1.0, max_n=512)
 
 
 def test_unregularized_divergence_is_logarithmic():

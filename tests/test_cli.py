@@ -120,3 +120,12 @@ def test_reproduce_cusp(tmp_path, capsys):
     for name in ("cusp_measured.dat", "cusp_predicted.dat"):
         rows = open(prefix + name).read().strip().split("\n")
         assert len(rows) > 10 and len(rows[0].split()) == 2
+
+
+def test_reproduce_rejects_a_flag_its_pipeline_ignores(capsys):
+    # only cusp reads --h and only unwinding reads --seed
+    for argv in (("weyl", "--h", "1e-3"), ("unwinding", "--h", "1e-3"),
+                 ("cusp", "--seed", "3"), ("gaps-formule", "--seed", "3")):
+        assert run("reproduce", *argv) == 1
+        err = capsys.readouterr().err
+        assert f"reproduce {argv[0]} does not read {argv[1]}" in err

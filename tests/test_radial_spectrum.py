@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from champagne.errors import ConfigurationError, DomainError
-from champagne.radial_spectrum import (DiscretizationConfig, PotentialSpec,
+from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
+                                       DiscretizationConfig, PotentialSpec,
                                        build_radial_operator, default_config,
                                        eigenvalues_below,
                                        eigenvalues_in_window, joint_spectrum,
@@ -58,6 +60,80 @@ def test_richardson_beats_plain():
     ep = eigenvalues_in_window(0, plain, HARMONIC, 0.2, 0.4)[0][1]
     er = eigenvalues_in_window(0, rich, HARMONIC, 0.2, 0.4)[0][1]
     assert abs(er - e_ref) < 1e-2 * abs(ep - e_ref)
+
+
+CHAMPAGNE = PotentialSpec.champagne_bottle()
+
+
+def brute_force_window(coarse, fine, lo, hi):
+    """All levels of grids N and 2N, paired by position, extrapolated,
+    then filtered to [lo, hi): (k, E1) pairs."""
+    m = min(len(coarse), len(fine))
+    rich = (4.0 * fine[:m] - coarse[:m]) / 3.0
+    return [(k, e) for k, e in enumerate(rich) if lo <= e < hi]
+
+
+@pytest.mark.parametrize("potential,n", [(CHAMPAGNE, 0), (CHAMPAGNE, 3),
+                                         (HARMONIC, 0), (HARMONIC, 2)])
+def test_window_solve_matches_brute_force(potential, n):
+    h = 1e-2
+    e_top = 0.3
+    config = default_config(h, e_top, potential)
+    coarse = eigenvalues_below(build_radial_operator(n, config, potential),
+                               e_top)
+    fine = eigenvalues_below(build_radial_operator(
+        n, config, potential, grid_points=2 * config.grid_points), e_top)
+    mid = len(fine) // 2
+    # between the grid-2N value of a level and its extrapolated value
+    split = fine[mid] + (fine[mid] - coarse[mid]) / 6.0
+    windows = [(fine[2], fine[12]), (fine[mid], fine[mid + 1]),
+               (fine[mid - 1], fine[mid - 1] + 1e-14),
+               (0.5 * (fine[mid] + fine[mid + 1]), fine[mid + 4]),
+               (fine[mid] - 1e-13, fine[mid] + 1e-13),
+               (fine[3], 0.5 * (fine[3] + fine[4])),
+               (split, fine[mid + 3]), (fine[mid - 3], split)]
+    for lo, hi in windows:
+        want = brute_force_window(coarse, fine, lo, hi)
+        got = eigenvalues_in_window(n, config, potential, lo, hi)
+        assert [k for k, _ in want] == got.k.tolist(), (lo, hi)
+        gap = float(np.min(np.diff(fine)))
+        for (_, e), g in zip(want, got.E1):
+            assert abs(e - g) <= 1e-9 * gap, (lo, hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-0.2, 0.2), st.floats(0.0, 1.0), st.floats(0.0, 0.1),
+       st.sampled_from([CHAMPAGNE, HARMONIC]))
+def test_window_solve_is_additive(a, t, width, potential):
+    # the levels of [a, c) are those of [a, b) and of [b, c), by (k, E1)
+    h = 1e-2
+    c = a + width
+    b = a + t * width
+    config = default_config(h, 0.3, potential)
+    whole = eigenvalues_in_window(0, config, potential, a, c)
+    left = eigenvalues_in_window(0, config, potential, a, b)
+    right = eigenvalues_in_window(0, config, potential, b, c)
+    parts = np.concatenate((left, right))
+    assert whole.k.tolist() == parts["k"].tolist()
+    # bisection from other brackets: 1e-9 of the ~1e-2 gaps at this h
+    np.testing.assert_allclose(whole.E1, parts["E1"], rtol=0, atol=1e-11)
+
+
+def test_richardson_budget_rejects_a_coarse_grid():
+    # at h = 1e-3 near E = 0 the correction is ~1.1 gaps on N = 1024
+    # and ~0.06 gaps on N = 4096, against a budget of 0.5
+    h = 1e-3
+    r_max = default_config(h, 0.05).r_max
+
+    def window(grid_points):
+        config = DiscretizationConfig(r_max=r_max, grid_points=grid_points,
+                                      h=h, e_max=0.05)
+        return eigenvalues_in_window(0, config, CHAMPAGNE, -0.02, 0.02)
+
+    assert RICHARDSON_GAP_BUDGET == 0.5
+    assert len(window(4096)) == 34
+    with pytest.raises(ConfigurationError, match="Richardson correction"):
+        window(1024)
 
 
 def test_sturm_count_matches_eigensolver():

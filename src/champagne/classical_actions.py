@@ -330,6 +330,8 @@ def rotation_winding(loop: Sequence[tuple[float, float]]) -> float:
 
     Equals -2 pi (+2 pi) for a simple loop around the critical value
     traversed counterclockwise (clockwise) and 0 for a non-enclosing loop.
+    A segment is bisected while Theta jumps by more than 0.5 along it;
+    a jump left after 40 bisections raises ConvergenceError.
     """
     pts = [tuple(map(float, p)) for p in loop]
     if pts[0] != pts[-1]:
@@ -350,7 +352,11 @@ def rotation_winding(loop: Sequence[tuple[float, float]]) -> float:
             p, q, depth = stack.pop()
             th_q = _theta_continuous(q, scale)
             dth = math.remainder(th_q - th_prev, 2.0 * math.pi)
-            if abs(dth) > 0.5 and depth < 40:
+            if abs(dth) > 0.5:
+                if depth == 40:
+                    raise ConvergenceError(
+                        f"Theta jumps by {dth:.3g} between {p} and {q} "
+                        "after 40 bisections of the segment")
                 mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
                 stack.append((mid, q, depth + 1))
                 stack.append((p, mid, depth + 1))

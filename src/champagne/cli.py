@@ -75,7 +75,7 @@ def _sidecar(path: str, cfg: dict) -> None:
 def _cmd_spectrum(args) -> int:
     cfg = _resolve(args, dict(h=1e-3, n_min=-10, n_max=10, e_min=-0.02,
                               e_max=0.02, grid_points=None, r_max=None,
-                              workers=None, out="spectrum.csv"))
+                              out="spectrum.csv"))
     config = None
     if cfg["grid_points"] is not None or cfg["r_max"] is not None:
         base = rs.default_config(cfg["h"], cfg["e_max"])
@@ -85,8 +85,7 @@ def _cmd_spectrum(args) -> int:
             h=cfg["h"], scheme=base.scheme, richardson=base.richardson,
             e_max=cfg["e_max"])
     table = rs.joint_spectrum(cfg["h"], (cfg["n_min"], cfg["n_max"]),
-                              (cfg["e_min"], cfg["e_max"]), config=config,
-                              workers=cfg["workers"])
+                              (cfg["e_min"], cfg["e_max"]), config=config)
     rs.write_spectrum_csv(table, cfg["out"])
     _sidecar(cfg["out"], cfg)
     print(f"{len(table.points)} eigenvalues -> {cfg['out']}")
@@ -134,10 +133,10 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_smallest_gap(args) -> int:
-    cfg = _resolve(args, dict(h_list="1e-2,1e-3,1e-4", workers=None,
+    cfg = _resolve(args, dict(h_list="1e-2,1e-3,1e-4",
                               out="smallest_gap.csv"))
     h_list = [float(v) for v in str(cfg["h_list"]).split(",")]
-    scan = ga.smallest_gap_scan(h_list, workers=cfg["workers"])
+    scan = ga.smallest_gap_scan(h_list)
     with open(cfg["out"], "w") as fh:
         fh.write("h,lnh_abs,gap_min_measured,gap_min_general,"
                  "gap_min_champagne,x_at_min\n")
@@ -287,7 +286,7 @@ def _cmd_special(args) -> int:
 
 def _reproduce_cusp(cfg) -> bool:
     h = cfg["h"]
-    out = ex.gap_law([ex.gap_law_lines(h).solve(cfg["workers"])])
+    out = ex.gap_law([ex.gap_law_lines(h).solve()])
     winner, records = out.measured
     recs = records[h]
     ga.write_plot_data(cfg["prefix"] + "cusp_measured.dat",
@@ -303,8 +302,7 @@ def _reproduce_cusp(cfg) -> bool:
 
 
 def _reproduce_cusp_z(cfg) -> bool:
-    out = ex.gap_law([ex.gap_law_lines(h).solve(cfg["workers"])
-                      for h in ex.GAP_LAW_H])
+    out = ex.gap_law([ex.gap_law_lines(h).solve() for h in ex.GAP_LAW_H])
     for h, recs in out.measured[1].items():
         ga.write_plot_data(cfg["prefix"] + f"cusp_z_{h:g}.dat",
                            [r.x_mid for r in recs],
@@ -314,7 +312,7 @@ def _reproduce_cusp_z(cfg) -> bool:
 
 
 def _reproduce_gaps_formule(cfg) -> bool:
-    out = ex.smallest_gap([ex.smallest_gap_lines(h).solve(cfg["workers"])
+    out = ex.smallest_gap([ex.smallest_gap_lines(h).solve()
                            for h in ex.SMALLEST_GAP_H])
     ga.write_plot_data(cfg["prefix"] + "gaps_formule.dat",
                        [r.lnh_abs for r in out.measured.rows],
@@ -324,8 +322,7 @@ def _reproduce_gaps_formule(cfg) -> bool:
 
 
 def _reproduce_weyl(cfg) -> bool:
-    out = ex.weyl([ex.weyl_lines(h).solve(cfg["workers"])
-                   for h in ex.WEYL_H])
+    out = ex.weyl([ex.weyl_lines(h).solve() for h in ex.WEYL_H])
     rows = out.measured
     ga.write_weyl_csv(cfg["prefix"] + "weyl.csv", rows)
     ga.write_plot_data(cfg["prefix"] + "weyl.dat",
@@ -336,7 +333,7 @@ def _reproduce_weyl(cfg) -> bool:
 
 
 def _reproduce_unwinding(cfg) -> bool:
-    table = ex.UNWINDING_LINES.solve(cfg["workers"])
+    table = ex.UNWINDING_LINES.solve()
     out = ex.quantum_loop(table, ex.UNWINDING_RADIUS, cfg["seed"])
     with open(cfg["prefix"] + "unwinding.json", "w") as fh:
         json.dump(_unwind_json(*out.measured), fh, indent=2, sort_keys=True)
@@ -362,8 +359,7 @@ def _cmd_reproduce(args) -> int:
         if getattr(args, key) is not None and key != reads:
             raise ConfigurationError(
                 f"reproduce {fig} does not read --{key}")
-    cfg = _resolve(args, dict(h=ex.GAP_LAW_H[0], seed=0, workers=None,
-                              prefix=""))
+    cfg = _resolve(args, dict(h=ex.GAP_LAW_H[0], seed=0, prefix=""))
     ok = pipeline(cfg)
     print(f"reproduce {fig}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -388,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="compute a joint spectrum window")
     for name, typ in [("--h", float), ("--n-min", int), ("--n-max", int),
                       ("--e-min", float), ("--e-max", float),
-                      ("--grid-points", int), ("--r-max", float),
-                      ("--workers", int)]:
+                      ("--grid-points", int), ("--r-max", float)]:
         _add(p, name, type=typ)
     _add(p, "--out")
     p.set_defaults(func=_cmd_spectrum)
@@ -418,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smallest-gap", help="smallest-gap scaling scan")
     _add(p, "--h-list")
-    _add(p, "--workers", type=int)
     _add(p, "--out")
     p.set_defaults(func=_cmd_smallest_gap)
 
@@ -471,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
          help="cusp | cusp-z | gaps-formule | weyl | unwinding")
     _add(p, "--h", type=float)
     _add(p, "--seed", type=int)
-    _add(p, "--workers", type=int)
     _add(p, "--prefix")
     p.set_defaults(func=_cmd_reproduce)
     return root

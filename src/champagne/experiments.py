@@ -44,11 +44,11 @@ class Lines:
     n_max: int
     x_window: tuple
 
-    def solve(self, workers: int | None = None) -> rs.SpectrumTable:
+    def solve(self) -> rs.SpectrumTable:
         lo, hi = self.x_window
         return rs.joint_spectrum(
             self.h, (-self.n_max, self.n_max),
-            (lo * SQRT2 * self.h, hi * SQRT2 * self.h), workers=workers)
+            (lo * SQRT2 * self.h, hi * SQRT2 * self.h))
 
 
 @dataclass(frozen=True)

@@ -163,14 +163,13 @@ def smallest_gap_fit(tables, model: QuantizationModel | None = None,
 
 
 def smallest_gap_scan(h_list, model: QuantizationModel | None = None,
-                      x_half_window: float = 2.5,
-                      workers: int | None = None) -> SmallestGapScan:
+                      x_half_window: float = 2.5) -> SmallestGapScan:
     """smallest_gap_fit on the n = 0 lines of h_list, solved on |x| <=
     x_half_window only."""
     tables = []
     for h in sorted(h_list, reverse=True):
         e1 = x_half_window * SQRT2 * h
-        tables.append(joint_spectrum(h, (0, 0), (-e1, e1), workers=workers))
+        tables.append(joint_spectrum(h, (0, 0), (-e1, e1)))
     return smallest_gap_fit(tables, model, x_half_window)
 
 

@@ -10,12 +10,15 @@ endpoint implicitly (no boundary row is needed for any n) and keeps the
 scheme second-order accurate, with an optional two-grid Richardson step
 that upgrades eigenvalues to fourth order.
 
-A window of levels is solved by LAPACK bisection (stebz) on the fine grid
-2N, and one Sturm count gives the radial index of its first level.  The
-coarse grid N is then solved for exactly those indices, so the two grids
-pair by index.  Completeness at the window edges is checked from the
-measured Richardson correction, not from an error model, and a correction
-above RICHARDSON_GAP_BUDGET local gaps raises ConfigurationError.
+Levels are computed by LAPACK bisection, dstebz, called directly through
+ctypes so that it runs without the GIL.  Two of its Sturm counts give the
+radial index and the number of the levels in a window; the fine grid 2N
+is solved on the window while a helper thread solves the coarse grid N
+for exactly those indices, so the two grids pair by index.  The lines of
+a joint spectrum are solved on one thread per usable CPU.  Completeness
+at the window edges is checked from the measured Richardson correction,
+not from an error model, and a correction above RICHARDSON_GAP_BUDGET
+local gaps raises ConfigurationError.
 
 Joint eigenvalues are reported as (E1, E2) = (radial eigenvalue, h n)
 together with the zoomed coordinate x = E1 / (sqrt(2) h).
@@ -23,17 +26,18 @@ together with the zoomed coordinate x = E1 / (sqrt(2) h).
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 
 SQRT2 = math.sqrt(2.0)
 MAX_GRID_POINTS = 1 << 22
@@ -198,68 +202,141 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
     return TridiagonalOperator(int(n), diag, off, config, potential)
 
 
-# rows per numpy-to-Python conversion in the Sturm count: iterating over
-# Python floats is about five times faster than indexing numpy scalars,
-# and chunks keep the converted copy small next to the operator
-_STURM_CHUNK = 1 << 15
+# --- LAPACK dstebz -------------------------------------------------------
+# dstebz is called through the function pointer scipy's cython_lapack
+# exports, with ctypes, which releases the GIL for the length of the call,
+# so that solves on different threads run at the same time.
+
+def _capsule_address(capsule) -> int:
+    # private function objects: setting restype on ctypes.pythonapi's own
+    # would change them for every user in the process
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
 
 
-def _sturm_kernel(diag, off, x):
-    d = float(diag[0]) - x
-    count = int(d < 0.0)
-    for s in range(1, len(diag), _STURM_CHUNK):
-        shifted = (diag[s:s + _STURM_CHUNK] - x).tolist()
-        off2 = (off[s - 1:s - 1 + _STURM_CHUNK] ** 2).tolist()
-        for a, b2 in zip(shifted, off2):
-            if d == 0.0:
-                d = 1e-300
-            d = a - b2 / d
-            if d < 0.0:
-                count += 1
-    return count
+def _vector(dtype):
+    return np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+# DSTEBZ(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W,
+#        IBLOCK, ISPLIT, WORK, IWORK, INFO)
+_DSTEBZ = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, _INT,
+    _INT, _DOUBLE, _vector(np.float64), _vector(np.float64), _INT, _INT,
+    _vector(np.float64), _vector(np.intc), _vector(np.intc),
+    _vector(np.float64), _vector(np.intc), _INT)(
+    _capsule_address(cython_lapack.__pyx_capi__["dstebz"]))
+# WORK has 4 N entries, indexed by a C int
+_MAX_ORDER = int(np.iinfo(np.intc).max) // 4
+
+
+def _stebz(diag: np.ndarray, offdiag: np.ndarray, select: str,
+           vl: float = 0.0, vu: float = 0.0, il: int = 1, iu: int = 1,
+           abstol: float = 0.0) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal diag and off-diagonal offdiag, by LAPACK dstebz: those in
+    (vl, vu] for select "V", those of index il..iu (from 1) for "I".
+
+    abstol 0 is LAPACK's default tolerance, the one eigh_tridiagonal uses.
+    Raises ConfigurationError on a malformed matrix or range, before the
+    call, and on an illegal argument reported by LAPACK; ConvergenceError
+    when bisection fails.
+    """
+    for name, a in (("diag", diag), ("offdiag", offdiag)):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.ndim == 1 and a.flags.c_contiguous):
+            raise ConfigurationError(
+                f"{name} must be a C-contiguous 1-d float64 array")
+    n = len(diag)
+    if len(offdiag) != n - 1:
+        raise ConfigurationError(
+            f"{n} diagonal entries need {n - 1} off-diagonal ones, not "
+            f"{len(offdiag)}")
+    if not 1 <= n <= _MAX_ORDER:
+        raise ConfigurationError(f"order {n} is outside 1..{_MAX_ORDER}")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+        raise ConfigurationError("the tridiagonal matrix is not finite")
+    if select == "V":
+        if not vl < vu:
+            raise ConfigurationError(f"empty value range ({vl}, {vu}]")
+    elif select == "I":
+        if not 1 <= il <= iu <= n:
+            raise ConfigurationError(
+                f"index range {il}..{iu} is outside 1..{n}")
+    else:
+        raise ConfigurationError(f"select must be 'V' or 'I', not {select!r}")
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    # np.empty: the parts dstebz leaves untouched never become resident
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    # every buffer above and the two arrays stay referenced until it returns
+    _DSTEBZ(select.encode(), b"E", ctypes.byref(ctypes.c_int(n)),
+            ctypes.byref(ctypes.c_double(vl)),
+            ctypes.byref(ctypes.c_double(vu)),
+            ctypes.byref(ctypes.c_int(il)), ctypes.byref(ctypes.c_int(iu)),
+            ctypes.byref(ctypes.c_double(abstol)), diag, offdiag,
+            ctypes.byref(m), ctypes.byref(nsplit), w, iblock, isplit, work,
+            iwork, ctypes.byref(info))
+    if info.value < 0:
+        raise ConfigurationError(
+            f"dstebz: argument {-info.value} has an illegal value")
+    if info.value > 0:
+        raise ConvergenceError(f"dstebz failed with info={info.value}")
+    # a copy: the levels are a view of a grid-sized buffer
+    return w[:m.value].copy()
+
+
+def _lower_bound(op: TridiagonalOperator) -> float:
+    """A value strictly below every eigenvalue (Gershgorin)."""
+    return float(np.min(op.diag)) - 2.0 * float(np.max(np.abs(op.offdiag))) \
+        - 1.0
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
-    """Number of eigenvalues strictly below x (LDL^T inertia count)."""
-    return int(_sturm_kernel(op.diag, op.offdiag, float(x)))
+    """Number of eigenvalues at or below x, by LAPACK's own Sturm count.
+
+    It is the count dstebz takes at the ends of a value range, so levels
+    solved on (a, b] have the indices sturm_count(a) .. sturm_count(b) - 1.
+    abstol = 1e300 stops the bisection before it starts: dstebz returns
+    as many levels as the counts at the two ends differ by.
+    """
+    lo, x = _lower_bound(op), float(x)
+    if x <= lo:
+        return 0
+    return len(_stebz(op.diag, op.offdiag, "V", lo, x, abstol=1e300))
 
 
 def _eig_range(op: TridiagonalOperator, lo: float, hi: float) -> np.ndarray:
     """Eigenvalues in (lo, hi], the half-open interval of LAPACK stebz."""
     if hi <= lo:
         return np.empty(0)
-    vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
-                            select="v", select_range=(lo, hi))
-    # a copy: the levels are a view of a grid-sized buffer
-    return np.array(vals, dtype=float)
+    return _stebz(op.diag, op.offdiag, "V", lo, hi)
 
 
 def _eig_index(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
     """Eigenvalues of index first..stop-1, counted from the bottom."""
     if stop <= first:
         return np.empty(0)
-    vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
-                            select="i", select_range=(first, stop - 1))
-    return np.array(vals, dtype=float)
-
-
-def _first_index(op: TridiagonalOperator, vals: np.ndarray,
-                 lo: float, hi: float) -> int:
-    """Index of the first level above lo, given vals, all levels in (lo, hi].
-
-    One Sturm count, taken in the middle of the widest gap between lo, the
-    levels and hi, so that no level lies within rounding of the point
-    counted at (at lo itself the count can disagree with stebz).
-    """
-    edges = np.concatenate(([lo], vals, [hi]))
-    i = int(np.argmax(np.diff(edges)))
-    return sturm_count(op, 0.5 * (edges[i] + edges[i + 1])) - i
+    vals = _stebz(op.diag, op.offdiag, "I", il=first + 1, iu=stop)
+    if len(vals) != stop - first:
+        raise ConfigurationError(
+            f"dstebz returned {len(vals)} levels for the {stop - first} "
+            f"of index {first}..{stop - 1}")
+    return vals
 
 
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
     """All discrete eigenvalues < e_max, cross-checked against sturm_count."""
-    lo = float(np.min(op.diag)) - 2.0 * float(np.max(np.abs(op.offdiag))) - 1.0
-    vals = _eig_range(op, lo, e_max)
+    vals = _eig_range(op, _lower_bound(op), e_max)
     vals = vals[vals < e_max]
     expected = sturm_count(op, e_max)
     if len(vals) != expected:
@@ -286,6 +363,17 @@ def _richardson_ratio(fine: np.ndarray, rich: np.ndarray) -> float:
     return float(np.max(np.abs(rich - fine) / local, initial=0.0))
 
 
+def _window_levels(op: TridiagonalOperator, lo: float, hi: float,
+                   expected: int) -> np.ndarray:
+    """The levels in (lo, hi], which the Sturm counts put at expected."""
+    vals = _eig_range(op, lo, hi)
+    if len(vals) != expected:
+        raise ConfigurationError(
+            f"dstebz returned {len(vals)} levels in ({lo}, {hi}], the Sturm "
+            f"counts {expected}")
+    return vals
+
+
 def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                           potential: PotentialSpec,
                           lo: float, hi: float) -> np.recarray:
@@ -307,16 +395,22 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     fine = build_radial_operator(
         n, config, potential,
         grid_points=2 * grid if config.richardson else grid)
-    e_fine = _eig_range(fine, lo, hi)
-    inside = len(e_fine)
-    first = window_first = _first_index(fine, e_fine, lo, hi)
-    e1 = e_fine
-    if config.richardson:
+    first = window_first = sturm_count(fine, lo)
+    inside = sturm_count(fine, hi) - first
+    if not config.richardson:
+        e1 = _window_levels(fine, lo, hi, inside)
+    else:
+        coarse = build_radial_operator(n, config, potential)
         if inside < 2:
             first = max(first - 1, 0)
-            e_fine = _eig_index(fine, first, first + 2)
-        coarse = build_radial_operator(n, config, potential)
-        e_coarse = _eig_index(coarse, first, first + len(e_fine))
+        # the coarse grid on a helper thread while this one solves the
+        # fine grid: dstebz runs without the GIL
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(_eig_index, coarse, first,
+                                    first + max(inside, 2))
+            e_fine = (_window_levels(fine, lo, hi, inside) if inside >= 2
+                      else _eig_index(fine, first, first + 2))
+            e_coarse = pending.result()
         while True:
             e1 = (4.0 * e_fine - e_coarse) / 3.0
             ratio = _richardson_ratio(e_fine, e1)
@@ -399,21 +493,14 @@ def to_epsilon_coords(E1: float, E2: float, h: float) -> tuple[float, int]:
     return E1 / (SQRT2 * h), int(n)
 
 
-def _line_payload(args):
-    n, cfg_dict, pot_kind, pot_coeffs, lo, hi = args
-    config = DiscretizationConfig(**cfg_dict)
-    potential = PotentialSpec(pot_kind, pot_coeffs)
-    return n, eigenvalues_in_window(n, config, potential, lo, hi)
-
-
 def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
                    config: DiscretizationConfig | None = None,
-                   potential: PotentialSpec | None = None,
-                   workers: int | None = None) -> SpectrumTable:
+                   potential: PotentialSpec | None = None) -> SpectrumTable:
     """Joint eigenvalues (E1, E2=hn) for n in n_range, E1 in e_window.
 
     The radial operator depends on n only through n^2, so only |n| lines
-    are solved and negative lines are mirrored bit for bit.
+    are solved, on one thread per usable CPU, and negative lines are
+    mirrored bit for bit.
     """
     n_min, n_max = int(n_range[0]), int(n_range[1])
     lo, hi = float(e_window[0]), float(e_window[1])
@@ -421,18 +508,13 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
         raise ConfigurationError("empty n_range or e_window")
     potential = potential or PotentialSpec.champagne_bottle()
     config = config or default_config(h, hi, potential)
-    if workers is None:
-        workers = int(os.environ.get("CHAMPAGNE_WORKERS", "1"))
 
     abs_ns = sorted({abs(n) for n in range(n_min, n_max + 1)})
-    cfg_dict = asdict(config)
-    jobs = [(n, cfg_dict, potential.kind, potential.coefficients, lo, hi)
-            for n in abs_ns]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_line_payload, jobs))
-    else:
-        results = dict(_line_payload(j) for j in jobs)
+    with ThreadPoolExecutor(
+            max_workers=len(os.sched_getaffinity(0))) as pool:
+        results = dict(zip(abs_ns, pool.map(
+            lambda m: eigenvalues_in_window(m, config, potential, lo, hi),
+            abs_ns)))
 
     ns = np.arange(n_min, n_max + 1)
     lines = [results[abs(n)] for n in ns.tolist()]

@@ -78,7 +78,7 @@ def test_criterion_3_simplicity_of_the_joint_spectrum():
     for h in (1e-2, 1e-3):
         t0 = time.perf_counter()
         e1 = 5.5 * SQRT2 * h
-        spec = rs.joint_spectrum(h, (-4, 4), (-e1, e1), workers=3)
+        spec = rs.joint_spectrum(h, (-4, 4), (-e1, e1))
         pts = sorted((p.E2, p.E1) for p in spec.points)
         distinct = all(a != b for a, b in zip(pts[:-1], pts[1:]))
         target = TWO_PI * SQRT2 * h / abs(math.log(h))

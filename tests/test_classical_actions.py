@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from champagne import classical_actions
 from champagne.classical_actions import (HOMOCLINIC_ACTION, _gauss,
                                          action_sample, circle_loop,
                                          classical_monodromy,
@@ -89,6 +90,15 @@ def test_winding_encircling_and_not():
         pytest.approx(2.0 * math.pi, abs=1e-3)
     away = circle_loop(center_E=0.5, center_L=0.0, radius=0.05)
     assert rotation_winding(away) == pytest.approx(0.0, abs=1e-3)
+
+
+def test_winding_raises_on_a_jump_bisection_cannot_resolve(monkeypatch):
+    # a step in Theta stays a step however finely the segment is cut
+    monkeypatch.setattr(classical_actions, "rotation_number",
+                        lambda E, L: 0.0 if E < 0.5 else 2.0)
+    away = circle_loop(center_E=0.5, center_L=0.0, radius=0.05)
+    with pytest.raises(ConvergenceError, match="40 bisections"):
+        rotation_winding(away)
 
 
 def test_classical_monodromy_matrices():

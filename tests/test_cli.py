@@ -96,21 +96,21 @@ def test_actions_subcommand(tmp_path):
 
 
 def test_config_file_values_take_the_flag_type(tmp_path, capsys):
-    # flags whose default is None (workers, grid_points) are cast like the
+    # flags whose default is None (r_max, grid_points) are cast like the
     # flag, not left as strings
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("h=1e-2\nn-min=0\nn-max=1\nworkers=1\ngrid-points=4096\n")
+    cfg.write_text("h=1e-2\nn-min=0\nn-max=1\nr-max=3\ngrid-points=4096\n")
     out = str(tmp_path / "s.csv")
     assert run("--config", str(cfg), "spectrum", "--e-min", "-0.05",
                "--e-max", "0.05", "--out", out) == 0
     echoed = capsys.readouterr().out
-    assert '"workers": 1' in echoed and '"grid_points": 4096' in echoed
+    assert '"r_max": 3.0' in echoed and '"grid_points": 4096' in echoed
     assert json.load(open(out + ".meta.json"))["config"]["grid_points"] \
         == 4096
     # a value the flag's type rejects is a configuration error
-    cfg.write_text("workers=two\n")
+    cfg.write_text("r-max=two\n")
     assert run("--config", str(cfg), "spectrum", "--out", out) == 1
-    assert "workers='two'" in capsys.readouterr().err
+    assert "r_max='two'" in capsys.readouterr().err
 
 
 def test_reproduce_cusp(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_gaps_csv_format(tmp_path, spec_h1em4):
 
 
 def test_smallest_gap_scan_two_points():
-    scan = smallest_gap_scan([1e-2, 1e-3], workers=2)
+    scan = smallest_gap_scan([1e-2, 1e-3])
     assert len(scan.rows) == 2
     hs = [r.h for r in scan.rows]
     assert scan.rows[0].gap_min_measured > scan.rows[1].gap_min_measured \

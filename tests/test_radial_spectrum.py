@@ -2,13 +2,19 @@
 
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from champagne import radial_spectrum
 from champagne.errors import ConfigurationError, DomainError
 from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
+                                       TridiagonalOperator, _stebz,
                                        DiscretizationConfig, PotentialSpec,
                                        build_radial_operator, default_config,
                                        eigenvalues_below,
@@ -144,6 +150,132 @@ def test_sturm_count_matches_eigensolver():
     assert sturm_count(op, 1.0) == len(vals)
     mid = 0.5 * (vals[1] + vals[2])
     assert sturm_count(op, mid) == 2
+
+
+# the operators of the LAPACK reference tests: h = 1e-2, grids N and 2N
+REFERENCE_LINES = [(CHAMPAGNE, 0), (CHAMPAGNE, 3), (HARMONIC, 2)]
+
+
+def reference_operators(potential, n):
+    config = default_config(1e-2, 0.3, potential)
+    return [build_radial_operator(n, config, potential, grid_points=g)
+            for g in (config.grid_points, 2 * config.grid_points)]
+
+
+def python_sturm_count(diag, off, x):
+    """Eigenvalues strictly below x: the signs of the LDL^T pivots of
+    T - x, one Python step per row."""
+    shifted = (diag - x).tolist()
+    off2 = (off ** 2).tolist()
+    d = shifted[0]
+    count = int(d < 0.0)
+    for a, b2 in zip(shifted[1:], off2):
+        if d == 0.0:
+            d = 1e-300
+        d = a - b2 / d
+        count += d < 0.0
+    return count
+
+
+@pytest.mark.parametrize("potential,n", REFERENCE_LINES)
+def test_stebz_matches_scipy_bit_for_bit(potential, n):
+    for op in reference_operators(potential, n):
+        d, e = op.diag, op.offdiag
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                select_range=(-1.0, 0.3))
+        for lo, hi in [(-1.0, 0.3), (-0.05, 0.05), (vals[3], vals[9]),
+                       (0.5 * (vals[4] + vals[5]), vals[-2] + 1e-14)]:
+            want = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                    select_range=(lo, hi))
+            got = _stebz(d, e, "V", lo, hi)
+            assert len(got) > 0
+            assert got.tobytes() == want.tobytes(), (lo, hi)
+        for first, stop in [(0, 1), (0, 12), (7, 30), (len(d) - 3, len(d))]:
+            want = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                    select_range=(first, stop - 1))
+            got = _stebz(d, e, "I", il=first + 1, iu=stop)
+            assert got.tobytes() == want.tobytes(), (first, stop)
+
+
+@pytest.mark.parametrize("potential,n", REFERENCE_LINES)
+def test_sturm_count_matches_the_python_loop(potential, n):
+    for op in reference_operators(potential, n):
+        vals = eigenvalues_below(op, 0.3)
+        # midpoints between levels, below the lowest and above the top
+        points = np.concatenate(([vals[0] - 1.0, vals[0] - 1e-3],
+                                 0.5 * (vals[:-1] + vals[1:])[::3],
+                                 [0.3, 50.0]))
+        for x in points:
+            want = python_sturm_count(op.diag, op.offdiag, x)
+            assert sturm_count(op, x) == want, x
+        assert sturm_count(op, 1e9) == len(op.diag)
+
+
+def test_malformed_operator_is_rejected_before_lapack():
+    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1,
+                               richardson=False, e_max=1.0)
+    op = build_radial_operator(0, cfg, HARMONIC)
+    d, e = op.diag, op.offdiag
+    bad = [(d.astype(np.float32), e), (d, e.astype(np.int64)),
+           (np.repeat(d, 2)[::2], e), (d, e[:-1]), (d, np.append(e, 1.0)),
+           (d[:0], e[:0]), (np.where(d > 50.0, np.nan, d), e)]
+    for diag, off in bad:
+        with pytest.raises(ConfigurationError):
+            _stebz(diag, off, "V", -1.0, 1.0)
+    for il, iu in [(0, 3), (2, 1), (1, len(d) + 1)]:
+        with pytest.raises(ConfigurationError, match="outside 1.."):
+            _stebz(d, e, "I", il=il, iu=iu)
+    with pytest.raises(ConfigurationError):
+        _stebz(d, e, "V", 1.0, 1.0)
+    with pytest.raises(ConfigurationError):
+        _stebz(d, e, "A")
+    # through the public path: an operator with a short off-diagonal
+    short = TridiagonalOperator(0, d, e[:-5], cfg, HARMONIC)
+    with pytest.raises(ConfigurationError, match="off-diagonal"):
+        eigenvalues_below(short, 1.0)
+
+
+def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
+    # a solve that disagrees with the Sturm counts is an error, not a
+    # table with a level dropped
+    inner = radial_spectrum._eig_range
+    monkeypatch.setattr(radial_spectrum, "_eig_range",
+                        lambda op, lo, hi: inner(op, lo, hi)[1:])
+    config = default_config(1e-2, 0.3)
+    with pytest.raises(ConfigurationError, match="Sturm counts"):
+        eigenvalues_in_window(0, config, CHAMPAGNE, -0.05, 0.05)
+
+
+def test_threaded_lines_equal_a_serial_solve():
+    # 9 |n| lines on threads, more than the CPUs, with the interpreter
+    # switching threads as often as it can: every level equals, bit for
+    # bit, the one a line-by-line solve on this thread gives
+    h = 1e-2
+    window = (-10.5 * math.sqrt(2.0) * h, 10.5 * math.sqrt(2.0) * h)
+    config = default_config(h, window[1])
+    serial = {m: eigenvalues_in_window(m, config, CHAMPAGNE, *window)
+              for m in range(9)}
+    assert len(serial) > len(os.sched_getaffinity(0))
+    got = []
+    solver = threading.Thread(target=lambda: got.append(
+        joint_spectrum(h, (-8, 8), window)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        solver.start()
+        solver.join(timeout=120.0)
+        elapsed = time.perf_counter() - t0
+    finally:
+        sys.setswitchinterval(interval)
+    assert not solver.is_alive() and len(got) == 1, elapsed
+    table = got[0]
+    assert table.config == config
+    for n in range(-8, 9):
+        line = table.line(n)
+        assert line.k.tolist() == serial[abs(n)].k.tolist(), n
+        assert line.E1.tobytes() == serial[abs(n)].E1.tobytes(), n
+        assert np.all(line.n == n)
 
 
 def test_truncation_insensitivity():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,28 @@ def test_fourier_constant_gamma_ratio():
         ref = (1j ** (-abs(n))) * 2 ** (1j * eps) * gamma(z) \
             / gamma(z.conjugate())
         assert fourier_constant(eps, n) == pytest.approx(ref, abs=1e-12)
+
+
+def test_gamma_phase_against_30_digit_mpmath():
+    # set from float64 before measuring: the phase of C reaches ~200 rad
+    # at |x| = 50, n = 10, where an ulp is 2.8e-14; absolute for |C| = 1,
+    # relative to max(1, |value|) for Psi_n and Psi_n'
+    tol = 1e-12
+    xs = np.concatenate((np.linspace(-50.0, 50.0, 101),
+                         [-3e-5, 1e-8, 0.37, 49.99]))
+    with mpmath.workdps(30):
+        for n in range(11):
+            for x in xs:
+                z = mpmath.mpc(1 + n, x) / 2
+                want = 2 * mpmath.im(mpmath.loggamma(z))
+                assert abs(psi_n(x, n) - want) <= tol * max(1, abs(want))
+                want = mpmath.re(mpmath.digamma(z))
+                assert abs(psi_n_prime(x, n) - want) <= \
+                    tol * max(1, abs(want))
+                # the Gamma-ratio definition, not the phase form
+                want = (mpmath.mpc(0, 1) ** -n * mpmath.power(2, 1j * x)
+                        * mpmath.gamma(z) / mpmath.gamma(mpmath.conj(z)))
+                assert abs(fourier_constant(x, n) - want) <= tol, (x, n)
 
 
 @given(st.floats(-30, 30), st.integers(-12, 12))

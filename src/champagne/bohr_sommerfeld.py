@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import FitError, ModelRangeError
-from .special_functions import EULER_GAMMA, LN2, psi_n, psi_n_prime
+from .special_functions import LN2, psi_n, psi_n_prime
 
 TWO_PI = 2.0 * math.pi
 

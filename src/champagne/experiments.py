@@ -204,8 +204,7 @@ MONODROMY_RADIUS_SEED = 1000
 
 def _unipotent(matrix) -> bool:
     """Trace 2, determinant 1 and not the identity: one Jordan block."""
-    return (int(np.trace(matrix)) == 2
-            and round(float(np.linalg.det(matrix))) == 1
+    return (int(np.trace(matrix)) == 2 and ml._det(matrix) == 1
             and not np.array_equal(matrix, np.eye(2, dtype=int)))
 
 

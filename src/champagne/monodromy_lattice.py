@@ -9,8 +9,9 @@ eigenvalue count of a spectrum polygon through Pick's formula.
 
 All integer geometry (point-in-polygon, Pick counts, transitions) is done
 in exact arithmetic; floating point only enters through the chart fits,
-whose rounding residuals are explicitly budgeted (CHART_RESIDUAL_MAX =
-0.05 for charts, TRANSITION_RESIDUAL_MAX = 0.1 for transitions).
+whose rounding residual is explicitly budgeted (CHART_RESIDUAL_MAX =
+0.05).  A transition is read off the two chart frames and must hold
+exactly, in integers, on every point of the chart overlap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import ChartError, DomainError, TransportError
 from .radial_spectrum import POINT_DTYPE
 
 CHART_RESIDUAL_MAX = 0.05
-TRANSITION_RESIDUAL_MAX = 0.1
 CHART_CONDITION_MAX = 1e3
 MIN_CHART_POINTS = 6
 
@@ -67,6 +67,12 @@ class LatticeChart:
         return np.hypot(d[:, 0], d[:, 1]) <= self.radius
 
 
+def _det(m) -> int:
+    """Determinant of an integer 2x2 matrix, in Python integers."""
+    (a, b), (c, d) = np.asarray(m).tolist()
+    return a * d - b * c
+
+
 @dataclass(frozen=True)
 class ChartTransition:
     """Integer-affine map k -> matrix k + shift between chart label frames."""
@@ -77,7 +83,12 @@ class ChartTransition:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=int)
         s = np.asarray(self.shift, dtype=int)
-        if abs(int(round(np.linalg.det(m)))) != 1:
+        if not (np.array_equal(m, self.matrix)
+                and np.array_equal(s, self.shift)):
+            raise ChartError(f"transition {np.asarray(self.matrix).tolist()}"
+                             f", {np.asarray(self.shift).tolist()} is not "
+                             "integral")
+        if abs(_det(m)) != 1:
             raise ChartError(f"transition matrix {m.tolist()} has |det| != 1")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
@@ -92,10 +103,9 @@ class ChartTransition:
                                self.matrix @ other.shift + self.shift)
 
     def inverse(self) -> "ChartTransition":
-        det = int(round(np.linalg.det(self.matrix)))
         m = self.matrix
-        inv = det * np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-                             dtype=int)
+        inv = _det(m) * np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
+                                 dtype=int)
         return ChartTransition(inv, -inv @ self.shift)
 
     def is_identity(self) -> bool:
@@ -194,6 +204,9 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float,
         sol, _, _, _ = np.linalg.lstsq(A, h * k, rcond=None)
         linear = sol[:2].T
         offset = sol[2]
+    else:
+        raise ChartError(f"chart labels still changing after 8 rounds "
+                         f"at {center}")
     real = (pts @ linear.T + offset) / h
     resid = float(np.max(np.abs(real - np.rint(real))))
     if resid > CHART_RESIDUAL_MAX:
@@ -209,28 +222,31 @@ def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
                     pts: np.ndarray, where: str) -> ChartTransition:
     """Integer-affine map k_to = T k_from + s between two chart frames.
 
-    Fitted by least squares on the labels both charts give to the points
-    in both discs, then rounded.  Raises TransportError when the overlap
-    holds fewer than MIN_CHART_POINTS points or the rounding residual
-    exceeds TRANSITION_RESIDUAL_MAX; ChartTransition rejects |det| != 1.
+    T is the rounded chart_to.linear inv(chart_from.linear) and s is read
+    off one overlap point, the overlap being the points in both discs.
+    Raises TransportError unless the overlap holds MIN_CHART_POINTS
+    points whose labels do not all lie on one lattice line, and
+    k_to = T k_from + s holds exactly on every one of them;
+    ChartTransition rejects |det| != 1.
     """
     overlap = pts[chart_from.contains(pts) & chart_to.contains(pts)]
     if len(overlap) < MIN_CHART_POINTS:
         raise TransportError(
             f"only {len(overlap)} points in the chart overlap {where}")
-    k_from = chart_from.labels(overlap).astype(float)
-    A = np.column_stack([k_from, np.ones(len(k_from))])
-    sol, _, _, _ = np.linalg.lstsq(A, chart_to.labels(overlap).astype(float),
-                                   rcond=None)
-    T_real, s_real = sol[:2].T, sol[2]
-    T = np.rint(T_real).astype(int)
-    s = np.rint(s_real).astype(int)
-    resid = max(float(np.max(np.abs(T_real - T))),
-                float(np.max(np.abs(s_real - s))))
-    if resid > TRANSITION_RESIDUAL_MAX:
+    k_from, k_to = chart_from.labels(overlap), chart_to.labels(overlap)
+    # every two label differences are parallel: zero cross products
+    d = k_from - k_from[0]
+    if np.array_equal(np.outer(d[:, 0], d[:, 1]), np.outer(d[:, 1], d[:, 0])):
         raise TransportError(
-            f"transition rounding residual {resid:.4f} > "
-            f"{TRANSITION_RESIDUAL_MAX} {where}")
+            f"the {len(overlap)} overlap labels lie on one lattice line "
+            f"{where}")
+    T = np.rint(chart_to.linear @ np.linalg.inv(chart_from.linear))
+    T = T.astype(int)
+    s = k_to[0] - T @ k_from[0]
+    if not np.array_equal(k_from @ T.T + s, k_to):
+        raise TransportError(
+            f"transition {T.tolist()}, {s.tolist()} does not hold on the "
+            f"chart overlap {where}")
     return ChartTransition(T, s)
 
 
@@ -239,11 +255,12 @@ def transport_chart(chart: LatticeChart, new_center, points,
                     ) -> tuple[LatticeChart, ChartTransition]:
     """Continue a chart frame to a nearby disc.
 
-    Fits a fresh chart at new_center, expresses the old labels on the
-    overlap as an integer-affine function of the new ones, and returns the
+    Fits a fresh chart at new_center and takes the integer-affine map from
+    its labels to the old ones from the two chart frames, checked exactly
+    on every overlap point (TransportError otherwise).  Returns the
     corrected chart (which agrees with the old frame on the overlap, so
-    its raw transition is the identity by construction) together with the
-    transition that was found.
+    its raw transition is the identity by construction) together with
+    that transition.
     """
     pts_all = _points_array(points)
     fresh = fit_local_chart(pts_all, new_center, chart.h, radius=radius)
@@ -381,8 +398,9 @@ def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
 
     charts must form a consistent closed chain (as returned by unwind);
     the monodromy defaults to the end-to-start transition implied by the
-    first and last charts, fitted like every chart transition (so a
-    non-integral one raises TransportError).  Returns the fixed rows of
+    first and last charts, taken like every chart transition from the two
+    frames and checked exactly on their overlap (so one that does not
+    hold there raises TransportError).  Returns the fixed rows of
     spectrum.points, in table order; none, with a warning, when the
     monodromy is the identity (every line is then fixed) or no fixed
     lattice points exist.

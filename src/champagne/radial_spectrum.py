@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.linalg import cython_lapack
 
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, ConvergenceError
 
 SQRT2 = math.sqrt(2.0)
 MAX_GRID_POINTS = 1 << 22
@@ -482,15 +482,6 @@ class SpectrumTable:
 
     def n_values(self) -> list:
         return np.unique(self.points.n).tolist()
-
-
-def to_epsilon_coords(E1: float, E2: float, h: float) -> tuple[float, int]:
-    """Zoomed coordinates (x, n) = (E1/(sqrt 2 h), E2/h); E2/h must be integral."""
-    m = E2 / h
-    n = round(m)
-    if abs(m - n) >= 1e-6:
-        raise DomainError(f"E2/h = {m} is not within 1e-6 of an integer")
-    return E1 / (SQRT2 * h), int(n)
 
 
 def joint_spectrum(h: float, n_range: tuple, e_window: tuple,

@@ -6,8 +6,8 @@ reduces to the phase
     Psi_n(x) = 2 arg Gamma((i x + 1 + |n|)/2)
 
 and the unit-modulus scattering coefficient C(eps, n) built from it.
-This module wraps the principal-branch log-gamma and digamma and exposes
-the few derived quantities with tight accuracy guarantees.
+This module exposes the few derived quantities with tight accuracy
+guarantees, on scipy's principal-branch log-gamma and digamma.
 """
 
 from __future__ import annotations
@@ -19,28 +19,6 @@ from .errors import DomainError
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = float(np.log(2.0))
-
-
-def _check_pole(z: complex) -> None:
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise DomainError(f"gamma pole at z = {z}")
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
-
-    Continuous on the cut plane C minus (-inf, 0]; raises DomainError at
-    the poles z = 0, -1, -2, ...
-    """
-    _check_pole(z)
-    return complex(_sp.loggamma(complex(z)))
-
-
-def digamma(z: complex) -> complex:
-    """Digamma psi(z) = d/dz log Gamma(z), principal branch."""
-    _check_pole(z)
-    return complex(_sp.psi(complex(z)))
 
 
 def fourier_constant(eps: float, n: int) -> complex:

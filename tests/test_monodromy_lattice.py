@@ -7,7 +7,8 @@ import pytest
 
 from champagne.errors import ChartError, DomainError, TransportError
 from champagne.monodromy_lattice import (ChartTransition, LatticeChart,
-                                         SpectrumPolygon, count_in_polygon,
+                                         SpectrumPolygon, _fit_transition,
+                                         count_in_polygon,
                                          fit_local_chart, l0_line,
                                          lattice_point_in_polygon,
                                          make_loop_polygon, pick_count,
@@ -66,6 +67,20 @@ def test_chart_rejects_large_distortion():
         fit_local_chart(warped, (0, 0), H, radius=8 * H)
 
 
+def test_chart_raises_when_labels_do_not_settle(monkeypatch):
+    _, pts = square_lattice()
+    solve = np.linalg.lstsq
+
+    def drifting(a, b, rcond=None):
+        # every refit moves the offset by h, so every label moves by one
+        sol, *rest = solve(a, b, rcond=rcond)
+        return (sol + [[0.0, 0.0], [0.0, 0.0], [H, H]], *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", drifting)
+    with pytest.raises(ChartError, match="still changing"):
+        fit_local_chart(pts, (0, 0), H, radius=4 * H)
+
+
 def test_transport_keeps_the_frame():
     _, pts = square_lattice()
     chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
@@ -82,6 +97,17 @@ def test_transport_needs_overlap():
         transport_chart(chart, (8 * H, 8 * H), pts, radius=3 * H)
 
 
+def test_transition_rejects_a_collinear_overlap():
+    # labels on one lattice row fix the transition only along that row
+    _, pts = square_lattice()
+    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    row = pts[(pts[:, 1] == 0) & (np.abs(pts[:, 0]) <= 3 * H)]
+    assert len(row) == 7
+    with pytest.raises(TransportError, match="one lattice line"):
+        _fit_transition(chart, chart, row, "on the row")
+    assert _fit_transition(chart, chart, pts, "on the disc").is_identity()
+
+
 def test_transition_algebra():
     t = ChartTransition(np.array([[1, 1], [0, 1]]), np.array([2, -1]))
     u = t.compose(t.inverse())
@@ -90,6 +116,16 @@ def test_transition_algebra():
     assert np.array_equal(t.inverse().apply(t.apply(k)), k)
     with pytest.raises(ChartError):
         ChartTransition(np.array([[2, 0], [0, 1]]), np.zeros(2, dtype=int))
+
+
+def test_transition_rejects_non_integral_entries():
+    with pytest.raises(ChartError, match="integral"):
+        ChartTransition(np.array([[1.6, 0.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ChartError, match="integral"):
+        ChartTransition(np.eye(2), np.array([0.5, 0.0]))
+    t = ChartTransition(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+    assert t.matrix.dtype.kind == "i"
+    assert t.matrix.tolist() == [[1, 1], [0, 1]]
 
 
 # --- exact lattice geometry -------------------------------------------------
@@ -272,7 +308,7 @@ def test_l0_line_rejects_a_non_integral_monodromy(spec_h5em3):
     last = LatticeChart(center=first.center, linear=shear @ first.linear,
                         offset=shear @ first.offset, radius=first.radius,
                         h=first.h)
-    with pytest.raises(TransportError, match="residual"):
+    with pytest.raises(TransportError, match="does not hold"):
         l0_line(spec_h5em3, [first, last])
 
 
@@ -283,3 +319,41 @@ def test_chain_failure_names_the_segment(spec_h5em3):
     poly = SpectrumPolygon(vertices=verts, starts_on_L0=True)
     with pytest.raises((ChartError, TransportError), match="segment"):
         unwind(poly, spec_h5em3)
+
+
+def is_unipotent(transition):
+    """Trace 2, determinant 1 and not the identity: one Jordan block."""
+    (a, b), (c, d) = transition.matrix.tolist()
+    return a + d == 2 and a * d - b * c == 1 and not transition.is_identity()
+
+
+# loops whose chart chains cross an overlap with all its labels on one
+# lattice line, where a least-squares transition was undetermined and
+# rounded to a map with |det| != 1
+COLLINEAR_OVERLAP_LOOPS = [
+    dict(radius=21.998441741015608, seed=534892),
+    dict(radius=20.918380696132694, seed=13),
+    dict(radius=17.472906328845056, seed=81),
+    dict(radius=21.801210145509252, seed=133),
+    dict(radius=4.880895862108021, seed=1031959,
+         center=(-15.155786870177318, 10), enclosing=False),
+    dict(radius=6.875910371385739, seed=128,
+         center=(-13.233172866935778, 6), enclosing=False),
+    dict(radius=4.791109816588312, seed=130,
+         center=(-14.44448689356626, 5), enclosing=False),
+]
+
+
+@pytest.mark.parametrize("loop", COLLINEAR_OVERLAP_LOOPS,
+                         ids=lambda loop: f"seed{loop['seed']}")
+def test_chart_chain_across_a_collinear_overlap(spec_h5em3, loop):
+    poly = make_loop_polygon(spec_h5em3, loop["radius"], seed=loop["seed"],
+                             center=loop.get("center", (0.0, 0.0)),
+                             enclosing=loop.get("enclosing", True))
+    res = unwind(poly, spec_h5em3)
+    if loop.get("enclosing", True):
+        assert is_unipotent(res.monodromy)
+    else:
+        assert res.monodromy.is_identity()
+    n_spec, n_pick = count_in_polygon(spec_h5em3, poly, res)
+    assert n_spec == n_pick == exact_line_count(spec_h5em3, poly)

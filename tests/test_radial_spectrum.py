@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from champagne import radial_spectrum
-from champagne.errors import ConfigurationError, DomainError
+from champagne.errors import ConfigurationError
 from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
                                        TridiagonalOperator, _stebz,
                                        DiscretizationConfig, PotentialSpec,
@@ -20,7 +20,7 @@ from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
                                        eigenvalues_below,
                                        eigenvalues_in_window, joint_spectrum,
                                        read_spectrum_csv, sturm_count,
-                                       to_epsilon_coords, write_spectrum_csv)
+                                       write_spectrum_csv)
 
 HARMONIC = PotentialSpec.harmonic_test()
 
@@ -306,13 +306,6 @@ def test_joint_eigenvalue_coordinates(spec_h1em2):
     for p in spec_h1em2.points[:50]:
         assert p.E2 == pytest.approx(h * p.n, abs=0)
         assert p.x == pytest.approx(p.E1 / (math.sqrt(2.0) * h), rel=1e-14)
-
-
-def test_epsilon_coords_roundtrip():
-    x, n = to_epsilon_coords(0.0123, 3e-3, 1e-3)
-    assert n == 3 and x == pytest.approx(12.3 / math.sqrt(2.0), rel=1e-12)
-    with pytest.raises(DomainError):
-        to_epsilon_coords(0.0123, 3.4e-3, 1e-3)
 
 
 def test_csv_roundtrip(tmp_path, spec_h1em2):

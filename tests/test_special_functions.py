@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from champagne.errors import DomainError
-from champagne.special_functions import (EULER_GAMMA, LN2, digamma,
-                                         fourier_constant, log_gamma,
-                                         mellin_gaussian, psi_n,
-                                         psi_n_prime, verify_mellin_hankel)
+from champagne.special_functions import (EULER_GAMMA, LN2,
+                                         fourier_constant, mellin_gaussian,
+                                         psi_n, psi_n_prime,
+                                         verify_mellin_hankel)
 
 
 def test_fourier_constant_modulus_one():
@@ -107,15 +107,3 @@ def test_mellin_gaussian_domain():
     with pytest.raises(DomainError):
         mellin_gaussian(-3.0, 0)
 
-
-def test_log_gamma_principal_branch():
-    # |Im log Gamma| < pi on the right half plane near the real axis
-    assert abs(log_gamma(0.5 + 0.1j).imag) < math.pi
-    with pytest.raises(DomainError):
-        log_gamma(-2.0)
-
-
-def test_digamma_pole():
-    with pytest.raises(DomainError):
-        digamma(0.0)
-    assert digamma(1.0).real == pytest.approx(-EULER_GAMMA, abs=1e-14)

@@ -117,8 +117,7 @@ def predict_line(n: int, model: QuantizationModel,
     return out
 
 
-def fit_model(table, n_set=None, x_window=None,
-              fix_B: float | None = None) -> QuantizationModel:
+def fit_model(table, n_set=None, x_window=None) -> QuantizationModel:
     """Fit (B, C, offset) to a computed joint spectrum.
 
     Global least squares, linear in B and in one intercept per line; the
@@ -141,9 +140,7 @@ def fit_model(table, n_set=None, x_window=None,
         lines[n] = x
 
     rows = sum(len(x) for x in lines.values())
-    fit_b = fix_B is None
-    ncols = (1 if fit_b else 0) + len(lines)
-    A = np.zeros((rows, ncols))
+    A = np.zeros((rows, 1 + len(lines)))
     rhs = np.zeros(rows)
     r = 0
     for j, (n, xs) in enumerate(sorted(lines.items())):
@@ -151,15 +148,14 @@ def fit_model(table, n_set=None, x_window=None,
              - psi_n(xs, n)) / TWO_PI
         ks = np.arange(len(xs), dtype=float)
         sl = slice(r, r + len(xs))
-        if fit_b:
-            A[sl, 0] = xs / TWO_PI
-        A[sl, (1 if fit_b else 0) + j] = 1.0
-        rhs[sl] = ks - a - (0.0 if fit_b else fix_B * xs / TWO_PI)
+        A[sl, 0] = xs / TWO_PI
+        A[sl, 1 + j] = 1.0
+        rhs[sl] = ks - a
         r += len(xs)
 
     sol, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    B = float(sol[0]) if fit_b else float(fix_B)
-    d = {n: float(v) for n, v in zip(sorted(lines), sol[1 if fit_b else 0:])}
+    B = float(sol[0])
+    d = {n: float(v) for n, v in zip(sorted(lines), sol[1:])}
     resid = float(np.sqrt(np.mean((A @ sol - rhs) ** 2)))
 
     warning = resid > 0.05

@@ -50,7 +50,12 @@ def _resolve(args, defaults: dict) -> dict:
         elif key not in file_cfg:
             cfg[key] = default
         elif isinstance(default, bool):
-            cfg[key] = file_cfg[key].lower() in ("1", "true", "yes")
+            value = file_cfg[key].lower()
+            if value not in ("1", "true", "yes", "0", "false", "no"):
+                raise ConfigurationError(
+                    f"bad config value {key}={file_cfg[key]!r}: an on/off "
+                    "flag takes 1, true, yes, 0, false or no")
+            cfg[key] = value in ("1", "true", "yes")
         else:
             # cast by the flag's argparse type, as if given on the line
             cast = args.flag_types.get(key) or str
@@ -82,8 +87,7 @@ def _cmd_spectrum(args) -> int:
         config = rs.DiscretizationConfig(
             r_max=cfg["r_max"] or base.r_max,
             grid_points=cfg["grid_points"] or base.grid_points,
-            h=cfg["h"], scheme=base.scheme, richardson=base.richardson,
-            e_max=cfg["e_max"])
+            h=cfg["h"], e_max=cfg["e_max"])
     table = rs.joint_spectrum(cfg["h"], (cfg["n_min"], cfg["n_max"]),
                               (cfg["e_min"], cfg["e_max"]), config=config)
     rs.write_spectrum_csv(table, cfg["out"])
@@ -240,7 +244,7 @@ def _cmd_unwind(args) -> int:
     cfg = _resolve(args, _POLY_DEFAULTS)
     table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
-    res = ml.unwind(poly, table, table.h)
+    res = ml.unwind(poly, table)
     counts = ml.count_in_polygon(table, poly, res)
     with open(cfg["out"], "w") as fh:
         json.dump(_unwind_json(poly, res, counts), fh, indent=2,
@@ -257,7 +261,7 @@ def _cmd_count(args) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     n_spec, n_pick = ml.count_in_polygon(table, poly,
-                                         ml.unwind(poly, table, table.h))
+                                         ml.unwind(poly, table))
     print(json.dumps(dict(spec=n_spec, pick=n_pick,
                           equal=n_spec == n_pick), sort_keys=True))
     return 0

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bohr_sommerfeld import (QuantizationModel, VARIANT_CHAMPAGNE,
-                              VARIANT_GENERAL, gap_denominator,
-                              reference_model)
+from .bohr_sommerfeld import (VARIANT_CHAMPAGNE, VARIANT_GENERAL,
+                              gap_denominator)
 from .errors import DomainError, SampleSizeError
 from .radial_spectrum import joint_spectrum
 
@@ -44,17 +43,15 @@ class GapRecord:
     rel_err_champagne: float
 
 
-def measure_gaps(spectrum, n: int, x_window,
-                 model: QuantizationModel | None = None) -> list[GapRecord]:
+def measure_gaps(spectrum, n: int, x_window) -> list[GapRecord]:
     """Consecutive eigenvalue gaps on line n with both predictions attached.
 
     Predictions are evaluated at the midpoint of each gap (the mean value
-    theorem only locates the matching x somewhere inside it).  Returns
-    records sorted by x_mid; an empty line gives [] with a warning.
+    theorem only locates the matching x somewhere inside it), the general
+    variant with the closed-form B.  Returns records sorted by x_mid; an
+    empty line gives [] with a warning.
     """
     h = spectrum.h
-    if model is None:
-        model = reference_model(h)
     x = spectrum.line_x(n)
     x = x[(x >= x_window[0]) & (x <= x_window[1])]
     if len(x) == 0:
@@ -66,7 +63,7 @@ def measure_gaps(spectrum, n: int, x_window,
     for a, b in zip(x[:-1], x[1:]):
         mid = 0.5 * (a + b)
         gap = b - a
-        pg = TWO_PI / gap_denominator(mid, n, h, VARIANT_GENERAL, B=model.B)
+        pg = TWO_PI / gap_denominator(mid, n, h, VARIANT_GENERAL)
         pc = TWO_PI / gap_denominator(mid, n, h, VARIANT_CHAMPAGNE)
         out.append(GapRecord(h=h, n=int(n), x_mid=float(mid),
                              gap_measured=float(gap),
@@ -126,8 +123,7 @@ class SmallestGapScan:
     r_squared: float
 
 
-def smallest_gap_fit(tables, model: QuantizationModel | None = None,
-                     x_half_window: float = 2.5) -> SmallestGapScan:
+def smallest_gap_fit(tables, x_half_window: float = 2.5) -> SmallestGapScan:
     """Minimum n = 0 gap of each table and the 1/|ln h| scaling regression.
 
     Each table holds the n = 0 line of one h over at least |x| <=
@@ -140,14 +136,13 @@ def smallest_gap_fit(tables, model: QuantizationModel | None = None,
     rows = []
     for spec in sorted(tables, key=lambda t: t.h, reverse=True):
         h = spec.h
-        m = model if model is not None and model.h == h else reference_model(h)
-        recs = measure_gaps(spec, 0, (-x_half_window, x_half_window), m)
+        recs = measure_gaps(spec, 0, (-x_half_window, x_half_window))
         best = min(recs, key=lambda r: r.gap_measured)
         rows.append(SmallestGapRow(
             h=h, lnh_abs=abs(math.log(h)),
             gap_min_measured=SQRT2 * best.gap_measured,
             gap_min_general=SQRT2 * TWO_PI
-            / gap_denominator(0.0, 0, h, VARIANT_GENERAL, B=m.B),
+            / gap_denominator(0.0, 0, h, VARIANT_GENERAL),
             gap_min_champagne=SQRT2 * TWO_PI
             / gap_denominator(0.0, 0, h, VARIANT_CHAMPAGNE),
             x_at_min=best.x_mid))
@@ -162,15 +157,14 @@ def smallest_gap_fit(tables, model: QuantizationModel | None = None,
                            intercept=float(intercept), r_squared=r2)
 
 
-def smallest_gap_scan(h_list, model: QuantizationModel | None = None,
-                      x_half_window: float = 2.5) -> SmallestGapScan:
+def smallest_gap_scan(h_list, x_half_window: float = 2.5) -> SmallestGapScan:
     """smallest_gap_fit on the n = 0 lines of h_list, solved on |x| <=
     x_half_window only."""
     tables = []
     for h in sorted(h_list, reverse=True):
         e1 = x_half_window * SQRT2 * h
         tables.append(joint_spectrum(h, (0, 0), (-e1, e1)))
-    return smallest_gap_fit(tables, model, x_half_window)
+    return smallest_gap_fit(tables, x_half_window)
 
 
 # --- log-Weyl counting ------------------------------------------------------
@@ -250,6 +244,11 @@ def write_plot_data(path: str, xs, ys) -> None:
 
 # --- symplectic volume ------------------------------------------------------
 
+# inner radius cutoff of dh_volume's r integral, and the largest standard
+# error it accepts, relative to the value
+R_LOW = 1e-6
+SE_MAX = 0.05
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     mu_over_norm: float          # mu(hK) / (2 pi h)^2
@@ -260,8 +259,7 @@ class VolumeEstimate:
 
 
 def dh_volume(K: Window, h: float, samples: int = 10_000_000,
-              seed: int = 20260823, r_low: float = 1e-6,
-              se_max: float = 0.05) -> VolumeEstimate:
+              seed: int = 20260823) -> VolumeEstimate:
     """Phase-space volume of {(H, L) in hK} by stratified Monte Carlo.
 
     In polar position/momentum coordinates the volume factorizes as
@@ -270,22 +268,22 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
     only the angular-momentum indicator is sampled.  r is drawn
     log-uniformly (the integral diverges logarithmically at r = 0, which
     is the whole point) and stratified over octaves; the truncation bias
-    below r_low is O(r_low^2) and negligible against the standard error.
-    Raises SampleSizeError when the standard error exceeds se_max of the
+    below R_LOW is O(R_LOW^2) and negligible against the standard error.
+    Raises SampleSizeError when the standard error exceeds SE_MAX of the
     value.
     """
     if samples < 1000:
         raise SampleSizeError("need at least 1000 samples")
     e_lo, e_hi = h * K.t1_min, h * K.t1_max
     l_lo, l_hi = h * K.t2_min, h * K.t2_max
-    if e_hi <= -0.25 or K.t1_min > K.t1_max:
+    if e_hi <= -0.25:
         return VolumeEstimate(0.0, abs(math.log(h)) / TWO_PI * K.area_tilde(),
-                              0.0, 0, r_low)
+                              0.0, 0, R_LOW)
     # outer turning radius of the highest energy in the window
     r_hi = math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * max(e_hi, 0.0) + 1e-300))
                      / 2.0) * 1.0000001
     n_strata = 24
-    edges = np.exp(np.linspace(math.log(r_low), math.log(r_hi),
+    edges = np.exp(np.linspace(math.log(R_LOW), math.log(r_hi),
                                n_strata + 1))
     per = samples // n_strata
     rng = np.random.default_rng(seed)
@@ -314,10 +312,10 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
     se = TWO_PI * math.sqrt(var)
     norm = (TWO_PI * h) ** 2
     value = mu / norm
-    if value > 0 and se / mu > se_max:
+    if value > 0 and se / mu > SE_MAX:
         raise SampleSizeError(
-            f"Monte Carlo SE {se / mu:.1%} exceeds {se_max:.0%}; "
+            f"Monte Carlo SE {se / mu:.1%} exceeds {SE_MAX:.0%}; "
             "increase samples")
     asym = abs(math.log(h)) / TWO_PI * K.area_tilde()
     return VolumeEstimate(mu_over_norm=value, asymptotic=asym,
-                          std_error=se / norm, samples=used, r_low=r_low)
+                          std_error=se / norm, samples=used, r_low=R_LOW)

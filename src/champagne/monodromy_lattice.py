@@ -322,8 +322,7 @@ def winding_around_origin(pts: np.ndarray) -> int:
     return int(round(np.sum(dang) / (2.0 * math.pi)))
 
 
-def unwind(polygon: SpectrumPolygon, spectrum,
-           h: float | None = None) -> UnwindResult:
+def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
     """Develop the polygon onto the integer lattice chart by chart.
 
     A chart is fitted at the first vertex and transported vertex to
@@ -335,8 +334,7 @@ def unwind(polygon: SpectrumPolygon, spectrum,
     """
     pts_all = _points_array(spectrum)
     verts = polygon.vertex_points()
-    if h is None:
-        h = float(polygon.vertices.h[0])
+    h = float(polygon.vertices.h[0])
     ell = len(verts)
     if ell < 3:
         raise DomainError("polygon needs at least 3 vertices")

@@ -7,8 +7,8 @@ For each angular quantum number n the operator
 acts on L^2(0, r_max) with a Dirichlet wall at r_max.  It is discretized
 on the half-offset grid r_j = (j + 1/2) delta, which realizes the r = 0
 endpoint implicitly (no boundary row is needed for any n) and keeps the
-scheme second-order accurate, with an optional two-grid Richardson step
-that upgrades eigenvalues to fourth order.
+scheme second-order accurate; a two-grid Richardson step upgrades every
+eigenvalue to fourth order.
 
 Levels are computed by LAPACK bisection, dstebz, called directly through
 ctypes so that it runs without the GIL.  Two of its Sturm counts give the
@@ -32,7 +32,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -84,7 +84,8 @@ class PotentialSpec:
         return float(out) if out.ndim == 0 else out
 
     def v_min(self) -> float:
-        """Global minimum of V (scan plus refinement; exact enough for bounds)."""
+        """Minimum of V on a 20001-point scan of [0, r_confining(0) + 1];
+        exact enough for the grid-size bounds."""
         r = np.linspace(0.0, self.r_confining(0.0) + 1.0, 20001)
         return float(np.min(self.V(r)))
 
@@ -105,13 +106,9 @@ class DiscretizationConfig:
     r_max: float
     grid_points: int
     h: float
-    scheme: str = "fd2"
-    richardson: bool = True
-    e_max: float | None = None
+    e_max: float
 
     def __post_init__(self):
-        if self.scheme != "fd2":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.grid_points < 64:
             raise ConfigurationError("grid_points must be >= 64")
         if not (self.r_max > 0.0 and self.h > 0.0):
@@ -131,14 +128,13 @@ def _wkb_tail(potential: PotentialSpec, e_max: float, r_max: float) -> float:
 
 
 def default_config(h: float, e_max: float,
-                   potential: PotentialSpec | None = None,
-                   richardson: bool = True) -> DiscretizationConfig:
+                   potential: PotentialSpec | None = None) -> DiscretizationConfig:
     """Grid sized so the discretization error is far below the mean gap.
 
     r_max: smallest radius with V >= 2 max(e_max, 0.01), a 25% margin, and
     enough barrier (WKB integral >= 12 h) that truncation shifts levels by
-    less than ~1e-10 relative.  delta: from the fd2 error model
-    delta^2 p^4 / (24 h^2), or delta^4 p^6 / (720 h^4) with Richardson.
+    less than ~1e-10 relative.  delta: from the error model of fd2 with
+    Richardson, delta^4 p^6 / (720 h^4).
     Raises ConfigurationError when that takes more than MAX_GRID_POINTS.
     """
     potential = potential or PotentialSpec.champagne_bottle()
@@ -157,26 +153,19 @@ def default_config(h: float, e_max: float,
     p_max2 = 2.0 * max(e_max - potential.v_min(), 1e-3)
     gap = 2.0 * math.pi * SQRT2 * h / max(abs(math.log(h)), 1.0)
     eps = min(1e-8, 5e-3 * gap)
-    if richardson:
-        delta = (720.0 * h**4 * eps / p_max2**3) ** 0.25
-    else:
-        delta = (24.0 * h**2 * eps / p_max2**2) ** 0.5
+    delta = (720.0 * h**4 * eps / p_max2**3) ** 0.25
     n = max(64, 1 << int(math.ceil(math.log2(r_max / delta))))
     if n > MAX_GRID_POINTS:
         raise ConfigurationError(
             f"h={h:g}, e_max={e_max:g} needs {n} grid points, more than "
             f"the {MAX_GRID_POINTS} the fd2 solver allows")
-    return DiscretizationConfig(r_max=r_max, grid_points=n, h=h,
-                                richardson=richardson, e_max=e_max)
+    return DiscretizationConfig(r_max=r_max, grid_points=n, h=h, e_max=e_max)
 
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    n: int
     diag: np.ndarray
     offdiag: np.ndarray
-    config: DiscretizationConfig
-    potential: PotentialSpec
 
 
 def build_radial_operator(n: int, config: DiscretizationConfig,
@@ -184,7 +173,7 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
                           grid_points: int | None = None) -> TridiagonalOperator:
     """Symmetric tridiagonal matrix for H_n on the half-offset grid."""
     potential = potential or PotentialSpec.champagne_bottle()
-    if config.e_max is not None and potential.V(config.r_max) < 2.0 * config.e_max:
+    if potential.V(config.r_max) < 2.0 * config.e_max:
         raise ConfigurationError(
             f"V(r_max)={potential.V(config.r_max):g} < 2 e_max="
             f"{2.0 * config.e_max:g}; enlarge r_max")
@@ -199,7 +188,7 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
     jj = np.arange(N - 1)
     off = -(h * h / (2.0 * delta * delta)) * (jj + 1.0) \
         / np.sqrt((jj + 0.5) * (jj + 1.5))
-    return TridiagonalOperator(int(n), diag, off, config, potential)
+    return TridiagonalOperator(diag, off)
 
 
 # --- LAPACK dstebz -------------------------------------------------------
@@ -380,9 +369,8 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
     index from the bottom.
 
-    The grid 2N (N without config.richardson) is solved on (lo, hi], and
-    one Sturm count gives the index of its first level.  With
-    config.richardson the grid N is solved for exactly those indices and
+    The grid 2N is solved on (lo, hi], and one Sturm count gives the index
+    of its first level.  The grid N is solved for exactly those indices and
     E1 = (4 E_2N - E_N) / 3, so the pairing is by index and cannot drop a
     level.  A window with fewer than two levels takes its neighbours too,
     so that a correction and a gap are measured.  Completeness comes from
@@ -392,50 +380,45 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     local gaps raises ConfigurationError.
     """
     grid = config.grid_points
-    fine = build_radial_operator(
-        n, config, potential,
-        grid_points=2 * grid if config.richardson else grid)
+    fine = build_radial_operator(n, config, potential, grid_points=2 * grid)
+    coarse = build_radial_operator(n, config, potential)
     first = window_first = sturm_count(fine, lo)
     inside = sturm_count(fine, hi) - first
-    if not config.richardson:
-        e1 = _window_levels(fine, lo, hi, inside)
-    else:
-        coarse = build_radial_operator(n, config, potential)
-        if inside < 2:
-            first = max(first - 1, 0)
-        # the coarse grid on a helper thread while this one solves the
-        # fine grid: dstebz runs without the GIL
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(_eig_index, coarse, first,
-                                    first + max(inside, 2))
-            e_fine = (_window_levels(fine, lo, hi, inside) if inside >= 2
-                      else _eig_index(fine, first, first + 2))
-            e_coarse = pending.result()
-        while True:
-            e1 = (4.0 * e_fine - e_coarse) / 3.0
-            ratio = _richardson_ratio(e_fine, e1)
-            if ratio > RICHARDSON_GAP_BUDGET:
-                raise ConfigurationError(
-                    f"line n={n}: the Richardson correction is {ratio:.3g} "
-                    f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}"
-                    f"; N={grid} is too coarse")
-            # below[j] has index window_first - len(below) + j, and
-            # above[j] has index window_first + inside + j
-            c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
-            below = _eig_range(fine, lo - c, lo)
-            above = _eig_range(fine, hi, hi + c)
-            known = first + len(e_fine)
-            start = min(first, window_first - len(below))
-            stop = max(known, window_first + inside + len(above))
-            if (start, stop) == (first, known):
-                break
-            e_fine = np.concatenate((
-                below[:first - start], e_fine,
-                above[known - window_first - inside:]))
-            e_coarse = np.concatenate((
-                _eig_index(coarse, start, first), e_coarse,
-                _eig_index(coarse, known, stop)))
-            first = start
+    if inside < 2:
+        first = max(first - 1, 0)
+    # the coarse grid on a helper thread while this one solves the fine
+    # grid: dstebz runs without the GIL
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(_eig_index, coarse, first,
+                                first + max(inside, 2))
+        e_fine = (_window_levels(fine, lo, hi, inside) if inside >= 2
+                  else _eig_index(fine, first, first + 2))
+        e_coarse = pending.result()
+    while True:
+        e1 = (4.0 * e_fine - e_coarse) / 3.0
+        ratio = _richardson_ratio(e_fine, e1)
+        if ratio > RICHARDSON_GAP_BUDGET:
+            raise ConfigurationError(
+                f"line n={n}: the Richardson correction is {ratio:.3g} "
+                f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}; "
+                f"N={grid} is too coarse")
+        # below[j] has index window_first - len(below) + j, and above[j]
+        # has index window_first + inside + j
+        c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
+        below = _eig_range(fine, lo - c, lo)
+        above = _eig_range(fine, hi, hi + c)
+        known = first + len(e_fine)
+        start = min(first, window_first - len(below))
+        stop = max(known, window_first + inside + len(above))
+        if (start, stop) == (first, known):
+            break
+        e_fine = np.concatenate((
+            below[:first - start], e_fine,
+            above[known - window_first - inside:]))
+        e_coarse = np.concatenate((
+            _eig_index(coarse, start, first), e_coarse,
+            _eig_index(coarse, known, stop)))
+        first = start
     keep = (e1 >= lo) & (e1 < hi)
     return np.rec.fromarrays([first + np.flatnonzero(keep), e1[keep]],
                              dtype=LEVEL_DTYPE)
@@ -524,6 +507,8 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
 
 CSV_HEADER = "h,n,k,E1,E2,x"
 CSV_FORMAT = "%.17g,%d,%d,%.17g,%.17g,%.17g"
+# keys of older sidecars' config objects, with the one value they may hold
+LEGACY_CONFIG_KEYS = {"scheme": "fd2", "richardson": True}
 
 
 def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
@@ -542,6 +527,21 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _sidecar_config(meta_config: dict) -> DiscretizationConfig:
+    """The DiscretizationConfig of a sidecar.  A legacy key is dropped if it
+    holds its one value; any other value, and a key DiscretizationConfig
+    does not have or lacks, raise ConfigurationError."""
+    kwargs = dict(meta_config)
+    for key, value in LEGACY_CONFIG_KEYS.items():
+        if kwargs.pop(key, value) != value:
+            raise ConfigurationError(f"sidecar config {key} must be {value!r}")
+    bad = set(kwargs) ^ {f.name for f in fields(DiscretizationConfig)}
+    if bad:
+        raise ConfigurationError(
+            f"sidecar config keys {sorted(bad)} are unknown or missing")
+    return DiscretizationConfig(**kwargs)
 
 
 def read_spectrum_csv(path: str) -> SpectrumTable:
@@ -565,7 +565,7 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             meta = json.load(fh)
-        config = DiscretizationConfig(**meta["config"])
+        config = _sidecar_config(meta["config"])
         potential = PotentialSpec(meta["potential"]["kind"],
                                   tuple(meta["potential"]["coefficients"]))
         n_range = tuple(meta["n_range"])

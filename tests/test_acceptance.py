@@ -61,7 +61,6 @@ def test_criterion_2_harmonic_eigensolver_oracle():
     errs = []
     for npts in (512, 1024):
         cfg = rs.DiscretizationConfig(r_max=6.0, grid_points=npts, h=h,
-                                      scheme="fd2", richardson=False,
                                       e_max=1.0)
         op = rs.build_radial_operator(0, cfg, pot)
         errs.append(abs(rs.eigenvalues_below(op, 0.2)[0] - h))

@@ -111,6 +111,12 @@ def test_config_file_values_take_the_flag_type(tmp_path, capsys):
     cfg.write_text("r-max=two\n")
     assert run("--config", str(cfg), "spectrum", "--out", out) == 1
     assert "r_max='two'" in capsys.readouterr().err
+    # so is an on/off flag that is neither on nor off, instead of a
+    # silent enclosing loop
+    cfg.write_text("non-enclosing=ture\n")
+    assert run("--config", str(cfg), "unwind", "--spectrum", out,
+               "--out", str(tmp_path / "u.json")) == 1
+    assert "non_enclosing='ture'" in capsys.readouterr().err
 
 
 def test_reproduce_cusp(tmp_path, capsys):

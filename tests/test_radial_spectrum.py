@@ -1,5 +1,6 @@
 """Radial eigensolver: harmonic oracle, convergence order, bookkeeping."""
 
+import json
 import math
 import os
 import sys
@@ -48,7 +49,6 @@ def test_grid_doubling_second_order():
     errs = []
     for npts in (512, 1024, 2048):
         cfg = DiscretizationConfig(r_max=6.0, grid_points=npts, h=h,
-                                   scheme="fd2", richardson=False,
                                    e_max=1.0)
         vals = eigenvalues_below(build_radial_operator(0, cfg, HARMONIC),
                                  0.5)
@@ -59,12 +59,12 @@ def test_grid_doubling_second_order():
 
 def test_richardson_beats_plain():
     h = 0.1
-    base = dict(r_max=6.0, grid_points=1024, h=h, scheme="fd2", e_max=1.0)
-    plain = DiscretizationConfig(richardson=False, **base)
-    rich = DiscretizationConfig(richardson=True, **base)
+    config = DiscretizationConfig(r_max=6.0, grid_points=1024, h=h, e_max=1.0)
     e_ref = h * 3.0  # k = 1, n = 0
-    ep = eigenvalues_in_window(0, plain, HARMONIC, 0.2, 0.4)[0][1]
-    er = eigenvalues_in_window(0, rich, HARMONIC, 0.2, 0.4)[0][1]
+    # plain fd2: the grid-N level in [0.2, 0.4)
+    plain = eigenvalues_below(build_radial_operator(0, config, HARMONIC), 0.4)
+    ep = plain[plain >= 0.2][0]
+    er = eigenvalues_in_window(0, config, HARMONIC, 0.2, 0.4)[0][1]
     assert abs(er - e_ref) < 1e-2 * abs(ep - e_ref)
 
 
@@ -143,8 +143,7 @@ def test_richardson_budget_rejects_a_coarse_grid():
 
 
 def test_sturm_count_matches_eigensolver():
-    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1,
-                               scheme="fd2", richardson=False, e_max=1.0)
+    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
     op = build_radial_operator(2, cfg, HARMONIC)
     vals = eigenvalues_below(op, 1.0)
     assert sturm_count(op, 1.0) == len(vals)
@@ -212,8 +211,7 @@ def test_sturm_count_matches_the_python_loop(potential, n):
 
 
 def test_malformed_operator_is_rejected_before_lapack():
-    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1,
-                               richardson=False, e_max=1.0)
+    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
     op = build_radial_operator(0, cfg, HARMONIC)
     d, e = op.diag, op.offdiag
     bad = [(d.astype(np.float32), e), (d, e.astype(np.int64)),
@@ -230,7 +228,7 @@ def test_malformed_operator_is_rejected_before_lapack():
     with pytest.raises(ConfigurationError):
         _stebz(d, e, "A")
     # through the public path: an operator with a short off-diagonal
-    short = TridiagonalOperator(0, d, e[:-5], cfg, HARMONIC)
+    short = TridiagonalOperator(d, e[:-5])
     with pytest.raises(ConfigurationError, match="off-diagonal"):
         eigenvalues_below(short, 1.0)
 
@@ -284,7 +282,6 @@ def test_truncation_insensitivity():
     cfg1 = default_config(h, 0.02)
     cfg2 = DiscretizationConfig(r_max=cfg1.r_max * 1.5,
                                 grid_points=2 * cfg1.grid_points, h=h,
-                                scheme=cfg1.scheme, richardson=True,
                                 e_max=0.02)
     pot = PotentialSpec.champagne_bottle()
     a = eigenvalues_in_window(0, cfg1, pot, -0.01, 0.01)
@@ -330,6 +327,30 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
         assert np.array_equal(back.line(n), spec_h1em2.line(n))
         assert np.array_equal(back.line_x(n), spec_h1em2.line_x(n))
 
+    # a sidecar written when the config still had scheme and richardson
+    # reads back to the same config; any other value of those keys, or a
+    # key the config does not have, is rejected by name
+    meta = json.load(open(path + ".meta.json"))
+    for extra, error in [({"scheme": "fd2", "richardson": True}, None),
+                         ({"scheme": "fd2", "richardson": False},
+                          "richardson"),
+                         ({"scheme": "pruess"}, "scheme"),
+                         ({"grid_spacing": 0.1}, "grid_spacing")]:
+        with open(path + ".meta.json", "w") as fh:
+            json.dump({**meta, "config": {**meta["config"], **extra}}, fh)
+        if error is None:
+            assert read_spectrum_csv(path).config == spec_h1em2.config
+        else:
+            with pytest.raises(ConfigurationError, match=error):
+                read_spectrum_csv(path)
+    # a file that is not a spectrum CSV, and one without rows
+    for text, error in [("E1,E2\n0.1,0.0\n", "bad spectrum CSV header"),
+                        (header + "\n", "no rows")]:
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ConfigurationError, match=error):
+            read_spectrum_csv(path)
+
 
 def test_csv_without_sidecar_warns(tmp_path):
     table = joint_spectrum(0.1, (0, 1), (0.0, 0.5), potential=HARMONIC)
@@ -367,14 +388,12 @@ def test_grid_size_is_capped_loudly():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        DiscretizationConfig(r_max=1.0, grid_points=8, h=0.1,
-                             scheme="fd2", richardson=False, e_max=1.0)
+        DiscretizationConfig(r_max=1.0, grid_points=8, h=0.1, e_max=1.0)
     with pytest.raises(ConfigurationError):
         joint_spectrum(1e-2, (2, 1), (-0.1, 0.1))
 
 
 def test_operator_requires_confining_window():
-    cfg = DiscretizationConfig(r_max=1.0, grid_points=256, h=0.1,
-                               scheme="fd2", richardson=False, e_max=5.0)
+    cfg = DiscretizationConfig(r_max=1.0, grid_points=256, h=0.1, e_max=5.0)
     with pytest.raises(ConfigurationError):
         build_radial_operator(0, cfg, HARMONIC)  # V(1) = 0.5 < 2 * 5

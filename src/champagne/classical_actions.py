@@ -383,7 +383,12 @@ def classical_monodromy(loop: Sequence[tuple[float, float]]) -> np.ndarray:
 
 def circle_loop(center_E: float = 0.0, center_L: float = 0.0,
                 radius: float = 0.2, segments: int = 64) -> list:
-    """Counterclockwise polygonal circle in the (E, L) plane."""
+    """Counterclockwise polygonal circle in the (E, L) plane.
+
+    Raises DomainError below 3 segments, which enclose no area.
+    """
+    if segments < 3:
+        raise DomainError(f"a loop needs at least 3 segments, got {segments}")
     phi = np.linspace(0.0, 2.0 * math.pi, segments + 1)
     return [(center_E + radius * math.cos(p),
              center_L + radius * math.sin(p)) for p in phi]

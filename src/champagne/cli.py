@@ -1,10 +1,15 @@
 """Command-line front end: batch computations and figure pipelines.
 
-Every subcommand resolves its configuration from three layers (flags over
-a flat key=value config file over built-in defaults), echoes the resolved
-values, and writes deterministic outputs; file outputs get a JSON sidecar
-with the full resolved config.  Exit codes: 0 success, 1 computation
-error, 2 usage error.
+Every leaf subcommand (`spectrum`, `bs fit`, `reproduce cusp`, ...) is one
+entry of the command table: its handler, its help and its flags, each
+flag declared once as name -> (type, default).  The parser, the casts of
+config-file values and the defaults all come from that entry, so a
+command accepts exactly the flags it reads; argparse rejects any other,
+and no flag may be abbreviated.  Each command resolves its configuration
+from three layers (flags over a flat key=value config file over the
+defaults), echoes the resolved values, and writes deterministic outputs;
+file outputs get a JSON sidecar with the full resolved config.  Exit
+codes: 0 success, 1 computation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,17 +44,17 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(args, defaults: dict) -> dict:
+def _resolve(args) -> dict:
     """flags > config file > defaults; every value echoed."""
     file_cfg = _read_config_file(args.config) if args.config else {}
     cfg = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+    for key, (typ, default) in args.flags.items():
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
         elif key not in file_cfg:
             cfg[key] = default
-        elif isinstance(default, bool):
+        elif typ is bool:
             value = file_cfg[key].lower()
             if value not in ("1", "true", "yes", "0", "false", "no"):
                 raise ConfigurationError(
@@ -57,15 +62,24 @@ def _resolve(args, defaults: dict) -> dict:
                     "flag takes 1, true, yes, 0, false or no")
             cfg[key] = value in ("1", "true", "yes")
         else:
-            # cast by the flag's argparse type, as if given on the line
-            cast = args.flag_types.get(key) or str
+            # cast by the flag's type, as if given on the line
             try:
-                cfg[key] = cast(file_cfg[key])
+                cfg[key] = typ(file_cfg[key])
             except ValueError as exc:
                 raise ConfigurationError(
                     f"bad config value {key}={file_cfg[key]!r}") from exc
     print("resolved config: " + json.dumps(cfg, sort_keys=True, default=str))
     return cfg
+
+
+def _float_list(cfg, key) -> list:
+    """The numbers of a comma-separated list flag; cfg keeps the string."""
+    try:
+        return [float(v) for v in cfg[key].split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"bad --{key.replace('_', '-')} value {cfg[key]!r}: expected "
+            "comma-separated numbers") from exc
 
 
 def _sidecar(path: str, cfg: dict) -> None:
@@ -77,10 +91,7 @@ def _sidecar(path: str, cfg: dict) -> None:
 
 # --- subcommands -----------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
-    cfg = _resolve(args, dict(h=1e-3, n_min=-10, n_max=10, e_min=-0.02,
-                              e_max=0.02, grid_points=None, r_max=None,
-                              out="spectrum.csv"))
+def _cmd_spectrum(cfg) -> int:
     config = None
     if cfg["grid_points"] is not None or cfg["r_max"] is not None:
         base = rs.default_config(cfg["h"], cfg["e_max"])
@@ -96,20 +107,18 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_bs(args) -> int:
-    if args.bs_op == "fit":
-        cfg = _resolve(args, dict(spectrum="spectrum.csv", x_min=-10.0,
-                                  x_max=10.0, out="model.json"))
-        table = rs.read_spectrum_csv(cfg["spectrum"])
-        model = bs.fit_model(table, x_window=(cfg["x_min"], cfg["x_max"]))
-        model.to_json(cfg["out"])
-        _sidecar(cfg["out"], cfg)
-        print(f"B={model.B:.6f} C={model.C:.6f} "
-              f"offset={model.offset_mod_2pi:.6f} residual={model.residual:.2e}"
-              + (" WARNING" if model.warning else ""))
-        return 0
-    cfg = _resolve(args, dict(model="model.json", n=0, x_min=-10.0,
-                              x_max=10.0, out="predicted.csv"))
+def _cmd_bs_fit(cfg) -> int:
+    table = rs.read_spectrum_csv(cfg["spectrum"])
+    model = bs.fit_model(table, x_window=(cfg["x_min"], cfg["x_max"]))
+    model.to_json(cfg["out"])
+    _sidecar(cfg["out"], cfg)
+    print(f"B={model.B:.6f} C={model.C:.6f} "
+          f"offset={model.offset_mod_2pi:.6f} residual={model.residual:.2e}"
+          + (" WARNING" if model.warning else ""))
+    return 0
+
+
+def _cmd_bs_predict(cfg) -> int:
     model = bs.QuantizationModel.from_json(cfg["model"])
     pred = bs.predict_line(cfg["n"], model, (cfg["x_min"], cfg["x_max"]))
     with open(cfg["out"], "w") as fh:
@@ -121,9 +130,7 @@ def _cmd_bs(args) -> int:
     return 0
 
 
-def _cmd_gaps(args) -> int:
-    cfg = _resolve(args, dict(spectrum="spectrum.csv", n=0, x_min=-10.0,
-                              x_max=10.0, out="gaps.csv"))
+def _cmd_gaps(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     recs = ga.measure_gaps(table, cfg["n"], (cfg["x_min"], cfg["x_max"]))
     ga.write_gaps_csv(cfg["out"], recs)
@@ -136,11 +143,8 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
-def _cmd_smallest_gap(args) -> int:
-    cfg = _resolve(args, dict(h_list="1e-2,1e-3,1e-4",
-                              out="smallest_gap.csv"))
-    h_list = [float(v) for v in str(cfg["h_list"]).split(",")]
-    scan = ga.smallest_gap_scan(h_list)
+def _cmd_smallest_gap(cfg) -> int:
+    scan = ga.smallest_gap_scan(_float_list(cfg, "h_list"))
     with open(cfg["out"], "w") as fh:
         fh.write("h,lnh_abs,gap_min_measured,gap_min_general,"
                  "gap_min_champagne,x_at_min\n")
@@ -159,10 +163,7 @@ def _window(cfg) -> ga.Window:
                      cfg["t2_max"])
 
 
-def _cmd_weyl(args) -> int:
-    cfg = _resolve(args, dict(spectrum="spectrum.csv", t1_min=-10.0,
-                              t1_max=10.0, t2_min=-3.0, t2_max=3.0,
-                              out="weyl.csv"))
+def _cmd_weyl(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     n, pred = ga.weyl_count(table, _window(cfg))
     ga.write_weyl_csv(cfg["out"], [(table.h, n, pred)])
@@ -172,10 +173,7 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
-def _cmd_dh_volume(args) -> int:
-    cfg = _resolve(args, dict(h=1e-3, t1_min=18.0, t1_max=26.0,
-                              t2_min=-3.0, t2_max=3.0,
-                              samples=10_000_000, seed=20260823))
+def _cmd_dh_volume(cfg) -> int:
     est = ga.dh_volume(_window(cfg), cfg["h"], samples=cfg["samples"],
                        seed=cfg["seed"])
     print(json.dumps(dict(mu_over_norm=est.mu_over_norm,
@@ -186,11 +184,9 @@ def _cmd_dh_volume(args) -> int:
     return 0
 
 
-def _cmd_actions(args) -> int:
-    cfg = _resolve(args, dict(e_list="0.1", l_list="0.05",
-                              out="actions.csv"))
-    es = [float(v) for v in str(cfg["e_list"]).split(",")]
-    ls = [float(v) for v in str(cfg["l_list"]).split(",")]
+def _cmd_actions(cfg) -> int:
+    es = _float_list(cfg, "e_list")
+    ls = _float_list(cfg, "l_list")
     if len(ls) == 1:
         ls = ls * len(es)
     if len(es) != len(ls):
@@ -202,9 +198,7 @@ def _cmd_actions(args) -> int:
     return 0
 
 
-def _cmd_monodromy(args) -> int:
-    cfg = _resolve(args, dict(center_e=0.0, center_l=0.0, radius=0.2,
-                              segments=64))
+def _cmd_monodromy(cfg) -> int:
     loop = ca.circle_loop(cfg["center_e"], cfg["center_l"], cfg["radius"],
                           cfg["segments"])
     winding = ca.rotation_winding(loop)
@@ -235,13 +229,7 @@ def _unwind_json(poly, res, counts) -> dict:
         counts=dict(spec=counts[0], pick=counts[1]))
 
 
-_POLY_DEFAULTS = dict(spectrum="spectrum.csv", loop_radius=20.0, n_top=None,
-                      seed=0, center_x=0.0, center_n=0.0,
-                      non_enclosing=False, out="unwind.json")
-
-
-def _cmd_unwind(args) -> int:
-    cfg = _resolve(args, _POLY_DEFAULTS)
+def _cmd_unwind(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     res = ml.unwind(poly, table)
@@ -256,8 +244,7 @@ def _cmd_unwind(args) -> int:
     return 0
 
 
-def _cmd_count(args) -> int:
-    cfg = _resolve(args, _POLY_DEFAULTS)
+def _cmd_count(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     poly = _make_polygon(cfg, table)
     n_spec, n_pick = ml.count_in_polygon(table, poly,
@@ -267,9 +254,8 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_special(args) -> int:
-    cfg = _resolve(args, dict(op="C", eps=0.0, n=0))
-    op, eps, n = cfg["op"], cfg["eps"], int(cfg["n"])
+def _cmd_special(cfg) -> int:
+    op, eps, n = cfg["op"], cfg["eps"], cfg["n"]
     if op == "C":
         c = sf.fourier_constant(eps, n)
         print("C = %.12g%+.12gi  modulus %.12f" % (c.real, c.imag, abs(c)))
@@ -288,7 +274,13 @@ def _cmd_special(args) -> int:
 # each solves the tables its experiment names, writes the measurements and
 # prints the verdict; inputs and bounds live in experiments.py
 
-def _reproduce_cusp(cfg) -> bool:
+def _verdict(fig, out) -> int:
+    print(f"{fig}: {out.detail}")
+    print(f"reproduce {fig}: {'PASS' if out.ok else 'FAIL'}")
+    return 0 if out.ok else 1
+
+
+def _reproduce_cusp(cfg) -> int:
     h = cfg["h"]
     out = ex.gap_law([ex.gap_law_lines(h).solve()])
     winner, records = out.measured
@@ -301,176 +293,125 @@ def _reproduce_cusp(cfg) -> bool:
     ga.write_plot_data(cfg["prefix"] + "cusp_predicted.dat",
                        [r.x_mid for r in recs],
                        [getattr(r, key) for r in recs])
-    print(f"cusp: {out.detail}")
-    return out.ok
+    return _verdict("cusp", out)
 
 
-def _reproduce_cusp_z(cfg) -> bool:
+def _reproduce_cusp_z(cfg) -> int:
     out = ex.gap_law([ex.gap_law_lines(h).solve() for h in ex.GAP_LAW_H])
     for h, recs in out.measured[1].items():
         ga.write_plot_data(cfg["prefix"] + f"cusp_z_{h:g}.dat",
                            [r.x_mid for r in recs],
                            [r.gap_measured for r in recs])
-    print(f"cusp-z: {out.detail}")
-    return out.ok
+    return _verdict("cusp-z", out)
 
 
-def _reproduce_gaps_formule(cfg) -> bool:
+def _reproduce_gaps_formule(cfg) -> int:
     out = ex.smallest_gap([ex.smallest_gap_lines(h).solve()
                            for h in ex.SMALLEST_GAP_H])
     ga.write_plot_data(cfg["prefix"] + "gaps_formule.dat",
                        [r.lnh_abs for r in out.measured.rows],
                        [1.0 / r.gap_min_measured for r in out.measured.rows])
-    print(f"gaps-formule: {out.detail}")
-    return out.ok
+    return _verdict("gaps-formule", out)
 
 
-def _reproduce_weyl(cfg) -> bool:
+def _reproduce_weyl(cfg) -> int:
     out = ex.weyl([ex.weyl_lines(h).solve() for h in ex.WEYL_H])
     rows = out.measured
     ga.write_weyl_csv(cfg["prefix"] + "weyl.csv", rows)
     ga.write_plot_data(cfg["prefix"] + "weyl.dat",
                        [abs(math.log(h)) for h, _, _ in rows],
                        [n / abs(math.log(h)) for h, n, _ in rows])
-    print(f"weyl: {out.detail}")
-    return out.ok
+    return _verdict("weyl", out)
 
 
-def _reproduce_unwinding(cfg) -> bool:
+def _reproduce_unwinding(cfg) -> int:
     table = ex.UNWINDING_LINES.solve()
     out = ex.quantum_loop(table, ex.UNWINDING_RADIUS, cfg["seed"])
     with open(cfg["prefix"] + "unwinding.json", "w") as fh:
         json.dump(_unwind_json(*out.measured), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"unwinding: {out.detail}")
-    return out.ok
+    return _verdict("unwinding", out)
 
 
-# each pipeline with the one optional flag it reads, if any
-_PIPELINES = {"cusp": (_reproduce_cusp, "h"),
-              "cusp-z": (_reproduce_cusp_z, None),
-              "gaps-formule": (_reproduce_gaps_formule, None),
-              "weyl": (_reproduce_weyl, None),
-              "unwinding": (_reproduce_unwinding, "seed")}
+# --- command table and parser -------------------------------------------------
 
+_X_WINDOW = dict(x_min=(float, -10.0), x_max=(float, 10.0))
+_LOOP = dict(spectrum=(str, "spectrum.csv"), loop_radius=(float, 20.0),
+             n_top=(int, None), seed=(int, 0), center_x=(float, 0.0),
+             center_n=(float, 0.0), non_enclosing=(bool, False))
+_PREFIX = dict(prefix=(str, ""))
 
-def _cmd_reproduce(args) -> int:
-    fig = args.figure_id
-    if fig not in _PIPELINES:
-        raise ConfigurationError(f"unknown figure id {fig!r}")
-    pipeline, reads = _PIPELINES[fig]
-    for key in ("h", "seed"):
-        if getattr(args, key) is not None and key != reads:
-            raise ConfigurationError(
-                f"reproduce {fig} does not read --{key}")
-    cfg = _resolve(args, dict(h=ex.GAP_LAW_H[0], seed=0, prefix=""))
-    ok = pipeline(cfg)
-    print(f"reproduce {fig}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-# --- parser ------------------------------------------------------------------
-
-def _add(p, *names, **kw):
-    """add_argument that also records the flag's type for _resolve."""
-    action = p.add_argument(*names, **kw)
-    types = p.get_default("flag_types") or {}
-    p.set_defaults(flag_types={**types, action.dest: action.type})
+# leaf subcommand -> (handler, help, {flag: (type, default)}).  A bool flag
+# takes no value on the command line and 1/true/yes or 0/false/no in a
+# config file.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "compute a joint spectrum window", dict(
+        h=(float, 1e-3), n_min=(int, -10), n_max=(int, 10),
+        e_min=(float, -0.02), e_max=(float, 0.02), grid_points=(int, None),
+        r_max=(float, None), out=(str, "spectrum.csv"))),
+    "bs fit": (_cmd_bs_fit, "fit the model to a spectrum", dict(
+        spectrum=(str, "spectrum.csv"), **_X_WINDOW,
+        out=(str, "model.json"))),
+    "bs predict": (_cmd_bs_predict, "predict one line from a model", dict(
+        model=(str, "model.json"), n=(int, 0), **_X_WINDOW,
+        out=(str, "predicted.csv"))),
+    "gaps": (_cmd_gaps, "measured vs predicted gaps on a line", dict(
+        spectrum=(str, "spectrum.csv"), n=(int, 0), **_X_WINDOW,
+        out=(str, "gaps.csv"))),
+    "smallest-gap": (_cmd_smallest_gap, "smallest-gap scaling scan", dict(
+        h_list=(str, "1e-2,1e-3,1e-4"), out=(str, "smallest_gap.csv"))),
+    "weyl": (_cmd_weyl, "log-Weyl count in a window", dict(
+        spectrum=(str, "spectrum.csv"), t1_min=(float, -10.0),
+        t1_max=(float, 10.0), t2_min=(float, -3.0), t2_max=(float, 3.0),
+        out=(str, "weyl.csv"))),
+    "dh-volume": (_cmd_dh_volume, "Monte Carlo phase-space volume", dict(
+        h=(float, 1e-3), t1_min=(float, 18.0), t1_max=(float, 26.0),
+        t2_min=(float, -3.0), t2_max=(float, 3.0),
+        samples=(int, 10_000_000), seed=(int, 20260823))),
+    "actions": (_cmd_actions, "classical action samples", dict(
+        e_list=(str, "0.1"), l_list=(str, "0.05"), out=(str, "actions.csv"))),
+    "monodromy": (_cmd_monodromy, "classical monodromy of a loop", dict(
+        center_e=(float, 0.0), center_l=(float, 0.0), radius=(float, 0.2),
+        segments=(int, 64))),
+    "unwind": (_cmd_unwind, "unwind a spectral loop", dict(
+        **_LOOP, out=(str, "unwind.json"))),
+    "count": (_cmd_count, "N_spec vs N_pick in a spectral loop", _LOOP),
+    "special": (_cmd_special, "special-function evaluations", dict(
+        op=(str, "C"), eps=(float, 0.0), n=(int, 0))),
+    "reproduce cusp": (_reproduce_cusp, "gap law at one h", dict(
+        h=(float, ex.GAP_LAW_H[0]), **_PREFIX)),
+    "reproduce cusp-z": (_reproduce_cusp_z, "gap law across h", _PREFIX),
+    "reproduce gaps-formule": (_reproduce_gaps_formule,
+                               "smallest-gap scaling", _PREFIX),
+    "reproduce weyl": (_reproduce_weyl, "log-Weyl count", _PREFIX),
+    "reproduce unwinding": (_reproduce_unwinding,
+                            "quantum monodromy and counting", dict(
+                                seed=(int, 0), **_PREFIX)),
+}
+_GROUPS = {"bs": "singular Bohr-Sommerfeld model",
+           "reproduce": "end-to-end figure pipelines"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
-        prog="champagne",
+        prog="champagne", allow_abbrev=False,
         description="Numerical laboratory for the quantum champagne bottle")
     root.add_argument("--config", help="flat key=value config file")
-    sub = root.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="compute a joint spectrum window")
-    for name, typ in [("--h", float), ("--n-min", int), ("--n-max", int),
-                      ("--e-min", float), ("--e-max", float),
-                      ("--grid-points", int), ("--r-max", float)]:
-        _add(p, name, type=typ)
-    _add(p, "--out")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("bs", help="singular Bohr-Sommerfeld model")
-    bsub = p.add_subparsers(dest="bs_op", required=True)
-    pf = bsub.add_parser("fit")
-    for name, typ in [("--x-min", float), ("--x-max", float)]:
-        _add(pf, name, type=typ)
-    _add(pf, "--spectrum")
-    _add(pf, "--out")
-    pf.set_defaults(func=_cmd_bs)
-    pp = bsub.add_parser("predict")
-    for name, typ in [("--n", int), ("--x-min", float), ("--x-max", float)]:
-        _add(pp, name, type=typ)
-    _add(pp, "--model")
-    _add(pp, "--out")
-    pp.set_defaults(func=_cmd_bs)
-
-    p = sub.add_parser("gaps", help="measured vs predicted gaps on a line")
-    for name, typ in [("--n", int), ("--x-min", float), ("--x-max", float)]:
-        _add(p, name, type=typ)
-    _add(p, "--spectrum")
-    _add(p, "--out")
-    p.set_defaults(func=_cmd_gaps)
-
-    p = sub.add_parser("smallest-gap", help="smallest-gap scaling scan")
-    _add(p, "--h-list")
-    _add(p, "--out")
-    p.set_defaults(func=_cmd_smallest_gap)
-
-    for name, fn, extra in [("weyl", _cmd_weyl, True),
-                            ("dh-volume", _cmd_dh_volume, False)]:
-        p = sub.add_parser(name)
-        for wname in ["--t1-min", "--t1-max", "--t2-min", "--t2-max"]:
-            _add(p, wname, type=float)
-        if extra:
-            _add(p, "--spectrum")
-            _add(p, "--out")
-        else:
-            _add(p, "--h", type=float)
-            _add(p, "--samples", type=int)
-            _add(p, "--seed", type=int)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("actions", help="classical action samples")
-    _add(p, "--e-list")
-    _add(p, "--l-list")
-    _add(p, "--out")
-    p.set_defaults(func=_cmd_actions)
-
-    p = sub.add_parser("monodromy", help="classical monodromy of a loop")
-    for name in ["--center-e", "--center-l", "--radius"]:
-        _add(p, name, type=float)
-    _add(p, "--segments", type=int)
-    p.set_defaults(func=_cmd_monodromy)
-
-    for name, fn in [("unwind", _cmd_unwind), ("count", _cmd_count)]:
-        p = sub.add_parser(name)
-        _add(p, "--spectrum")
-        _add(p, "--loop-radius", type=float)
-        _add(p, "--n-top", type=int)
-        _add(p, "--seed", type=int)
-        _add(p, "--center-x", type=float)
-        _add(p, "--center-n", type=float)
-        _add(p, "--non-enclosing", action="store_const", const=True)
-        _add(p, "--out")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("special", help="special-function evaluations")
-    _add(p, "--op")
-    _add(p, "--eps", type=float)
-    _add(p, "--n", type=int)
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("reproduce", help="end-to-end figure pipelines")
-    _add(p, "figure_id",
-         help="cusp | cusp-z | gaps-formule | weyl | unwinding")
-    _add(p, "--h", type=float)
-    _add(p, "--seed", type=int)
-    _add(p, "--prefix")
-    p.set_defaults(func=_cmd_reproduce)
+    subs = {"": root.add_subparsers(dest="command", required=True)}
+    for name, (func, help_, flags) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=_GROUPS[group], allow_abbrev=False
+            ).add_subparsers(dest="command", required=True)
+        p = subs[group].add_parser(leaf, help=help_, allow_abbrev=False)
+        for key, (typ, _) in flags.items():
+            flag = "--" + key.replace("_", "-")
+            if typ is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=typ)
+        p.set_defaults(func=func, flags=flags)
     return root
 
 
@@ -481,7 +422,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ChampagneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

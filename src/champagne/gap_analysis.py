@@ -131,8 +131,13 @@ def smallest_gap_fit(tables, x_half_window: float = 2.5) -> SmallestGapScan:
     the smallest gap sits at the center of the spectrum where the level
     density peaks.  Gaps are reported in Delta E / h units; the regression
     of 1/gap_min_measured against |ln h| has slope 1/(2 pi sqrt 2) to
-    leading order.  Rows are ordered by decreasing h.
+    leading order.  Rows are ordered by decreasing h.  Raises DomainError
+    for fewer than two distinct h, through which no line is determined.
     """
+    h_values = {t.h for t in tables}
+    if len(h_values) < 2:
+        raise DomainError("the smallest-gap fit needs at least two distinct "
+                          f"h, got {sorted(h_values)}")
     rows = []
     for spec in sorted(tables, key=lambda t: t.h, reverse=True):
         h = spec.h

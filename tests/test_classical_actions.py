@@ -108,6 +108,10 @@ def test_classical_monodromy_matrices():
     assert cw.tolist() == [[1, 0], [-1, 1]]
     away = classical_monodromy(circle_loop(0.5, 0.0, 0.05))
     assert away.tolist() == [[1, 0], [0, 1]]
+    # one or two segments enclose nothing: an error, not the identity
+    for segments in (1, 2):
+        with pytest.raises(DomainError, match="3 segments"):
+            circle_loop(radius=0.2, segments=segments)
 
 
 def test_loop_through_critical_value_rejected():

@@ -14,12 +14,24 @@ def run(*argv):
 def test_usage_errors():
     assert run("definitely-not-a-command") == 2
     assert run("spectrum", "--no-such-flag") == 2
+    # no prefix matching: --h is not --help, --e is not --eps
+    assert run("gaps", "--h", "1e-3", "--spectrum", "s.csv") == 2
+    assert run("special", "--e", "0.5") == 2
+    # count writes no file, so it takes no --out
+    assert run("count", "--out", "x") == 2
 
 
 def test_computation_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
-    assert run("gaps", "--spectrum", missing) == 1
-    assert "error:" in capsys.readouterr().err
+    # each fails before it writes an output
+    for argv, named in ((("gaps", "--spectrum", missing), missing),
+                        (("smallest-gap", "--h-list", "1e-2,zz"), "--h-list"),
+                        (("actions", "--e-list", "0.1,abc"), "--e-list"),
+                        (("smallest-gap", "--h-list", "1e-2"), "two distinct"),
+                        (("monodromy", "--segments", "1"), "3 segments")):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
 
 
 def test_special_subcommand(capsys):
@@ -128,10 +140,13 @@ def test_reproduce_cusp(tmp_path, capsys):
         assert len(rows) > 10 and len(rows[0].split()) == 2
 
 
-def test_reproduce_rejects_a_flag_its_pipeline_ignores(capsys):
+def test_reproduce_rejects_a_flag_its_pipeline_ignores(tmp_path, capsys):
     # only cusp reads --h and only unwinding reads --seed
+    prefix = str(tmp_path / "fig_")
     for argv in (("weyl", "--h", "1e-3"), ("unwinding", "--h", "1e-3"),
                  ("cusp", "--seed", "3"), ("gaps-formule", "--seed", "3")):
-        assert run("reproduce", *argv) == 1
+        assert run("reproduce", *argv, "--prefix", prefix) == 2
         err = capsys.readouterr().err
-        assert f"reproduce {argv[0]} does not read {argv[1]}" in err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert run("reproduce", "nope") == 2
+    assert list(tmp_path.iterdir()) == []

@@ -74,6 +74,9 @@ def test_smallest_gap_scan_two_points():
     for r in scan.rows:
         assert r.gap_min_measured == pytest.approx(r.gap_min_champagne,
                                                    rel=0.10)
+    # one distinct h determines no line
+    with pytest.raises(DomainError, match="two distinct h"):
+        smallest_gap_scan([1e-2, 1e-2])
 
 
 def test_weyl_empty_window(spec_h1em3):

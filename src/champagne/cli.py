@@ -45,8 +45,16 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args) -> dict:
-    """flags > config file > defaults; every value echoed."""
+    """flags > config file > defaults; every value echoed.  A file key
+    that no command declares raises ConfigurationError; one that another
+    command declares is ignored, so one file may serve several commands."""
     file_cfg = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(file_cfg.keys() - {
+        key for _, _, flags in _COMMANDS.values() for key in flags})
+    if unknown:
+        raise ConfigurationError(
+            f"config file {args.config}: no command has the keys "
+            + ", ".join(unknown))
     cfg = {}
     for key, (typ, default) in args.flags.items():
         flag = getattr(args, key)

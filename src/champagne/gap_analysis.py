@@ -123,6 +123,12 @@ class SmallestGapScan:
     r_squared: float
 
 
+def _require_two_h(h_list) -> None:
+    if len(set(h_list)) < 2:
+        raise DomainError("the smallest-gap fit needs at least two distinct "
+                          f"h, got {sorted(set(h_list))}")
+
+
 def smallest_gap_fit(tables, x_half_window: float = 2.5) -> SmallestGapScan:
     """Minimum n = 0 gap of each table and the 1/|ln h| scaling regression.
 
@@ -134,10 +140,7 @@ def smallest_gap_fit(tables, x_half_window: float = 2.5) -> SmallestGapScan:
     leading order.  Rows are ordered by decreasing h.  Raises DomainError
     for fewer than two distinct h, through which no line is determined.
     """
-    h_values = {t.h for t in tables}
-    if len(h_values) < 2:
-        raise DomainError("the smallest-gap fit needs at least two distinct "
-                          f"h, got {sorted(h_values)}")
+    _require_two_h([t.h for t in tables])
     rows = []
     for spec in sorted(tables, key=lambda t: t.h, reverse=True):
         h = spec.h
@@ -164,7 +167,9 @@ def smallest_gap_fit(tables, x_half_window: float = 2.5) -> SmallestGapScan:
 
 def smallest_gap_scan(h_list, x_half_window: float = 2.5) -> SmallestGapScan:
     """smallest_gap_fit on the n = 0 lines of h_list, solved on |x| <=
-    x_half_window only."""
+    x_half_window only.  Fewer than two distinct h raise DomainError
+    before any line is solved."""
+    _require_two_h(h_list)
     tables = []
     for h in sorted(h_list, reverse=True):
         e1 = x_half_window * SQRT2 * h

@@ -10,15 +10,18 @@ endpoint implicitly (no boundary row is needed for any n) and keeps the
 scheme second-order accurate; a two-grid Richardson step upgrades every
 eigenvalue to fourth order.
 
-Levels are computed by LAPACK bisection, dstebz, called directly through
-ctypes so that it runs without the GIL.  Two of its Sturm counts give the
-radial index and the number of the levels in a window; the fine grid 2N
-is solved on the window while a helper thread solves the coarse grid N
-for exactly those indices, so the two grids pair by index.  The lines of
-a joint spectrum are solved on one thread per usable CPU.  Completeness
-at the window edges is checked from the measured Richardson correction,
-not from an error model, and a correction above RICHARDSON_GAP_BUDGET
-local gaps raises ConfigurationError.
+Levels are computed by bisection (Barth, Martin & Wilkinson) on Sturm
+counts from LAPACK dlarrc, which counts at two shifts in one pass over the
+matrix and is called through ctypes, so that it runs without the GIL.
+Each pass halves two intervals.  The grid-2N counts at the window's ends
+give the radial indices of its levels, and both grids are bisected for
+exactly those indices, so the two grids pair by index.  A line's levels
+are cut into chunks of about equal work, bisected on one thread per
+usable CPU; every chunk starts from the line's one bracket, so the values
+do not depend on the cut.  Completeness at the window edges is checked
+from the measured Richardson correction, not from an error model, and a
+correction above RICHARDSON_GAP_BUDGET local gaps raises
+ConfigurationError.
 
 Joint eigenvalues are reported as (E1, E2) = (radial eigenvalue, h n)
 together with the zoomed coordinate x = E1 / (sqrt(2) h).
@@ -27,6 +30,7 @@ together with the zoomed coordinate x = E1 / (sqrt(2) h).
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -80,7 +84,8 @@ class PotentialSpec:
         u = np.asarray(r, dtype=float) ** 2
         out = np.zeros_like(u)
         for c in reversed(self.coefficients):
-            out = out * u + c
+            out *= u
+            out += c
         return float(out) if out.ndim == 0 else out
 
     def v_min(self) -> float:
@@ -164,14 +169,52 @@ def default_config(h: float, e_max: float,
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
+    """Symmetric tridiagonal matrix: diagonal diag, off-diagonal offdiag.
+
+    Checked once, when it is made: both are C-contiguous 1-d float64
+    arrays, finite, with one entry fewer off the diagonal.
+    """
+
     diag: np.ndarray
     offdiag: np.ndarray
+
+    def __post_init__(self):
+        for name, a in (("diag", self.diag), ("offdiag", self.offdiag)):
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.ndim == 1 and a.flags.c_contiguous):
+                raise ConfigurationError(
+                    f"{name} must be a C-contiguous 1-d float64 array")
+        n = len(self.diag)
+        if len(self.offdiag) != n - 1:
+            raise ConfigurationError(
+                f"{n} diagonal entries need {n - 1} off-diagonal ones, not "
+                f"{len(self.offdiag)}")
+        if not 1 <= n <= _MAX_ORDER:
+            raise ConfigurationError(f"order {n} is outside 1..{_MAX_ORDER}")
+        if not (np.all(np.isfinite(self.diag))
+                and np.all(np.isfinite(self.offdiag))):
+            raise ConfigurationError("the tridiagonal matrix is not finite")
+
+    @functools.cached_property
+    def gershgorin(self) -> tuple:
+        """(lower, upper), an interval that holds every eigenvalue."""
+        radius = np.zeros(len(self.diag))
+        np.abs(self.offdiag, out=radius[:-1])
+        radius[1:] += radius[:-1]           # numpy buffers the overlap
+        return (float(np.min(self.diag - radius)),
+                float(np.max(self.diag + radius)))
 
 
 def build_radial_operator(n: int, config: DiscretizationConfig,
                           potential: PotentialSpec | None = None,
                           grid_points: int | None = None) -> TridiagonalOperator:
-    """Symmetric tridiagonal matrix for H_n on the half-offset grid."""
+    """Symmetric tridiagonal matrix for H_n on the half-offset grid.
+
+    diag_j = h^2/delta^2 + h^2 n^2 / (2 r_j^2) + V(r_j) with r_j = (j + 1/2)
+    delta, and offdiag_j = -h^2/(2 delta^2) (j + 1) / sqrt((j + 1/2)(j +
+    3/2)), built with in-place operations in the order of those formulas:
+    the build peaks at about 1.6 times the size of the two results.
+    """
     potential = potential or PotentialSpec.champagne_bottle()
     if potential.V(config.r_max) < 2.0 * config.e_max:
         raise ConfigurationError(
@@ -180,21 +223,33 @@ def build_radial_operator(n: int, config: DiscretizationConfig,
     N = grid_points or config.grid_points
     h = config.h
     delta = config.r_max / N
-    j = np.arange(N)
-    r = (j + 0.5) * delta
-    n2 = float(n * n)
-    diag = (h * h) / (delta * delta) + 0.5 * h * h * n2 / (r * r) \
-        + potential.V(r)
-    jj = np.arange(N - 1)
-    off = -(h * h / (2.0 * delta * delta)) * (jj + 1.0) \
-        / np.sqrt((jj + 0.5) * (jj + 1.5))
+    r = np.arange(N, dtype=np.float64)
+    r += 0.5
+    r *= delta
+    diag = potential.V(r)
+    r *= r
+    np.divide(0.5 * h * h * float(n * n), r, out=r)
+    r += (h * h) / (delta * delta)
+    diag += r
+    del r
+    # off = the scale times (j + 1), over sqrt((j + 1/2)(j + 3/2)); every
+    # j + 1/2, j + 1 and j + 3/2 below is exact
+    off = np.arange(N - 1, dtype=np.float64)
+    off += 0.5
+    root = off + 1.0
+    root *= off
+    np.sqrt(root, out=root)
+    off += 0.5
+    off *= -(h * h / (2.0 * delta * delta))
+    off /= root
     return TridiagonalOperator(diag, off)
 
 
-# --- LAPACK dstebz -------------------------------------------------------
-# dstebz is called through the function pointer scipy's cython_lapack
+# --- LAPACK dlarrc Sturm counts and bisection ---------------------------
+# dlarrc counts the eigenvalues at or below two shifts in one pass over the
+# matrix.  It is called through the function pointer scipy's cython_lapack
 # exports, with ctypes, which releases the GIL for the length of the call,
-# so that solves on different threads run at the same time.
+# so that bisections on different threads run at the same time.
 
 def _capsule_address(capsule) -> int:
     # private function objects: setting restype on ctypes.pythonapi's own
@@ -207,127 +262,120 @@ def _capsule_address(capsule) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-def _vector(dtype):
-    return np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
-
-
 _INT = ctypes.POINTER(ctypes.c_int)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
-# DSTEBZ(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W,
-#        IBLOCK, ISPLIT, WORK, IWORK, INFO)
-_DSTEBZ = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, _INT,
-    _INT, _DOUBLE, _vector(np.float64), _vector(np.float64), _INT, _INT,
-    _vector(np.float64), _vector(np.intc), _vector(np.intc),
-    _vector(np.float64), _vector(np.intc), _INT)(
-    _capsule_address(cython_lapack.__pyx_capi__["dstebz"]))
-# WORK has 4 N entries, indexed by a C int
-_MAX_ORDER = int(np.iinfo(np.intc).max) // 4
+# DLARRC(JOBT, N, VL, VU, D, E, PIVMIN, EIGCNT, LCNT, RCNT, INFO)
+_DLARRC = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, ctypes.c_void_p,
+    ctypes.c_void_p, _DOUBLE, _INT, _INT, _INT, _INT)(
+    _capsule_address(cython_lapack.__pyx_capi__["dlarrc"]))
+# the largest order a C int indexes
+_MAX_ORDER = int(np.iinfo(np.intc).max)
+_ULP = float(np.finfo(np.float64).eps)
 
 
-def _stebz(diag: np.ndarray, offdiag: np.ndarray, select: str,
-           vl: float = 0.0, vu: float = 0.0, il: int = 1, iu: int = 1,
-           abstol: float = 0.0) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
-    diagonal diag and off-diagonal offdiag, by LAPACK dstebz: those in
-    (vl, vu] for select "V", those of index il..iu (from 1) for "I".
+def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
+    """Numbers of eigenvalues at or below x and at or below y, in one
+    dlarrc pass: the pivots <= 0 of the LDL^T factorizations of T - x and
+    T - y.  Its recurrence has no pivot guard, so a pivot of exactly 0.0
+    counts twice; the bisection checks its counts for that."""
+    lcnt, rcnt, eigcnt, info = (ctypes.c_int(), ctypes.c_int(),
+                                ctypes.c_int(), ctypes.c_int())
+    # op keeps both arrays, checked when it was made, alive until it returns
+    _DLARRC(b"T", ctypes.c_int(len(op.diag)), ctypes.c_double(x),
+            ctypes.c_double(y), op.diag.ctypes.data, op.offdiag.ctypes.data,
+            ctypes.c_double(0.0), eigcnt, lcnt, rcnt, info)
+    return lcnt.value, rcnt.value
 
-    abstol 0 is LAPACK's default tolerance, the one eigh_tridiagonal uses.
-    Raises ConfigurationError on a malformed matrix or range, before the
-    call, and on an illegal argument reported by LAPACK; ConvergenceError
-    when bisection fails.
+
+def _abs_tol(op: TridiagonalOperator) -> float:
+    """dstebz's default absolute tolerance: ULP times the larger
+    Gershgorin bound."""
+    return _ULP * max(abs(bound) for bound in op.gershgorin)
+
+
+def _bisect(op: TridiagonalOperator, first: int, stop: int,
+            a: float, b: float, ca: int, cb: int) -> np.ndarray:
+    """The eigenvalues of index first..stop-1 (from 0, ascending) by
+    bisection of the bracket (a, b], whose counts are ca <= first and
+    cb >= stop.
+
+    Every interval is halved at its midpoint until its width is at most
+    dstebz's default tolerance, _abs_tol(op) or 2 ULP of the larger end;
+    its levels are then its midpoint.  One dlarrc pass counts the
+    midpoints of two live intervals.  Each level follows the same
+    intervals whatever other indices are solved with it, so its value
+    depends only on op and the bracket.  Raises ConvergenceError on a
+    count outside its interval's counts, and on an interval too narrow to
+    halve.
     """
-    for name, a in (("diag", diag), ("offdiag", offdiag)):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.ndim == 1 and a.flags.c_contiguous):
-            raise ConfigurationError(
-                f"{name} must be a C-contiguous 1-d float64 array")
-    n = len(diag)
-    if len(offdiag) != n - 1:
+    if not (a < b and ca <= first <= stop <= cb):
         raise ConfigurationError(
-            f"{n} diagonal entries need {n - 1} off-diagonal ones, not "
-            f"{len(offdiag)}")
-    if not 1 <= n <= _MAX_ORDER:
-        raise ConfigurationError(f"order {n} is outside 1..{_MAX_ORDER}")
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-        raise ConfigurationError("the tridiagonal matrix is not finite")
-    if select == "V":
-        if not vl < vu:
-            raise ConfigurationError(f"empty value range ({vl}, {vu}]")
-    elif select == "I":
-        if not 1 <= il <= iu <= n:
-            raise ConfigurationError(
-                f"index range {il}..{iu} is outside 1..{n}")
-    else:
-        raise ConfigurationError(f"select must be 'V' or 'I', not {select!r}")
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    # np.empty: the parts dstebz leaves untouched never become resident
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=np.intc)
-    isplit = np.empty(n, dtype=np.intc)
-    work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=np.intc)
-    # every buffer above and the two arrays stay referenced until it returns
-    _DSTEBZ(select.encode(), b"E", ctypes.byref(ctypes.c_int(n)),
-            ctypes.byref(ctypes.c_double(vl)),
-            ctypes.byref(ctypes.c_double(vu)),
-            ctypes.byref(ctypes.c_int(il)), ctypes.byref(ctypes.c_int(iu)),
-            ctypes.byref(ctypes.c_double(abstol)), diag, offdiag,
-            ctypes.byref(m), ctypes.byref(nsplit), w, iblock, isplit, work,
-            iwork, ctypes.byref(info))
-    if info.value < 0:
-        raise ConfigurationError(
-            f"dstebz: argument {-info.value} has an illegal value")
-    if info.value > 0:
-        raise ConvergenceError(f"dstebz failed with info={info.value}")
-    # a copy: the levels are a view of a grid-sized buffer
-    return w[:m.value].copy()
+            f"index range {first}..{stop - 1} is not inside the bracket "
+            f"({a}, {b}] of counts {ca}..{cb}")
+    atol = _abs_tol(op)
+    levels = np.empty(stop - first)
+    live = [(a, b, ca, cb)]
+    while live:
+        halve = []
+        for a, b, ca, cb in live:
+            lo, hi = max(ca, first), min(cb, stop)
+            if lo >= hi:                    # holds no level asked for
+                continue
+            if b - a <= max(atol, 2.0 * _ULP * max(abs(a), abs(b))):
+                levels[lo - first:hi - first] = 0.5 * (a + b)
+            else:
+                halve.append((a, b, ca, cb))
+        mids = [0.5 * (a + b) for a, b, _, _ in halve]
+        counts = []
+        for i in range(0, len(mids), 2):
+            counts += _counts(op, mids[i], mids[min(i + 1, len(mids) - 1)])
+        live = []
+        for (a, b, ca, cb), m, cm in zip(halve, mids, counts):
+            if not a < m < b:
+                raise ConvergenceError(
+                    f"bisection cannot halve ({a!r}, {b!r}]")
+            if not ca <= cm <= cb:
+                raise ConvergenceError(
+                    f"Sturm count {cm} at {m!r} is outside the counts "
+                    f"{ca}..{cb} of its interval ({a!r}, {b!r}]")
+            live += [(a, m, ca, cm), (m, b, cm, cb)]
+    return levels
 
 
-def _lower_bound(op: TridiagonalOperator) -> float:
-    """A value strictly below every eigenvalue (Gershgorin)."""
-    return float(np.min(op.diag)) - 2.0 * float(np.max(np.abs(op.offdiag))) \
-        - 1.0
+def _widen(op: TridiagonalOperator, a: float, b: float, ca: int, cb: int,
+           first: int, stop: int) -> tuple:
+    """(a, b, count(a), count(b)) for (a, b] moved out, each end by the
+    last step doubled, until its counts hold the indices first..stop-1."""
+    step = max(b - a, _abs_tol(op))
+    while ca > first or cb < stop:
+        if ca > first:
+            a -= step
+        if cb < stop:
+            b += step
+        step *= 2.0
+        ca, cb = _counts(op, a, b)
+    return a, b, ca, cb
 
 
 def sturm_count(op: TridiagonalOperator, x: float) -> int:
-    """Number of eigenvalues at or below x, by LAPACK's own Sturm count.
+    """Number of eigenvalues at or below x, by LAPACK's dlarrc.
 
-    It is the count dstebz takes at the ends of a value range, so levels
-    solved on (a, b] have the indices sturm_count(a) .. sturm_count(b) - 1.
-    abstol = 1e300 stops the bisection before it starts: dstebz returns
-    as many levels as the counts at the two ends differ by.
+    Levels solved on (a, b] have the indices sturm_count(a) ..
+    sturm_count(b) - 1.
     """
-    lo, x = _lower_bound(op), float(x)
-    if x <= lo:
-        return 0
-    return len(_stebz(op.diag, op.offdiag, "V", lo, x, abstol=1e300))
-
-
-def _eig_range(op: TridiagonalOperator, lo: float, hi: float) -> np.ndarray:
-    """Eigenvalues in (lo, hi], the half-open interval of LAPACK stebz."""
-    if hi <= lo:
-        return np.empty(0)
-    return _stebz(op.diag, op.offdiag, "V", lo, hi)
-
-
-def _eig_index(op: TridiagonalOperator, first: int, stop: int) -> np.ndarray:
-    """Eigenvalues of index first..stop-1, counted from the bottom."""
-    if stop <= first:
-        return np.empty(0)
-    vals = _stebz(op.diag, op.offdiag, "I", il=first + 1, iu=stop)
-    if len(vals) != stop - first:
-        raise ConfigurationError(
-            f"dstebz returned {len(vals)} levels for the {stop - first} "
-            f"of index {first}..{stop - 1}")
-    return vals
+    return _counts(op, float(x), float(x))[0]
 
 
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
-    """All discrete eigenvalues < e_max, cross-checked against sturm_count."""
-    vals = _eig_range(op, _lower_bound(op), e_max)
+    """All discrete eigenvalues < e_max: those of index below the Sturm
+    count at e_max, bisected from below the Gershgorin interval."""
+    e_max = float(e_max)
+    a = min(op.gershgorin[0], e_max) - 1.0
+    ca, expected = _counts(op, a, e_max)
+    vals = _bisect(op, 0, expected, *_widen(op, a, e_max, ca, expected, 0,
+                                            expected))
     vals = vals[vals < e_max]
-    expected = sturm_count(op, e_max)
     if len(vals) != expected:
         raise ConfigurationError(
             f"eigenvalue count {len(vals)} disagrees with Sturm count "
@@ -352,15 +400,62 @@ def _richardson_ratio(fine: np.ndarray, rich: np.ndarray) -> float:
     return float(np.max(np.abs(rich - fine) / local, initial=0.0))
 
 
-def _window_levels(op: TridiagonalOperator, lo: float, hi: float,
-                   expected: int) -> np.ndarray:
-    """The levels in (lo, hi], which the Sturm counts put at expected."""
-    vals = _eig_range(op, lo, hi)
-    if len(vals) != expected:
-        raise ConfigurationError(
-            f"dstebz returned {len(vals)} levels in ({lo}, {hi}], the Sturm "
-            f"counts {expected}")
-    return vals
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks(count: int, parts: int) -> list:
+    """Cut count levels of both grids into at most parts chunks of about
+    equal work, a grid-2N level costing two grid-N levels: a list of
+    ((start, stop) on 2N, (start, stop) on N), offsets from 0 to count."""
+    cuts = [round(j * 3 * count / parts) for j in range(parts + 1)]
+    chunks = []
+    for a, b in zip(cuts, cuts[1:]):
+        # the 2N level i takes work [2i, 2i + 2), the N level i [2 count +
+        # i, 2 count + i + 1); a chunk takes the levels that start in [a, b)
+        fine = (min(-(-a // 2), count), min(-(-b // 2), count))
+        coarse = (min(max(a - 2 * count, 0), count),
+                  min(max(b - 2 * count, 0), count))
+        if fine[0] < fine[1] or coarse[0] < coarse[1]:
+            chunks.append((fine, coarse))
+    return chunks
+
+
+def _grid_levels(fine: TridiagonalOperator, coarse: TridiagonalOperator,
+                 a: float, b: float, counts: tuple, first: int,
+                 stop: int) -> tuple:
+    """(E_2N, E_N): the levels of index first..stop-1 on both grids.
+
+    counts are the grid-2N counts at a and b.  Both brackets start from
+    (a, b] and are widened by counts; the grid-N one starts from the
+    grid-2N one.  The levels are cut into chunks, one per usable CPU, and
+    bisected on one pool; the values do not depend on the cut.
+    """
+    if stop <= first:
+        return np.empty(0), np.empty(0)
+    brackets = [_widen(fine, a, b, *counts, first, stop)]
+    a, b = brackets[0][:2]
+    brackets.append(_widen(coarse, a, b, *_counts(coarse, a, b), first,
+                           stop))
+    ops = (fine, coarse)
+
+    def solve(chunk):
+        return [_bisect(op, first + start, first + end, *bracket)
+                for op, bracket, (start, end) in zip(ops, brackets, chunk)]
+
+    chunks = _chunks(stop - first, _usable_cpus())
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        solved = list(pool.map(solve, chunks))
+    grids = []
+    for i, op in enumerate(ops):
+        vals = np.concatenate([levels[i] for levels in solved])
+        if len(vals) != stop - first:
+            raise ConfigurationError(
+                f"bisection returned {len(vals)} levels of index {first}.."
+                f"{stop - 1} on {len(op.diag)} points, the Sturm counts "
+                f"{stop - first}")
+        grids.append(vals)
+    return tuple(grids)
 
 
 def eigenvalues_in_window(n: int, config: DiscretizationConfig,
@@ -369,31 +464,26 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
     index from the bottom.
 
-    The grid 2N is solved on (lo, hi], and one Sturm count gives the index
-    of its first level.  The grid N is solved for exactly those indices and
-    E1 = (4 E_2N - E_N) / 3, so the pairing is by index and cannot drop a
-    level.  A window with fewer than two levels takes its neighbours too,
-    so that a correction and a gap are measured.  Completeness comes from
-    the measured correction: with c = 2 max |E1 - E_2N|, the levels the
-    fine grid has in (lo - c, lo] and (hi, hi + c] are added on both grids,
-    until c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET
-    local gaps raises ConfigurationError.
+    The grid-2N Sturm counts at lo and hi give the indices of the window's
+    levels.  Both grids are bisected for exactly those indices and E1 =
+    (4 E_2N - E_N) / 3, so the pairing is by index and cannot drop a level.
+    A window with fewer than two levels takes its neighbours too, so that
+    a correction and a gap are measured.  Completeness comes from the
+    measured correction: with c = 2 max |E1 - E_2N|, the levels the grid
+    2N has in (lo - c, lo] and (hi, hi + c] are added on both grids, until
+    c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET local
+    gaps raises ConfigurationError.
     """
     grid = config.grid_points
     fine = build_radial_operator(n, config, potential, grid_points=2 * grid)
     coarse = build_radial_operator(n, config, potential)
-    first = window_first = sturm_count(fine, lo)
-    inside = sturm_count(fine, hi) - first
-    if inside < 2:
+    counts = _counts(fine, lo, hi)
+    first, stop = counts
+    if stop - first < 2:
         first = max(first - 1, 0)
-    # the coarse grid on a helper thread while this one solves the fine
-    # grid: dstebz runs without the GIL
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(_eig_index, coarse, first,
-                                first + max(inside, 2))
-        e_fine = (_window_levels(fine, lo, hi, inside) if inside >= 2
-                  else _eig_index(fine, first, first + 2))
-        e_coarse = pending.result()
+        stop = first + 2
+    e_fine, e_coarse = _grid_levels(fine, coarse, lo, hi, counts, first,
+                                    stop)
     while True:
         e1 = (4.0 * e_fine - e_coarse) / 3.0
         ratio = _richardson_ratio(e_fine, e1)
@@ -402,23 +492,17 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                 f"line n={n}: the Richardson correction is {ratio:.3g} "
                 f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}; "
                 f"N={grid} is too coarse")
-        # below[j] has index window_first - len(below) + j, and above[j]
-        # has index window_first + inside + j
         c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
-        below = _eig_range(fine, lo - c, lo)
-        above = _eig_range(fine, hi, hi + c)
-        known = first + len(e_fine)
-        start = min(first, window_first - len(below))
-        stop = max(known, window_first + inside + len(above))
-        if (start, stop) == (first, known):
+        counts = _counts(fine, lo - c, hi + c)
+        start, end = min(first, counts[0]), max(stop, counts[1])
+        if (start, end) == (first, stop):
             break
-        e_fine = np.concatenate((
-            below[:first - start], e_fine,
-            above[known - window_first - inside:]))
-        e_coarse = np.concatenate((
-            _eig_index(coarse, start, first), e_coarse,
-            _eig_index(coarse, known, stop)))
-        first = start
+        below = _grid_levels(fine, coarse, lo - c, hi + c, counts, start,
+                             first)
+        above = _grid_levels(fine, coarse, lo - c, hi + c, counts, stop, end)
+        e_fine, e_coarse = (np.concatenate(parts)
+                            for parts in zip(below, (e_fine, e_coarse), above))
+        first, stop = start, end
     keep = (e1 >= lo) & (e1 < hi)
     return np.rec.fromarrays([first + np.flatnonzero(keep), e1[keep]],
                              dtype=LEVEL_DTYPE)
@@ -473,8 +557,8 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
     """Joint eigenvalues (E1, E2=hn) for n in n_range, E1 in e_window.
 
     The radial operator depends on n only through n^2, so only |n| lines
-    are solved, on one thread per usable CPU, and negative lines are
-    mirrored bit for bit.
+    are solved, one after another, each on one thread per usable CPU, and
+    negative lines are mirrored bit for bit.
     """
     n_min, n_max = int(n_range[0]), int(n_range[1])
     lo, hi = float(e_window[0]), float(e_window[1])
@@ -483,12 +567,8 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
     potential = potential or PotentialSpec.champagne_bottle()
     config = config or default_config(h, hi, potential)
 
-    abs_ns = sorted({abs(n) for n in range(n_min, n_max + 1)})
-    with ThreadPoolExecutor(
-            max_workers=len(os.sched_getaffinity(0))) as pool:
-        results = dict(zip(abs_ns, pool.map(
-            lambda m: eigenvalues_in_window(m, config, potential, lo, hi),
-            abs_ns)))
+    results = {m: eigenvalues_in_window(m, config, potential, lo, hi)
+               for m in sorted({abs(n) for n in range(n_min, n_max + 1)})}
 
     ns = np.arange(n_min, n_max + 1)
     lines = [results[abs(n)] for n in ns.tolist()]

@@ -85,6 +85,23 @@ def test_config_file_precedence(tmp_path, capsys):
     assert side["config"]["h"] == 0.01 and side["config"]["n_max"] == 0
 
 
+def test_config_file_keys_no_command_declares_are_rejected(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, key in (("op=C\nbogus=1\n", "bogus"),
+                      ("loop_raduis=18\n", "loop_raduis")):
+        cfg.write_text(text)
+        assert run("--config", str(cfg), "special", "--eps", "0.5") == 1
+        assert key in capsys.readouterr().err
+    # a key another command declares passes: one file may serve several
+    # commands (samples is dh-volume's, out is not special's)
+    cfg.write_text("op=C\nsamples=5000\nout=x.json\n")
+    assert run("--config", str(cfg), "special", "--eps", "0.5") == 0
+    echoed = capsys.readouterr().out
+    assert '"op": "C"' in echoed and "samples" not in echoed
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_dh_volume_subcommand(capsys):
     assert run("dh-volume", "--h", "1e-3", "--samples", "2000000") == 0
     out = capsys.readouterr().out.strip().split("\n")[-1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from champagne import gap_analysis
 from champagne.bohr_sommerfeld import VARIANT_CHAMPAGNE
 from champagne.errors import DomainError, SampleSizeError
 from champagne.gap_analysis import (Window, dh_volume, gap_verdict,
@@ -74,9 +75,17 @@ def test_smallest_gap_scan_two_points():
     for r in scan.rows:
         assert r.gap_min_measured == pytest.approx(r.gap_min_champagne,
                                                    rel=0.10)
-    # one distinct h determines no line
-    with pytest.raises(DomainError, match="two distinct h"):
-        smallest_gap_scan([1e-2, 1e-2])
+
+
+def test_smallest_gap_scan_rejects_one_h_before_solving(monkeypatch):
+    # one distinct h determines no line: the error comes before any solve
+    solves = []
+    monkeypatch.setattr(gap_analysis, "joint_spectrum",
+                        lambda *args, **kwargs: solves.append(args))
+    for h_list in ([1e-2, 1e-2], [1e-4], []):
+        with pytest.raises(DomainError, match="two distinct h"):
+            smallest_gap_scan(h_list)
+    assert solves == []
 
 
 def test_weyl_empty_window(spec_h1em3):

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from champagne import radial_spectrum
-from champagne.errors import ConfigurationError
+from champagne.errors import ConfigurationError, ConvergenceError
 from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
-                                       TridiagonalOperator, _stebz,
+                                       TridiagonalOperator, _abs_tol,
+                                       _bisect, _counts,
                                        DiscretizationConfig, PotentialSpec,
                                        build_radial_operator, default_config,
                                        eigenvalues_below,
@@ -71,6 +73,13 @@ def test_richardson_beats_plain():
 CHAMPAGNE = PotentialSpec.champagne_bottle()
 
 
+def scipy_levels_below(op, e_top):
+    """The levels of op below e_top, by scipy's LAPACK bisection."""
+    vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
+                            select="v", select_range=(-2.0, e_top))
+    return vals[vals < e_top]
+
+
 def brute_force_window(coarse, fine, lo, hi):
     """All levels of grids N and 2N, paired by position, extrapolated,
     then filtered to [lo, hi): (k, E1) pairs."""
@@ -85,9 +94,9 @@ def test_window_solve_matches_brute_force(potential, n):
     h = 1e-2
     e_top = 0.3
     config = default_config(h, e_top, potential)
-    coarse = eigenvalues_below(build_radial_operator(n, config, potential),
-                               e_top)
-    fine = eigenvalues_below(build_radial_operator(
+    coarse = scipy_levels_below(build_radial_operator(n, config, potential),
+                                e_top)
+    fine = scipy_levels_below(build_radial_operator(
         n, config, potential, grid_points=2 * config.grid_points), e_top)
     mid = len(fine) // 2
     # between the grid-2N value of a level and its extrapolated value
@@ -177,23 +186,21 @@ def python_sturm_count(diag, off, x):
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
-def test_stebz_matches_scipy_bit_for_bit(potential, n):
+def test_bisection_matches_scipy(potential, n):
+    # scipy's select="i" solve is dstebz; both stop at an interval of
+    # width at most max(ULP * Gershgorin norm, 2 ULP relative) and report
+    # its midpoint, so two brackets of one level agree within that width
+    ulp = np.finfo(np.float64).eps
     for op in reference_operators(potential, n):
         d, e = op.diag, op.offdiag
-        vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                select_range=(-1.0, 0.3))
-        for lo, hi in [(-1.0, 0.3), (-0.05, 0.05), (vals[3], vals[9]),
-                       (0.5 * (vals[4] + vals[5]), vals[-2] + 1e-14)]:
-            want = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                    select_range=(lo, hi))
-            got = _stebz(d, e, "V", lo, hi)
-            assert len(got) > 0
-            assert got.tobytes() == want.tobytes(), (lo, hi)
+        a, b = op.gershgorin[0] - 1.0, op.gershgorin[1] + 1.0
+        assert _counts(op, a, b) == (0, len(d))
         for first, stop in [(0, 1), (0, 12), (7, 30), (len(d) - 3, len(d))]:
             want = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                     select_range=(first, stop - 1))
-            got = _stebz(d, e, "I", il=first + 1, iu=stop)
-            assert got.tobytes() == want.tobytes(), (first, stop)
+            got = _bisect(op, first, stop, a, b, 0, len(d))
+            tol = np.maximum(_abs_tol(op), 2.0 * ulp * np.abs(want))
+            assert np.all(np.abs(got - want) <= tol), (first, stop)
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
@@ -219,35 +226,102 @@ def test_malformed_operator_is_rejected_before_lapack():
            (d[:0], e[:0]), (np.where(d > 50.0, np.nan, d), e)]
     for diag, off in bad:
         with pytest.raises(ConfigurationError):
-            _stebz(diag, off, "V", -1.0, 1.0)
-    for il, iu in [(0, 3), (2, 1), (1, len(d) + 1)]:
-        with pytest.raises(ConfigurationError, match="outside 1.."):
-            _stebz(d, e, "I", il=il, iu=iu)
-    with pytest.raises(ConfigurationError):
-        _stebz(d, e, "V", 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        _stebz(d, e, "A")
+            sturm_count(TridiagonalOperator(diag, off), 0.0)
+    # index ranges outside the bracket's counts, and an empty bracket
+    a, b = op.gershgorin[0] - 1.0, op.gershgorin[1] + 1.0
+    for first, stop in [(-1, 3), (2, 1), (0, len(d) + 1)]:
+        with pytest.raises(ConfigurationError, match="not inside"):
+            _bisect(op, first, stop, a, b, 0, len(d))
+    with pytest.raises(ConfigurationError, match="not inside"):
+        _bisect(op, 0, 0, 1.0, 1.0, *_counts(op, 1.0, 1.0))
     # through the public path: an operator with a short off-diagonal
-    short = TridiagonalOperator(d, e[:-5])
     with pytest.raises(ConfigurationError, match="off-diagonal"):
-        eigenvalues_below(short, 1.0)
+        eigenvalues_below(TridiagonalOperator(d, e[:-5]), 1.0)
 
 
 def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
     # a solve that disagrees with the Sturm counts is an error, not a
     # table with a level dropped
-    inner = radial_spectrum._eig_range
-    monkeypatch.setattr(radial_spectrum, "_eig_range",
-                        lambda op, lo, hi: inner(op, lo, hi)[1:])
+    inner = radial_spectrum._bisect
+    monkeypatch.setattr(radial_spectrum, "_bisect",
+                        lambda op, *args: inner(op, *args)[1:])
     config = default_config(1e-2, 0.3)
     with pytest.raises(ConfigurationError, match="Sturm counts"):
         eigenvalues_in_window(0, config, CHAMPAGNE, -0.05, 0.05)
 
 
+def test_non_monotone_count_raises(monkeypatch):
+    # dlarrc has no pivot guard: a pivot of exactly 0.0 counts a level
+    # twice.  A count above its interval's upper count is an error.
+    op = reference_operators(CHAMPAGNE, 0)[0]
+    a, b = -0.05, 0.05
+    ca, cb = _counts(op, a, b)
+    assert cb - ca >= 2
+    monkeypatch.setattr(radial_spectrum, "_counts",
+                        lambda op, x, y: (cb + 1, cb + 1))
+    with pytest.raises(ConvergenceError, match="outside the counts"):
+        _bisect(op, ca, cb, a, b, ca, cb)
+
+
+def test_chunked_bisection_is_bit_identical(monkeypatch):
+    # every chunk bisects from the line's one bracket through the same
+    # midpoints, so 1 to 5 chunks give the same levels, bit for bit
+    h = 1e-4
+    e1 = 2.5 * math.sqrt(2.0) * h
+    config = default_config(h, e1)
+    lines = []
+    for chunks in range(1, 6):
+        monkeypatch.setattr(radial_spectrum, "_usable_cpus",
+                            lambda: chunks)
+        lines.append(eigenvalues_in_window(0, config, CHAMPAGNE, -e1, e1))
+    assert len(lines[0]) >= 8
+    for line in lines[1:]:
+        assert line.tobytes() == lines[0].tobytes()
+
+
+def legacy_radial_operator(n, config, potential, grid_points):
+    """build_radial_operator written out as whole-array expressions."""
+    N = grid_points
+    h = config.h
+    delta = config.r_max / N
+    j = np.arange(N)
+    r = (j + 0.5) * delta
+    u = r ** 2
+    v = np.zeros_like(u)
+    for c in reversed(potential.coefficients):
+        v = v * u + c
+    diag = (h * h) / (delta * delta) + 0.5 * h * h * float(n * n) \
+        / (r * r) + v
+    jj = np.arange(N - 1)
+    off = -(h * h / (2.0 * delta * delta)) * (jj + 1.0) \
+        / np.sqrt((jj + 0.5) * (jj + 1.5))
+    return diag, off
+
+
+@pytest.mark.parametrize("potential,n", [(CHAMPAGNE, 0), (CHAMPAGNE, 5),
+                                         (HARMONIC, 2)])
+def test_operator_build_is_bit_identical_and_in_place(potential, n):
+    config = default_config(1e-3, 0.04, potential)
+    grid = 1 << 16
+    diag, off = legacy_radial_operator(n, config, potential, grid)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        op = build_radial_operator(n, config, potential, grid_points=grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert op.diag.tobytes() == diag.tobytes()
+    assert op.offdiag.tobytes() == off.tobytes()
+    assert peak <= 2 * (op.diag.nbytes + op.offdiag.nbytes), peak
+
+
 def test_threaded_lines_equal_a_serial_solve():
-    # 9 |n| lines on threads, more than the CPUs, with the interpreter
-    # switching threads as often as it can: every level equals, bit for
-    # bit, the one a line-by-line solve on this thread gives
+    # 9 |n| lines, each bisected on one thread per CPU, with the
+    # interpreter switching threads as often as it can: every level
+    # equals, bit for bit, the one a line-by-line solve on this thread
+    # gives
     h = 1e-2
     window = (-10.5 * math.sqrt(2.0) * h, 10.5 * math.sqrt(2.0) * h)
     config = default_config(h, window[1])

@@ -278,7 +278,8 @@ def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
     """Numbers of eigenvalues at or below x and at or below y, in one
     dlarrc pass: the pivots <= 0 of the LDL^T factorizations of T - x and
     T - y.  Its recurrence has no pivot guard, so a pivot of exactly 0.0
-    counts twice; the bisection checks its counts for that."""
+    counts a level twice: it is counted, and so is the -inf pivot after
+    it.  sturm_count corrects for that and _bisect detects it."""
     lcnt, rcnt, eigcnt, info = (ctypes.c_int(), ctypes.c_int(),
                                 ctypes.c_int(), ctypes.c_int())
     # op keeps both arrays, checked when it was made, alive until it returns
@@ -286,6 +287,14 @@ def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
             ctypes.c_double(y), op.diag.ctypes.data, op.offdiag.ctypes.data,
             ctypes.c_double(0.0), eigcnt, lcnt, rcnt, info)
     return lcnt.value, rcnt.value
+
+
+def _count_all(op: TridiagonalOperator, xs: list) -> list:
+    """The counts at every x of xs, two per dlarrc pass."""
+    counts = []
+    for i in range(0, len(xs), 2):
+        counts += _counts(op, xs[i], xs[min(i + 1, len(xs) - 1)])
+    return counts[:len(xs)]
 
 
 def _abs_tol(op: TridiagonalOperator) -> float:
@@ -306,8 +315,8 @@ def _bisect(op: TridiagonalOperator, first: int, stop: int,
     midpoints of two live intervals.  Each level follows the same
     intervals whatever other indices are solved with it, so its value
     depends only on op and the bracket.  Raises ConvergenceError on a
-    count outside its interval's counts, and on an interval too narrow to
-    halve.
+    count outside its interval's counts, on an interval too narrow to
+    halve, and on a count made too high by a zero pivot.
     """
     if not (a < b and ca <= first <= stop <= cb):
         raise ConfigurationError(
@@ -315,6 +324,7 @@ def _bisect(op: TridiagonalOperator, first: int, stop: int,
             f"({a}, {b}] of counts {ca}..{cb}")
     atol = _abs_tol(op)
     levels = np.empty(stop - first)
+    ends = []                               # (b, cb) of each solved interval
     live = [(a, b, ca, cb)]
     while live:
         halve = []
@@ -324,14 +334,12 @@ def _bisect(op: TridiagonalOperator, first: int, stop: int,
                 continue
             if b - a <= max(atol, 2.0 * _ULP * max(abs(a), abs(b))):
                 levels[lo - first:hi - first] = 0.5 * (a + b)
+                ends.append((b, cb))
             else:
                 halve.append((a, b, ca, cb))
         mids = [0.5 * (a + b) for a, b, _, _ in halve]
-        counts = []
-        for i in range(0, len(mids), 2):
-            counts += _counts(op, mids[i], mids[min(i + 1, len(mids) - 1)])
         live = []
-        for (a, b, ca, cb), m, cm in zip(halve, mids, counts):
+        for (a, b, ca, cb), m, cm in zip(halve, mids, _count_all(op, mids)):
             if not a < m < b:
                 raise ConvergenceError(
                     f"bisection cannot halve ({a!r}, {b!r}]")
@@ -340,13 +348,32 @@ def _bisect(op: TridiagonalOperator, first: int, stop: int,
                     f"Sturm count {cm} at {m!r} is outside the counts "
                     f"{ca}..{cb} of its interval ({a!r}, {b!r}]")
             live += [(a, m, ca, cm), (m, b, cm, cb)]
+    # A count one too high at a point x puts a level of the interval below
+    # x at x, in place of the one above it.  That level's interval ends at
+    # x, and the count at the next double up is then below x's.
+    above = [float(np.nextafter(b, math.inf)) for b, _ in ends]
+    for (b, cb), c in zip(ends, _count_all(op, above)):
+        if c < cb:
+            raise ConvergenceError(
+                f"Sturm count {cb} at {b!r} is above the count {c} at the "
+                f"next double: a pivot of exactly 0.0 counted a level twice")
     return levels
 
 
 def _widen(op: TridiagonalOperator, a: float, b: float, ca: int, cb: int,
            first: int, stop: int) -> tuple:
     """(a, b, count(a), count(b)) for (a, b] moved out, each end by the
-    last step doubled, until its counts hold the indices first..stop-1."""
+    last step doubled, until its counts hold the indices first..stop-1.
+
+    An end past the Gershgorin interval counts 0 or the order, so this
+    ends for every index range inside 0..order; another range raises
+    ConfigurationError.
+    """
+    order = len(op.diag)
+    if not 0 <= first <= stop <= order:
+        raise ConfigurationError(
+            f"index range {first}..{stop - 1} is not inside the {order} "
+            f"levels of a {order}-point grid; the grid is too coarse")
     step = max(b - a, _abs_tol(op))
     while ca > first or cb < stop:
         if ca > first:
@@ -362,9 +389,12 @@ def sturm_count(op: TridiagonalOperator, x: float) -> int:
     """Number of eigenvalues at or below x, by LAPACK's dlarrc.
 
     Levels solved on (a, b] have the indices sturm_count(a) ..
-    sturm_count(b) - 1.
+    sturm_count(b) - 1.  The same pass counts at the next double above x,
+    and the smaller count is returned: a zero pivot at x counts a level
+    twice, and the count above x is then the lower one.
     """
-    return _counts(op, float(x), float(x))[0]
+    x = float(x)
+    return min(_counts(op, x, float(np.nextafter(x, math.inf))))
 
 
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
@@ -373,8 +403,7 @@ def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
     e_max = float(e_max)
     a = min(op.gershgorin[0], e_max) - 1.0
     ca, expected = _counts(op, a, e_max)
-    vals = _bisect(op, 0, expected, *_widen(op, a, e_max, ca, expected, 0,
-                                            expected))
+    vals = _bisect(op, 0, expected, a, e_max, ca, expected)
     vals = vals[vals < e_max]
     if len(vals) != expected:
         raise ConfigurationError(

@@ -263,6 +263,32 @@ def test_non_monotone_count_raises(monkeypatch):
         _bisect(op, ca, cb, a, b, ca, cb)
 
 
+def test_zero_pivot_is_not_counted_twice():
+    # T = [[1, 1], [1, 1]] has the levels 0 and 2.  At x = 1 the first
+    # pivot is exactly 0.0, and dlarrc counts it and the -inf after it.
+    op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]))
+    assert _counts(op, 1.0, 1.0) == (2, 2)
+    assert sturm_count(op, 1.0) == 1
+    # the midpoint of (-1, 3] is 1: the level 2 would come out as 1
+    with pytest.raises(ConvergenceError, match="pivot of exactly 0.0"):
+        _bisect(op, 0, 2, -1.0, 3.0, 0, 2)
+    # on a radial operator, x = diag[0] makes the first pivot 0.0
+    for op in reference_operators(CHAMPAGNE, 0):
+        x = op.diag[0]
+        want = python_sturm_count(op.diag, op.offdiag, x)
+        assert _counts(op, x, x)[0] == want + 1
+        assert sturm_count(op, x) == want
+
+
+def test_too_coarse_grid_raises():
+    # a window with more levels on grid 2N than grid N has at all is an
+    # error, not an endless widening of the grid-N bracket
+    config = DiscretizationConfig(r_max=1.1, grid_points=64, h=1e-3,
+                                  e_max=0.1)
+    with pytest.raises(ConfigurationError, match="too coarse"):
+        eigenvalues_in_window(0, config, CHAMPAGNE, -0.3, 0.1)
+
+
 def test_chunked_bisection_is_bit_identical(monkeypatch):
     # every chunk bisects from the line's one bracket through the same
     # midpoints, so 1 to 5 chunks give the same levels, bit for bit
@@ -317,16 +343,18 @@ def test_operator_build_is_bit_identical_and_in_place(potential, n):
     assert peak <= 2 * (op.diag.nbytes + op.offdiag.nbytes), peak
 
 
-def test_threaded_lines_equal_a_serial_solve():
+def test_threaded_lines_equal_a_serial_solve(monkeypatch):
     # 9 |n| lines, each bisected on one thread per CPU, with the
     # interpreter switching threads as often as it can: every level
-    # equals, bit for bit, the one a line-by-line solve on this thread
-    # gives
+    # equals, bit for bit, the one a line-by-line solve in one chunk on
+    # one worker thread gives
     h = 1e-2
     window = (-10.5 * math.sqrt(2.0) * h, 10.5 * math.sqrt(2.0) * h)
     config = default_config(h, window[1])
-    serial = {m: eigenvalues_in_window(m, config, CHAMPAGNE, *window)
-              for m in range(9)}
+    with monkeypatch.context() as patch:
+        patch.setattr(radial_spectrum, "_usable_cpus", lambda: 1)
+        serial = {m: eigenvalues_in_window(m, config, CHAMPAGNE, *window)
+                  for m in range(9)}
     assert len(serial) > len(os.sched_getaffinity(0))
     got = []
     solver = threading.Thread(target=lambda: got.append(

@@ -122,12 +122,15 @@ def turning_points(E: float, L: float) -> tuple[float, float]:
 
 # --- the three basic integrals -----------------------------------------
 
-def _split_integrals(E: float, L: float, want_theta: bool):
-    """S_r, T, Theta over s in [s_minus, s_plus] for s_minus > 0.
+def _split_integrals(E: float, L: float):
+    """Turning roots s_minus, s_plus of the radial cubic, for s_minus > 0,
+    and the map g -> int g(s, Q(s)) ds / (s sqrt((s - sm)(sp - s))) over
+    s in [s_minus, s_plus], with Q(s) = sqrt(2 (s - s0)).
 
     Substitutions: s = sm cosh^2(tau) on [sm, (sm+sp)/2] (resolves both
     the sqrt(s - sm) turning point and the 1/s weight, uniformly in the
-    root ratio sp/sm) and a cosine substitution on [(sm+sp)/2, sp].
+    root ratio sp/sm) and s = m + a cos(phi) on [(sm+sp)/2, sp], phi from
+    0 at s_plus to pi at the midpoint.
     """
     s0, sm, sp = _cubic_roots(E, L)
     if sm <= 0.0:
@@ -139,41 +142,25 @@ def _split_integrals(E: float, L: float, want_theta: bool):
     smid = 0.5 * (sm + sp)
     tau_mid = math.acosh(math.sqrt(smid / sm))
     root_sm = math.sqrt(sm)
-
-    # piece 1: integrand g(s) * w(s), w = 1/(s sqrt((s-sm)(sp-s)))
-    def piece1(g):
-        def f(tau):
-            ch = np.cosh(tau)
-            s = sm * ch * ch
-            return g(s) / (ch * np.sqrt(sp - s))
-        return (2.0 / root_sm) * _gauss(f, 0.0, tau_mid)
-
-    # piece 2: s = m + a cos(phi), phi in [phi_lo=0 at s_plus, pi at smid]
     m2 = 0.5 * (smid + sp)
     a2 = 0.5 * (sp - smid)
     sq2a = math.sqrt(2.0 * a2)
 
-    S1 = piece1(lambda s: Q(s) * (s - sm) * (sp - s))
-    T1 = piece1(lambda s: s / Q(s))
-    H1 = piece1(lambda s: 1.0 / Q(s)) if want_theta else 0.0
+    def integral(g):
+        def f1(tau):
+            ch = np.cosh(tau)
+            s = sm * ch * ch
+            return g(s, Q(s)) / (ch * np.sqrt(sp - s))
 
-    def f_S2(phi):
-        s = m2 + a2 * np.cos(phi)
-        return (Q(s) * np.sqrt(s - sm) / s) * sq2a * np.sin(0.5 * phi) \
-            * a2 * np.sin(phi)
+        def f2(phi):
+            s = m2 + a2 * np.cos(phi)
+            return (g(s, Q(s)) * sq2a * np.cos(0.5 * phi)
+                    / (s * np.sqrt(s - sm)))
 
-    def f_T2(phi):
-        s = m2 + a2 * np.cos(phi)
-        return sq2a * np.cos(0.5 * phi) / (Q(s) * np.sqrt(s - sm))
+        return ((2.0 / root_sm) * _gauss(f1, 0.0, tau_mid)
+                + _gauss(f2, 0.0, math.pi))
 
-    def f_H2(phi):
-        s = m2 + a2 * np.cos(phi)
-        return sq2a * np.cos(0.5 * phi) / (s * Q(s) * np.sqrt(s - sm))
-
-    S_r = S1 + _gauss(f_S2, 0.0, math.pi)
-    T = T1 + _gauss(f_T2, 0.0, math.pi)
-    Theta = L * (H1 + _gauss(f_H2, 0.0, math.pi)) if want_theta else 0.0
-    return S_r, T, Theta
+    return sm, sp, integral
 
 
 def _axis_integrals(E: float) -> tuple[float, float]:
@@ -221,8 +208,9 @@ def radial_action(E: float, L: float) -> RadialAction:
     if L == 0.0 and E >= 0.0:
         S_r, T = _axis_integrals(E)
         return RadialAction(S_r, T, False)
-    S_r, T, _ = _split_integrals(E, L, want_theta=False)
-    return RadialAction(S_r, T, False)
+    sm, sp, integral = _split_integrals(E, L)
+    return RadialAction(integral(lambda s, q: q * (s - sm) * (sp - s)),
+                        integral(lambda s, q: s / q), False)
 
 
 def rotation_number(E: float, L: float) -> float:
@@ -237,8 +225,8 @@ def rotation_number(E: float, L: float) -> float:
         if E > 0.0:
             return math.pi
         raise DomainError(f"rotation number undefined at E={E}, L=0")
-    _, _, Theta = _split_integrals(E, L, want_theta=True)
-    return Theta
+    _, _, integral = _split_integrals(E, L)
+    return L * integral(lambda s, q: 1.0 / q)
 
 
 # --- samples and CSV ----------------------------------------------------

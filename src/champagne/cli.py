@@ -228,8 +228,6 @@ def _unwind_json(poly, res, counts) -> dict:
         charts=[dict(center=list(c.center), linear=c.linear.tolist(),
                      offset=c.offset.tolist(), radius=c.radius, h=c.h,
                      residual=c.residual) for c in res.charts],
-        transitions=[dict(matrix=t.matrix.tolist(), shift=t.shift.tolist())
-                     for t in res.transitions],
         monodromy=res.monodromy.matrix.tolist(),
         monodromy_shift=res.monodromy.shift.tolist(),
         unwound_vertices=res.vertices.tolist(),

@@ -2,21 +2,24 @@
 
 Away from the critical value the joint spectrum is locally a deformed
 affine image of h Z^2.  This module fits such lattice charts from data,
-transports them along paths with integer-affine gluing, unwinds closed
-polygonal lines through the spectrum (the developing map), extracts the
-monodromy as the end-to-start chart transition, and realizes the exact
-eigenvalue count of a spectrum polygon through Pick's formula.
+continues one chart frame along closed polygonal lines through the
+spectrum (the developing map), extracts the monodromy as the end-to-start
+chart transition, and realizes the exact eigenvalue count of a spectrum
+polygon through Pick's formula.
 
 All integer geometry (point-in-polygon, Pick counts, transitions) is done
 in exact arithmetic; floating point only enters through the chart fits,
 whose rounding residual is explicitly budgeted (CHART_RESIDUAL_MAX =
 0.05).  A transition is read off the two chart frames and must hold
-exactly, in integers, on every point of the chart overlap.
+exactly, in integers, on every point of the chart overlap: the identity
+for each step of a continued frame, and the monodromy from the last
+chart of a loop to the first.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,11 @@ from .radial_spectrum import POINT_DTYPE
 CHART_RESIDUAL_MAX = 0.05
 CHART_CONDITION_MAX = 1e3
 MIN_CHART_POINTS = 6
+# unwind moves a chart at most this fraction of its radius per step, so
+# that consecutive discs share a two-dimensional patch of points, and
+# halves a step whose overlap is still too thin at most this many times
+STEP_FRACTION = 0.5
+MAX_STEP_HALVINGS = 4
 
 
 def _points_array(spectrum) -> np.ndarray:
@@ -143,29 +151,30 @@ def fit_local_chart(points, center, h: float,
     CHART_RESIDUAL_MAX,
     or the linear part is ill conditioned.
     """
-    pts_all = _points_array(points)
+    return _fit_chart(_points_array(points), center, h, radius)
+
+
+def _fit_chart(pts_all: np.ndarray, center, h: float, radius,
+               frame: LatticeChart | None = None) -> LatticeChart:
+    """fit_local_chart, refined from frame's (linear, offset) when given
+    instead of from a nearest-neighbor basis."""
     center = (float(center[0]), float(center[1]))
-    if radius is None:
-        r = 3.5 * local_spacing(pts_all, center)
-        last = None
-        for _ in range(4):
-            try:
-                return _fit_chart_fixed(pts_all, center, h, r)
-            except ChartError as exc:
-                last = exc
-                r *= 0.75
-        raise last
-    return _fit_chart_fixed(pts_all, center, h, float(radius))
+    if radius is not None:
+        return _fit_chart_fixed(pts_all, center, h, float(radius), frame)
+    r = 3.5 * local_spacing(pts_all, center)
+    last = None
+    for _ in range(4):
+        try:
+            return _fit_chart_fixed(pts_all, center, h, r, frame)
+        except ChartError as exc:
+            last = exc
+            r *= 0.75
+    raise last
 
 
-def _fit_chart_fixed(pts_all: np.ndarray, center, h: float,
-                     radius: float) -> LatticeChart:
-    d = np.hypot(pts_all[:, 0] - center[0], pts_all[:, 1] - center[1])
-    pts = pts_all[d <= radius]
-    if len(pts) < MIN_CHART_POINTS:
-        raise ChartError(
-            f"only {len(pts)} points in the disc at {center}, radius {radius:g}")
-
+def _neighbor_frame(pts: np.ndarray, center, h: float) -> tuple:
+    """(linear, offset) of the basis of the two shortest linearly
+    independent difference vectors, anchored on the point nearest center."""
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     np.fill_diagonal(dist, np.inf)
@@ -190,7 +199,20 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float,
     # be a lattice point, and a half-integer anchor stalls the rounding
     anchor = pts[np.argmin(np.hypot(pts[:, 0] - center[0],
                                     pts[:, 1] - center[1]))]
-    offset = -linear @ anchor
+    return linear, -linear @ anchor
+
+
+def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
+                     frame: LatticeChart | None = None) -> LatticeChart:
+    d = np.hypot(pts_all[:, 0] - center[0], pts_all[:, 1] - center[1])
+    pts = pts_all[d <= radius]
+    if len(pts) < MIN_CHART_POINTS:
+        raise ChartError(
+            f"only {len(pts)} points in the disc at {center}, radius {radius:g}")
+    if frame is None:
+        linear, offset = _neighbor_frame(pts, center, h)
+    else:
+        linear, offset = frame.linear, frame.offset
 
     prev = None
     for _ in range(8):
@@ -251,27 +273,23 @@ def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
 
 
 def transport_chart(chart: LatticeChart, new_center, points,
-                    radius: float | None = None,
-                    ) -> tuple[LatticeChart, ChartTransition]:
+                    radius: float | None = None) -> LatticeChart:
     """Continue a chart frame to a nearby disc.
 
-    Fits a fresh chart at new_center and takes the integer-affine map from
-    its labels to the old ones from the two chart frames, checked exactly
-    on every overlap point (TransportError otherwise).  Returns the
-    corrected chart (which agrees with the old frame on the overlap, so
-    its raw transition is the identity by construction) together with
-    that transition.
+    Refits the chart at new_center starting from the old frame's
+    (linear, offset), so the new chart keeps the old labels, and checks
+    that the transition between the two frames is exactly the identity
+    on every overlap point (TransportError otherwise).
     """
     pts_all = _points_array(points)
-    fresh = fit_local_chart(pts_all, new_center, chart.h, radius=radius)
-    trans = _fit_transition(fresh, chart, pts_all, f"at {new_center}")
-    corrected = LatticeChart(center=fresh.center,
-                             linear=trans.matrix @ fresh.linear,
-                             offset=trans.matrix @ fresh.offset
-                             + chart.h * trans.shift,
-                             radius=fresh.radius, h=fresh.h,
-                             residual=fresh.residual)
-    return corrected, trans
+    moved = _fit_chart(pts_all, new_center, chart.h, radius, frame=chart)
+    where = f"at {new_center}"
+    trans = _fit_transition(moved, chart, pts_all, where)
+    if not trans.is_identity():
+        raise TransportError(
+            f"the continued frame {where} differs from the old one by "
+            f"{trans.matrix.tolist()}, {trans.shift.tolist()}")
+    return moved
 
 
 # --- polygons and unwinding ----------------------------------------------
@@ -291,7 +309,6 @@ class SpectrumPolygon:
     """
 
     vertices: np.recarray
-    starts_on_L0: bool = False
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices,
@@ -306,7 +323,6 @@ class UnwindResult:
     vertices: np.ndarray          # (l+1, 2) int; last = continued first
     monodromy: ChartTransition
     charts: list
-    transitions: list
     closed: bool = field(init=False)
 
     def __post_init__(self):
@@ -322,15 +338,40 @@ def winding_around_origin(pts: np.ndarray) -> int:
     return int(round(np.sum(dang) / (2.0 * math.pi)))
 
 
-def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
-    """Develop the polygon onto the integer lattice chart by chart.
+def _continue_chart(chart: LatticeChart, target: tuple,
+                    pts_all: np.ndarray) -> LatticeChart:
+    """Transport chart to the disc at target in straight steps of at most
+    STEP_FRACTION of the current chart's radius.  A step whose transport
+    raises TransportError (an overlap too thin to check) is halved, up to
+    MAX_STEP_HALVINGS times, before the error is passed on."""
+    current = chart
+    while current.center != target:
+        dx = target[0] - current.center[0]
+        dy = target[1] - current.center[1]
+        frac = min(1.0, STEP_FRACTION * current.radius / math.hypot(dx, dy))
+        for halvings in range(MAX_STEP_HALVINGS + 1):
+            where = target if frac == 1.0 else (
+                current.center[0] + frac * dx, current.center[1] + frac * dy)
+            try:
+                current = transport_chart(current, where, pts_all)
+                break
+            except TransportError:
+                if halvings == MAX_STEP_HALVINGS:
+                    raise
+                frac *= 0.5
+    return current
 
-    A chart is fitted at the first vertex and transported vertex to
-    vertex around the loop; unwound vertex j is the continued-frame label
-    of vertex j.  The monodromy is the transition from the final
-    continued frame back to the starting chart, measured on the starting
-    disc; it is the identity for non-enclosing loops and unipotent with
-    one Jordan block for loops around the critical value.
+
+def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
+    """Develop the polygon onto the integer lattice by continuing one frame.
+
+    A chart is fitted at the first vertex and continued along each edge
+    in short steps, each checked to keep the labels of the old disc
+    exactly; unwound vertex j is the continued frame's label of vertex j.
+    The monodromy is the one exact transition from the final continued
+    frame back to the starting chart, measured on the starting disc; it
+    is the identity for non-enclosing loops and unipotent with one Jordan
+    block for loops around the critical value.
     """
     pts_all = _points_array(spectrum)
     verts = polygon.vertex_points()
@@ -343,40 +384,26 @@ def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
         chart0 = fit_local_chart(pts_all, verts[0], h)
     except ChartError as exc:
         raise ChartError(f"chart chain failed at vertex 0: {exc}") from exc
-    def step(chart, target, depth=4):
-        # subdivide the segment when the chart overlap is too thin
-        try:
-            return transport_chart(chart, target, pts_all)
-        except TransportError:
-            if depth == 0:
-                raise
-            mid = (0.5 * (chart.center[0] + target[0]),
-                   0.5 * (chart.center[1] + target[1]))
-            middle, _ = step(chart, mid, depth - 1)
-            return step(middle, target, depth - 1)
-
     charts = [chart0]
-    transitions = []
     labels = [chart0.labels(verts[0])[0]]
     current = chart0
     for j in range(1, ell + 1):
         v = verts[j % ell]
         try:
-            current, trans = step(current, v)
+            current = _continue_chart(current, (float(v[0]), float(v[1])),
+                                      pts_all)
         except (ChartError, TransportError) as exc:
             raise type(exc)(
                 f"chart chain failed on segment {j - 1} -> {j % ell}: {exc}"
             ) from exc
         charts.append(current)
-        transitions.append(trans)
         labels.append(current.labels(v)[0])
 
     # monodromy: continued frame vs the original chart on the start disc
     monodromy = _fit_transition(chart0, current, pts_all,
                                 "of the start and end charts")
     return UnwindResult(vertices=np.array(labels, dtype=int),
-                        monodromy=monodromy, charts=charts,
-                        transitions=transitions)
+                        monodromy=monodromy, charts=charts)
 
 
 def _first_chart_labels(pts: np.ndarray, charts) -> tuple:
@@ -400,13 +427,10 @@ def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
     frames and checked exactly on their overlap (so one that does not
     hold there raises TransportError).  Returns the fixed rows of
     spectrum.points, in table order; none, with a warning, when the
-    monodromy is the identity (every line is then fixed) or no fixed
-    lattice points exist.
+    monodromy is the identity (every line is then fixed) or no covered
+    eigenvalue is fixed.
     """
-    import warnings
-
     pts = _points_array(spectrum)
-    none = spectrum.points[:0]
     if monodromy is None:
         if len(charts) < 2:
             raise ChartError("need a chart chain to define the monodromy")
@@ -414,23 +438,13 @@ def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
                                     "of the first and last charts")
     if monodromy.is_identity():
         warnings.warn("identity monodromy: fixed line is undefined")
-        return none
+        return spectrum.points[:0]
+    # fixed points solve N k = -shift; N is rank one for unipotent monodromy
     N = monodromy.matrix - np.eye(2, dtype=int)
-    rhs = -monodromy.shift
-    # fixed points solve N k = rhs; N is rank one for unipotent monodromy
-    rows = [(int(N[i, 0]), int(N[i, 1]), int(rhs[i])) for i in range(2)]
-    rows = [r for r in rows if r[0] != 0 or r[1] != 0]
-    if not rows:
-        warnings.warn("no constraint rows; fixed line undefined")
-        return none
-    a, b, c = rows[0]
-    g = math.gcd(a, b)
-    if c % g != 0:
-        warnings.warn("monodromy has no fixed lattice points")
-        return none
-
     labels, covered = _first_chart_labels(pts, charts)
-    fixed = covered & np.all(labels @ N.T == rhs, axis=1)
+    fixed = covered & np.all(labels @ N.T == -monodromy.shift, axis=1)
+    if not fixed.any():
+        warnings.warn("no eigenvalue is fixed by the monodromy")
     return spectrum.points[fixed]
 
 
@@ -457,7 +471,9 @@ def _segments_intersect(a, b, c, d) -> bool:
             or _on_segment(c, d, a) or _on_segment(c, d, b))
 
 
-def _validate_simple(v: list) -> None:
+def _validate_simple(v: list) -> int:
+    """Twice the signed area of the simple polygon v; DomainError when v
+    is degenerate or self-intersecting."""
     m = len(v)
     if m < 3:
         raise DomainError("polygon needs at least 3 vertices")
@@ -477,6 +493,7 @@ def _validate_simple(v: list) -> None:
             if _segments_intersect(a, b, c, d):
                 raise DomainError(
                     f"polygon self-intersects: edges {i} and {j}")
+    return area2
 
 
 def pick_count(vertices) -> int:
@@ -488,10 +505,8 @@ def pick_count(vertices) -> int:
     v = [(int(p[0]), int(p[1])) for p in vertices]
     if len(v) > 1 and v[0] == v[-1]:
         v = v[:-1]
-    _validate_simple(v)
+    area2 = abs(_validate_simple(v))
     m = len(v)
-    area2 = abs(sum(v[i][0] * v[(i + 1) % m][1] - v[(i + 1) % m][0] * v[i][1]
-                    for i in range(m)))
     boundary = sum(math.gcd(abs(v[(i + 1) % m][0] - v[i][0]),
                             abs(v[(i + 1) % m][1] - v[i][1]))
                    for i in range(m))
@@ -585,7 +600,7 @@ def count_in_polygon(spectrum, polygon: SpectrumPolygon,
         n_pick = pick_count(unwound.vertices[:-1])
         return n_spec, n_pick
 
-    if not (polygon.starts_on_L0 and n[0] == 0):
+    if n[0] != 0:
         raise DomainError(
             "an enclosing polygon must start on the n = 0 line")
     if not unwound.closed:
@@ -596,29 +611,20 @@ def count_in_polygon(spectrum, polygon: SpectrumPolygon,
         raise DomainError(
             f"enclosing polygon must have exactly 2 vertices on n = 0, "
             f"found {len(zero_idx)}")
+    # the arcs of vertices 0..ia and ia..l (= vertex 0), upper one first
     ia = int(zero_idx[1])
-    upper_is_first = bool(np.all(n[:ia + 1] >= 0))
-    if upper_is_first and not np.all(n[ia:] <= 0):
+    up, lo = slice(None, ia + 1), slice(ia, None)
+    if not np.all(n[up] >= 0):
+        up, lo = lo, up
+    if not (np.all(n[up] >= 0) and np.all(n[lo] <= 0)):
         raise DomainError("polygon arcs must separate at the n = 0 line")
-    if not upper_is_first:
-        if not (np.all(n[:ia + 1] <= 0) and np.all(n[ia:] >= 0)):
-            raise DomainError("polygon arcs must separate at the n = 0 line")
-
-    first_arc = unwound.vertices[:ia + 1]  # vertices 0..ia
-    first_charts = unwound.charts[:ia + 1]
-    second_arc = unwound.vertices[ia:]     # vertices ia..l (= vertex 0)
-    second_charts = unwound.charts[ia:]
     n_top = int(np.max(np.abs(n)))
-    if upper_is_first:
-        up_arc, up_charts = first_arc, first_charts
-        lo_arc, lo_charts = second_arc, second_charts
-    else:
-        up_arc, up_charts = second_arc, second_charts
-        lo_arc, lo_charts = first_arc, first_charts
     # upper polytope counts lines n >= 0 (the closing n=0 chord is part of
     # its boundary); the lower polytope counts strictly negative lines.
-    n_spec = _count_lines(spectrum, up_charts, up_arc, range(0, n_top + 1))
-    n_spec += _count_lines(spectrum, lo_charts, lo_arc, range(-n_top, 0))
+    n_spec = _count_lines(spectrum, unwound.charts[up], unwound.vertices[up],
+                          range(0, n_top + 1))
+    n_spec += _count_lines(spectrum, unwound.charts[lo],
+                           unwound.vertices[lo], range(-n_top, 0))
     n_pick = pick_count(unwound.vertices[:-1])
     return n_spec, n_pick
 
@@ -687,5 +693,4 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
                 "vertices; adjust radius")
     if len(dedup) < 3:
         raise DomainError("loop construction found too few vertices")
-    return SpectrumPolygon(vertices=vertices,
-                           starts_on_L0=bool(enclosing and vertices.n[0] == 0))
+    return SpectrumPolygon(vertices=vertices)

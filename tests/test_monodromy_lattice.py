@@ -1,10 +1,12 @@
 """Lattice charts, transport, unwinding, Pick counting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from champagne import monodromy_lattice as ml
 from champagne.errors import ChartError, DomainError, TransportError
 from champagne.monodromy_lattice import (ChartTransition, LatticeChart,
                                          SpectrumPolygon, _fit_transition,
@@ -84,10 +86,10 @@ def test_chart_raises_when_labels_do_not_settle(monkeypatch):
 def test_transport_keeps_the_frame():
     _, pts = square_lattice()
     chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
-    moved, trans = transport_chart(chart, (3 * H, H), pts, radius=4 * H)
-    probe = np.array([[2 * H, 2 * H]])
-    assert np.array_equal(chart.labels(probe), moved.labels(probe))
-    assert abs(round(np.linalg.det(trans.matrix))) == 1
+    moved = transport_chart(chart, (3 * H, H), pts, radius=4 * H)
+    overlap = pts[chart.contains(pts) & moved.contains(pts)]
+    assert len(overlap) >= 6
+    assert np.array_equal(chart.labels(overlap), moved.labels(overlap))
 
 
 def test_transport_needs_overlap():
@@ -95,6 +97,52 @@ def test_transport_needs_overlap():
     chart = fit_local_chart(pts, (-8 * H, -8 * H), H, radius=3 * H)
     with pytest.raises(TransportError):
         transport_chart(chart, (8 * H, 8 * H), pts, radius=3 * H)
+
+
+def test_transport_rejects_a_frame_that_moved(monkeypatch):
+    # a refit whose labels moved by one on the overlap is not the old frame
+    _, pts = square_lattice()
+    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    fit = ml._fit_chart
+
+    def shifted(*args, **kwargs):
+        moved = fit(*args, **kwargs)
+        return dataclasses.replace(moved, offset=moved.offset + [H, 0.0])
+
+    monkeypatch.setattr(ml, "_fit_chart", shifted)
+    with pytest.raises(TransportError, match="differs from the old one"):
+        transport_chart(chart, (3 * H, H), pts, radius=4 * H)
+
+
+def test_continuation_halves_a_step_that_fails(monkeypatch):
+    _, pts = square_lattice()
+    chart = fit_local_chart(pts, (0, 0), H)
+    transport = ml.transport_chart
+    tried = []
+
+    def short_steps_only(old, center, points, radius=None):
+        tried.append(math.dist(old.center, center))
+        if tried[-1] > 0.5 * H:
+            raise TransportError("overlap too thin")
+        return transport(old, center, points, radius)
+
+    monkeypatch.setattr(ml, "transport_chart", short_steps_only)
+    end = ml._continue_chart(chart, (3 * H, 0.0), pts)
+    assert end.center == (3 * H, 0.0)
+    assert np.array_equal(end.labels(pts), chart.labels(pts))
+    # the first step is STEP_FRACTION of the radius, then halved twice
+    assert tried[:3] == pytest.approx(
+        [ml.STEP_FRACTION * chart.radius / 2 ** i for i in range(3)])
+
+    def never(old, center, points, radius=None):
+        tried.append(center)
+        raise TransportError("overlap too thin")
+
+    tried.clear()
+    monkeypatch.setattr(ml, "transport_chart", never)
+    with pytest.raises(TransportError):
+        ml._continue_chart(chart, (3 * H, 0.0), pts)
+    assert len(tried) == ml.MAX_STEP_HALVINGS + 1
 
 
 def test_transition_rejects_a_collinear_overlap():
@@ -263,6 +311,11 @@ def test_count_equality_and_oracle(spec_h5em3):
                                       unwind(poly, spec_h5em3))
     assert n_spec == n_pick
     assert n_spec == exact_line_count(spec_h5em3, poly)
+    # the same loop the other way round: its lower arc comes first
+    rev = SpectrumPolygon(vertices=np.concatenate(
+        [poly.vertices[:1], poly.vertices[:0:-1]]))
+    assert count_in_polygon(spec_h5em3, rev, unwind(rev, spec_h5em3)) \
+        == (n_spec, n_pick)
 
 
 def test_count_non_enclosing(spec_h5em3):
@@ -276,8 +329,7 @@ def test_count_non_enclosing(spec_h5em3):
 
 def test_enclosing_must_start_on_l0(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=3)
-    shifted = SpectrumPolygon(vertices=np.roll(poly.vertices, -5),
-                              starts_on_L0=False)
+    shifted = SpectrumPolygon(vertices=np.roll(poly.vertices, -5))
     res = unwind(shifted, spec_h5em3)
     with pytest.raises(DomainError):
         count_in_polygon(spec_h5em3, shifted, res)
@@ -299,6 +351,18 @@ def test_l0_line_identity_monodromy_warns(spec_h5em3):
         assert len(l0_line(spec_h5em3, res.charts, res.monodromy)) == 0
 
 
+@pytest.mark.parametrize("matrix, shift", [([[1, 0], [2, 1]], [0, 1]),
+                                           ([[1, 0], [0, 1]], [1, 0])],
+                         ids=["odd", "translation"])
+def test_l0_line_warns_when_nothing_is_fixed(spec_h5em3, matrix, shift):
+    # k -> matrix k + shift fixes no lattice point: 2 k1 = -1, or 0 = -1
+    poly = make_loop_polygon(spec_h5em3, 20.0, seed=0)
+    res = unwind(poly, spec_h5em3)
+    monodromy = ChartTransition(np.array(matrix), np.array(shift))
+    with pytest.warns(UserWarning, match="no eigenvalue is fixed"):
+        assert len(l0_line(spec_h5em3, res.charts, monodromy)) == 0
+
+
 def test_l0_line_rejects_a_non_integral_monodromy(spec_h5em3):
     # a last chart sheared by 0.4 against the first: the end-to-start
     # transition rounds to the identity but is not integral
@@ -316,7 +380,7 @@ def test_chain_failure_names_the_segment(spec_h5em3):
     # a polygon with a huge jump cannot be glued; the error says where
     verts = [spec_h5em3.line(0)[0], spec_h5em3.line(20)[-1],
              spec_h5em3.line(-20)[0]]
-    poly = SpectrumPolygon(vertices=verts, starts_on_L0=True)
+    poly = SpectrumPolygon(vertices=verts)
     with pytest.raises((ChartError, TransportError), match="segment"):
         unwind(poly, spec_h5em3)
 
@@ -344,16 +408,51 @@ COLLINEAR_OVERLAP_LOOPS = [
 ]
 
 
-@pytest.mark.parametrize("loop", COLLINEAR_OVERLAP_LOOPS,
-                         ids=lambda loop: f"seed{loop['seed']}")
-def test_chart_chain_across_a_collinear_overlap(spec_h5em3, loop):
-    poly = make_loop_polygon(spec_h5em3, loop["radius"], seed=loop["seed"],
+def check_loop(spectrum, loop):
+    """Unwind one loop: unipotent monodromy when it encloses the critical
+    value, the identity otherwise, a closed polygon, and
+    N_spec == N_pick == the chart-free count."""
+    enclosing = loop.get("enclosing", True)
+    poly = make_loop_polygon(spectrum, loop["radius"], seed=loop["seed"],
                              center=loop.get("center", (0.0, 0.0)),
-                             enclosing=loop.get("enclosing", True))
-    res = unwind(poly, spec_h5em3)
-    if loop.get("enclosing", True):
+                             enclosing=enclosing)
+    res = unwind(poly, spectrum)
+    if enclosing:
         assert is_unipotent(res.monodromy)
     else:
         assert res.monodromy.is_identity()
-    n_spec, n_pick = count_in_polygon(spec_h5em3, poly, res)
-    assert n_spec == n_pick == exact_line_count(spec_h5em3, poly)
+    assert res.closed
+    n_spec, n_pick = count_in_polygon(spectrum, poly, res)
+    assert n_spec == n_pick == exact_line_count(spectrum, poly)
+
+
+@pytest.mark.parametrize("loop", COLLINEAR_OVERLAP_LOOPS,
+                         ids=lambda loop: f"seed{loop['seed']}")
+def test_chart_chain_across_a_collinear_overlap(spec_h5em3, loop):
+    check_loop(spec_h5em3, loop)
+
+
+def sweep_loops(count=24, seed=20261018):
+    """Seeded loops on the unwinding table, alternately enclosing ones of
+    radius in [14, 22] and non-enclosing ones of radius in [4, 7] centred
+    at |x| in [12, 16], on both E1 sides, and n in -10..10."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    for i in range(count):
+        if i % 2 == 0:
+            loops.append(dict(radius=float(rng.uniform(14.0, 22.0)),
+                              seed=int(rng.integers(1 << 20))))
+        else:
+            side = 1.0 if i % 4 == 1 else -1.0
+            loops.append(dict(radius=float(rng.uniform(4.0, 7.0)),
+                              seed=int(rng.integers(1 << 20)),
+                              center=(side * float(rng.uniform(12.0, 16.0)),
+                                      int(rng.integers(-10, 11))),
+                              enclosing=False))
+    return loops
+
+
+@pytest.mark.parametrize("loop", sweep_loops(),
+                         ids=lambda loop: f"seed{loop['seed']}")
+def test_seeded_loop_sweep(spec_h5em3, loop):
+    check_loop(spec_h5em3, loop)

@@ -15,8 +15,7 @@ from .errors import (ChampagneError, ChartError, ConfigurationError,
 from .special_functions import fourier_constant, psi_n, psi_n_prime
 from .radial_spectrum import (DiscretizationConfig, PotentialSpec,
                               SpectrumTable, joint_spectrum)
-from .bohr_sommerfeld import (QuantizationModel, fit_model, g_n,
-                              predict_line, predicted_gap)
+from .bohr_sommerfeld import QuantizationModel, fit_model, g_n, predict_line
 from .classical_actions import (action_sample, classical_monodromy,
                                 radial_action, regularized_action,
                                 rotation_number, rotation_winding)
@@ -35,7 +34,6 @@ __all__ = [
     "DiscretizationConfig", "PotentialSpec", "SpectrumTable",
     "joint_spectrum",
     "QuantizationModel", "fit_model", "g_n", "predict_line",
-    "predicted_gap",
     "action_sample", "classical_monodromy", "radial_action",
     "regularized_action", "rotation_number", "rotation_winding",
     "ChartTransition", "LatticeChart", "SpectrumPolygon",

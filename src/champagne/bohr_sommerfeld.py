@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import FitError, ModelRangeError
+from .errors import FitError, ModelRangeError, _read_json
 from .special_functions import LN2, psi_n, psi_n_prime
 
 TWO_PI = 2.0 * math.pi
@@ -31,7 +31,6 @@ B_REFERENCE = 2.5 * LN2
 
 VARIANT_GENERAL = "paper_general"
 VARIANT_CHAMPAGNE = "paper_champagne"
-VARIANTS = (VARIANT_GENERAL, VARIANT_CHAMPAGNE)
 
 H_MAX = 0.05
 X_MAX = 100.0
@@ -62,12 +61,10 @@ class QuantizationModel:
 
     @staticmethod
     def from_json(path: str) -> "QuantizationModel":
-        with open(path) as fh:
-            fields = json.load(fh)
-        # files written before the unused A and D were dropped carry them
-        fields.pop("A", None)
-        fields.pop("D", None)
-        return QuantizationModel(**fields)
+        """The model to_json wrote; a file with other keys raises
+        ConfigurationError naming them."""
+        names = [f.name for f in fields(QuantizationModel)]
+        return QuantizationModel(**_read_json(path, names))
 
 
 def _check_range(x, h: float) -> None:
@@ -181,49 +178,19 @@ def fit_model(table, n_set=None, x_window=None) -> QuantizationModel:
 
 # --- gap law -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapPrediction:
-    x: float
-    n: int
-    h: float
-    variant: str
-    denom: float
-    gap_x: float
-    gap_E_over_h: float
+def gap_denominator(x: float, n: int, h: float, variant: str) -> float:
+    """|ln h| + const - Psi_n'(x); the local gap in x is 2 pi over it.
 
-
-def gap_denominator(x: float, n: int, h: float, variant: str,
-                    B: float = B_REFERENCE) -> float:
-    """|ln h| + const - Psi_n'(x); the two variants differ by ln 2."""
+    const is B - ln 2 with the closed-form B for 'paper_general', and
+    (5/2) ln 2, one ln 2 larger, for 'paper_champagne', the normal form of
+    this potential.  At x = 0, n = 0 the denominators are
+    |ln h| + (7/2) ln 2 + gamma and |ln h| + (9/2) ln 2 + gamma.
+    """
     if variant == VARIANT_GENERAL:
-        const = B - LN2
+        const = B_REFERENCE - LN2
     elif variant == VARIANT_CHAMPAGNE:
         const = 2.5 * LN2
     else:
         raise ModelRangeError(f"unknown gap variant {variant!r}")
     return abs(math.log(h)) + const - psi_n_prime(x, n)
 
-
-def predicted_gap(x: float, n: int, model: QuantizationModel,
-                  variant: str = VARIANT_CHAMPAGNE) -> GapPrediction:
-    """Local spectral gap on line n near x, from the slope of g_n.
-
-    gap_x = 2 pi / denom and gap in E1/h units is sqrt(2) larger.  The
-    'paper_general' variant uses the fitted B; 'paper_champagne' replaces
-    B - ln 2 by (5/2) ln 2, one ln 2 larger, matching the normal form of
-    this specific potential.  At x = 0, n = 0 the denominators are
-    |ln h| + (7/2) ln 2 + gamma and |ln h| + (9/2) ln 2 + gamma.
-    """
-    _check_range(x, model.h)
-    denom = gap_denominator(x, n, model.h, variant, B=model.B)
-    if denom <= 0.0:
-        raise ModelRangeError(f"non-positive gap denominator at x={x}")
-    return GapPrediction(x=float(x), n=int(n), h=model.h, variant=variant,
-                         denom=denom, gap_x=TWO_PI / denom,
-                         gap_E_over_h=TWO_PI * math.sqrt(2.0) / denom)
-
-
-def reference_model(h: float) -> QuantizationModel:
-    """Model with the closed-form B and zero phases, for predictions only."""
-    return QuantizationModel(B=B_REFERENCE, C=0.0, offset_mod_2pi=0.0, h=h,
-                             source="classical")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all champagne modules."""
+"""Exception hierarchy shared by all champagne modules, and the checks that
+turn a malformed JSON input file into a ConfigurationError."""
+
+import json
 
 
 class ChampagneError(Exception):
@@ -35,3 +38,26 @@ class SampleSizeError(ChampagneError):
 
 class ConvergenceError(ChampagneError):
     """An iteration reached its cap before meeting its tolerance."""
+
+
+def _check_keys(where: str, obj, keys) -> dict:
+    """obj, if it is a JSON object with exactly the given keys; otherwise
+    ConfigurationError naming where and the keys unknown or missing."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} is not a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    missing = sorted(set(keys) - set(obj))
+    if unknown or missing:
+        raise ConfigurationError(
+            f"{where}: unknown keys {unknown}, missing keys {missing}")
+    return obj
+
+
+def _read_json(path: str, keys) -> dict:
+    """The JSON object in the file at path, checked by _check_keys."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    return _check_keys(path, obj, keys)

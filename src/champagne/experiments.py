@@ -209,17 +209,22 @@ def _unipotent(matrix) -> bool:
 
 
 def quantum_loop(spec, radius: float, seed: int) -> Outcome:
-    """One enclosing loop: unipotent non-identity monodromy and
-    N_spec == N_pick.  measured: (polygon, UnwindResult, (N_spec, N_pick)).
+    """One enclosing loop: unipotent non-identity monodromy, whose fixed
+    line (l0_line) holds eigenvalues and all of them on n = 0, the lattice
+    line of the S^1 action, and N_spec == N_pick.
+    measured: (polygon, UnwindResult, (N_spec, N_pick)).
     """
     poly = ml.make_loop_polygon(spec, radius, seed=seed)
     res = ml.unwind(poly, spec)
     counts = ml.count_in_polygon(spec, poly, res)
     unipotent = _unipotent(res.monodromy.matrix)
-    return Outcome(unipotent and counts[0] == counts[1],
+    fixed = ml.l0_line(spec, res.charts, res.monodromy)
+    on_n0 = len(fixed) > 0 and bool(np.all(fixed.n == 0))
+    return Outcome(unipotent and on_n0 and counts[0] == counts[1],
                    f"monodromy {res.monodromy.matrix.tolist()} unipotent "
-                   f"non-identity = {unipotent}, counts spec={counts[0]} "
-                   f"pick={counts[1]}", (poly, res, counts))
+                   f"non-identity = {unipotent}, fixed line on n = 0 = "
+                   f"{on_n0} ({len(fixed)} eigenvalues), counts "
+                   f"spec={counts[0]} pick={counts[1]}", (poly, res, counts))
 
 
 def _loop_radius(seed: int) -> float:
@@ -229,18 +234,18 @@ def _loop_radius(seed: int) -> float:
 
 def quantum_monodromy(tables) -> Outcome:
     """quantum_loop on every polygon seed of MONODROMY_SEEDS at each h of
-    MONODROMY_H; every loop must pass.  measured: {h: [loop Outcome]}."""
+    MONODROMY_H; every loop must pass.  The line counts the loops that pass
+    and quotes each one that fails.  measured: {h: [loop Outcome]}."""
     loops, details = {}, []
     for spec in _at(tables, MONODROMY_H):
         outs = [quantum_loop(spec, _loop_radius(seed), seed)
                 for seed in MONODROMY_SEEDS]
-        unipotent = all(_unipotent(res.monodromy.matrix)
-                        for _, res, _ in (o.measured for o in outs))
-        equal = sum(n_spec == n_pick
-                    for _, _, (n_spec, n_pick) in (o.measured for o in outs))
-        details.append(f"h={spec.h:g}: unipotent non-identity = "
-                       f"{unipotent}, N_spec == N_pick on {equal}/"
-                       f"{len(outs)} polygons")
+        failed = [f"; seed {seed}: {o.detail}"
+                  for seed, o in zip(MONODROMY_SEEDS, outs) if not o.ok]
+        details.append(f"h={spec.h:g}: unipotent non-identity monodromy, "
+                       f"fixed line on n = 0 and N_spec == N_pick on "
+                       f"{len(outs) - len(failed)}/{len(outs)} polygons"
+                       + "".join(failed))
         loops[spec.h] = outs
     ok = all(o.ok for outs in loops.values() for o in outs)
     return Outcome(ok, "; ".join(details), loops)

@@ -265,7 +265,6 @@ class VolumeEstimate:
     asymptotic: float            # (|ln h| / 2 pi) |K tilde|
     std_error: float             # Monte Carlo SE of mu_over_norm
     samples: int
-    r_low: float                 # inner radius cutoff (bias documented)
 
 
 def dh_volume(K: Window, h: float, samples: int = 10_000_000,
@@ -288,7 +287,7 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
     l_lo, l_hi = h * K.t2_min, h * K.t2_max
     if e_hi <= -0.25:
         return VolumeEstimate(0.0, abs(math.log(h)) / TWO_PI * K.area_tilde(),
-                              0.0, 0, R_LOW)
+                              0.0, 0)
     # outer turning radius of the highest energy in the window
     r_hi = math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * max(e_hi, 0.0) + 1e-300))
                      / 2.0) * 1.0000001
@@ -328,4 +327,4 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
             "increase samples")
     asym = abs(math.log(h)) / TWO_PI * K.area_tilde()
     return VolumeEstimate(mu_over_norm=value, asymptotic=asym,
-                          std_error=se / norm, samples=used, r_low=R_LOW)
+                          std_error=se / norm, samples=used)

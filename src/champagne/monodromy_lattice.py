@@ -101,28 +101,9 @@ class ChartTransition:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
 
-    def apply(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=int)
-        return k @ self.matrix.T + self.shift
-
-    def compose(self, other: "ChartTransition") -> "ChartTransition":
-        """self after other: (self o other)(k) = self(other(k))."""
-        return ChartTransition(self.matrix @ other.matrix,
-                               self.matrix @ other.shift + self.shift)
-
-    def inverse(self) -> "ChartTransition":
-        m = self.matrix
-        inv = _det(m) * np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-                                 dtype=int)
-        return ChartTransition(inv, -inv @ self.shift)
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(2, dtype=int))
                     and np.array_equal(self.shift, [0, 0]))
-
-    @staticmethod
-    def identity() -> "ChartTransition":
-        return ChartTransition(np.eye(2, dtype=int), np.zeros(2, dtype=int))
 
 
 def local_spacing(points: np.ndarray, center, k: int = 9) -> float:
@@ -418,30 +399,20 @@ def _first_chart_labels(pts: np.ndarray, charts) -> tuple:
     return labels, covered
 
 
-def l0_line(spectrum, charts, monodromy: ChartTransition | None = None):
+def l0_line(spectrum, charts, monodromy: ChartTransition):
     """Eigenvalues unwound onto the line fixed pointwise by the monodromy.
 
-    charts must form a consistent closed chain (as returned by unwind);
-    the monodromy defaults to the end-to-start transition implied by the
-    first and last charts, taken like every chart transition from the two
-    frames and checked exactly on their overlap (so one that does not
-    hold there raises TransportError).  Returns the fixed rows of
-    spectrum.points, in table order; none, with a warning, when the
-    monodromy is the identity (every line is then fixed) or no covered
-    eigenvalue is fixed.
+    charts and monodromy are those of one UnwindResult.  Returns the fixed
+    rows of spectrum.points, in table order; none, with a warning, when
+    the monodromy is the identity (every line is then fixed) or no
+    covered eigenvalue is fixed.
     """
-    pts = _points_array(spectrum)
-    if monodromy is None:
-        if len(charts) < 2:
-            raise ChartError("need a chart chain to define the monodromy")
-        monodromy = _fit_transition(charts[0], charts[-1], pts,
-                                    "of the first and last charts")
     if monodromy.is_identity():
         warnings.warn("identity monodromy: fixed line is undefined")
         return spectrum.points[:0]
     # fixed points solve N k = -shift; N is rank one for unipotent monodromy
     N = monodromy.matrix - np.eye(2, dtype=int)
-    labels, covered = _first_chart_labels(pts, charts)
+    labels, covered = _first_chart_labels(_points_array(spectrum), charts)
     fixed = covered & np.all(labels @ N.T == -monodromy.shift, axis=1)
     if not fixed.any():
         warnings.warn("no eigenvalue is fixed by the monodromy")

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 from scipy.linalg import cython_lapack
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import (ConfigurationError, ConvergenceError, _check_keys,
+                     _read_json)
 
 SQRT2 = math.sqrt(2.0)
 MAX_GRID_POINTS = 1 << 22
@@ -64,18 +65,8 @@ class PotentialSpec:
     def harmonic_test() -> "PotentialSpec":
         return PotentialSpec("harmonic_test", (0.0, 0.5))
 
-    @staticmethod
-    def custom_polynomial(coefficients) -> "PotentialSpec":
-        coefficients = tuple(float(c) for c in coefficients)
-        if len(coefficients) < 2 or coefficients[-1] <= 0.0:
-            raise ConfigurationError(
-                "custom polynomial must be confining (positive leading "
-                "coefficient in r^2)")
-        return PotentialSpec("custom_polynomial", coefficients)
-
     def __post_init__(self):
-        if self.kind not in ("champagne_bottle", "harmonic_test",
-                             "custom_polynomial"):
+        if self.kind not in ("champagne_bottle", "harmonic_test"):
             raise ConfigurationError(f"unknown potential kind {self.kind!r}")
         object.__setattr__(self, "coefficients",
                            tuple(float(c) for c in self.coefficients))
@@ -616,8 +607,6 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
 
 CSV_HEADER = "h,n,k,E1,E2,x"
 CSV_FORMAT = "%.17g,%d,%d,%.17g,%.17g,%.17g"
-# keys of older sidecars' config objects, with the one value they may hold
-LEGACY_CONFIG_KEYS = {"scheme": "fd2", "richardson": True}
 
 
 def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
@@ -638,24 +627,11 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
         fh.write("\n")
 
 
-def _sidecar_config(meta_config: dict) -> DiscretizationConfig:
-    """The DiscretizationConfig of a sidecar.  A legacy key is dropped if it
-    holds its one value; any other value, and a key DiscretizationConfig
-    does not have or lacks, raise ConfigurationError."""
-    kwargs = dict(meta_config)
-    for key, value in LEGACY_CONFIG_KEYS.items():
-        if kwargs.pop(key, value) != value:
-            raise ConfigurationError(f"sidecar config {key} must be {value!r}")
-    bad = set(kwargs) ^ {f.name for f in fields(DiscretizationConfig)}
-    if bad:
-        raise ConfigurationError(
-            f"sidecar config keys {sorted(bad)} are unknown or missing")
-    return DiscretizationConfig(**kwargs)
-
-
 def read_spectrum_csv(path: str) -> SpectrumTable:
     """Table written by write_spectrum_csv.  Without its .meta.json sidecar
-    it warns, and assumes the champagne potential and default_config."""
+    it warns, and assumes the champagne potential and default_config; a
+    sidecar that is not JSON, or whose objects have other keys than
+    write_spectrum_csv writes, raises ConfigurationError naming them."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != CSV_HEADER:
@@ -672,14 +648,16 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
     e_window = (float(points["E1"].min()), float(points["E1"].max()))
     empty = []
     if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        config = _sidecar_config(meta["config"])
-        potential = PotentialSpec(meta["potential"]["kind"],
-                                  tuple(meta["potential"]["coefficients"]))
+        meta = _read_json(meta_path, ["h", "n_range", "e_window", "config",
+                                      "potential", "empty_lines"])
+        config, potential = (
+            cls(**_check_keys(f"{meta_path} {key}", meta[key],
+                              [f.name for f in fields(cls)]))
+            for key, cls in [("config", DiscretizationConfig),
+                             ("potential", PotentialSpec)])
         n_range = tuple(meta["n_range"])
         e_window = tuple(meta["e_window"])
-        empty = meta.get("empty_lines", [])
+        empty = meta["empty_lines"]
     else:
         warnings.warn(f"{meta_path} not found: assuming the champagne "
                       "potential and default_config for the table")

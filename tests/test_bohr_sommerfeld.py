@@ -9,12 +9,21 @@ import pytest
 from champagne.bohr_sommerfeld import (B_REFERENCE, VARIANT_CHAMPAGNE,
                                        VARIANT_GENERAL, QuantizationModel,
                                        fit_model, g_n, g_n_slope,
-                                       gap_denominator, predict_line,
-                                       predicted_gap, reference_model)
-from champagne.errors import FitError, ModelRangeError
+                                       gap_denominator, predict_line)
+from champagne.errors import ConfigurationError, FitError, ModelRangeError
 from champagne.special_functions import EULER_GAMMA, LN2
 
 TWO_PI = 2.0 * math.pi
+
+
+def reference_model(h):
+    """The closed-form B and zero phases."""
+    return QuantizationModel(B=B_REFERENCE, C=0.0, offset_mod_2pi=0.0, h=h)
+
+
+def gap_E_over_h(x, n, h, variant=VARIANT_CHAMPAGNE):
+    """The predicted local gap on line n near x, in Delta E1 / h units."""
+    return math.sqrt(2.0) * TWO_PI / gap_denominator(x, n, h, variant)
 
 
 def test_slope_at_origin_frozen_value():
@@ -112,18 +121,13 @@ def test_gap_variant_constants_at_origin():
 
 def test_champagne_gap_value_frozen():
     # direct formula evaluation at h = 1e-4 in Delta E / h units
-    g = predicted_gap(0.0, 0, reference_model(1e-4), VARIANT_CHAMPAGNE)
-    assert g.gap_E_over_h == pytest.approx(0.68846, abs=5e-6)
-    assert g.gap_E_over_h == pytest.approx(math.sqrt(2.0) * g.gap_x,
-                                           rel=1e-14)
+    assert gap_E_over_h(0.0, 0, 1e-4) == pytest.approx(0.68846, abs=5e-6)
 
 
 def test_gap_prediction_even_in_x():
-    model = reference_model(1e-3)
     for x in (0.5, 3.0, 8.0):
-        a = predicted_gap(x, 0, model).gap_x
-        b = predicted_gap(-x, 0, model).gap_x
-        assert a == pytest.approx(b, rel=1e-14)
+        assert gap_E_over_h(x, 0, 1e-3) == pytest.approx(
+            gap_E_over_h(-x, 0, 1e-3), rel=1e-14)
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -133,8 +137,18 @@ def test_model_json_roundtrip(tmp_path):
     model.to_json(path)
     back = QuantizationModel.from_json(path)
     assert back == model
-    # files from before the unused A and D fields were dropped still load
-    older = json.load(open(path))
-    older.update(A=None, D=None)
-    json.dump(older, open(path, "w"))
-    assert QuantizationModel.from_json(path) == model
+    # an older file with the dropped A and D, a key the model does not have,
+    # a key it lacks, and a file that holds no JSON object: ConfigurationError
+    # naming the file and the key
+    written = json.load(open(path))
+    without_b = {k: v for k, v in written.items() if k != "B"}
+    for text, named in [(json.dumps({**written, "A": None, "D": None}), "'A'"),
+                        (json.dumps({**written, "E": 1.0}), "'E'"),
+                        (json.dumps(without_b), "'B'"),
+                        ("[1.73, -0.5]", "not a JSON object"),
+                        ("{B: 1.73", "not JSON")]:
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ConfigurationError, match=named) as exc:
+            QuantizationModel.from_json(path)
+        assert path in str(exc.value)

@@ -23,15 +23,31 @@ def test_usage_errors():
 
 def test_computation_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
+    # a model file with a key the model does not have, and a spectrum
+    # whose sidecar is not JSON
+    model = str(tmp_path / "m.json")
+    with open(model, "w") as fh:
+        json.dump(dict(B=1.73, C=0.0, offset_mod_2pi=0.0, h=1e-3,
+                       residual=None, source="fit", warning=False, A=0.0), fh)
+    spec = str(tmp_path / "s.csv")
+    with open(spec, "w") as fh:
+        fh.write("h,n,k,E1,E2,x\n0.01,0,0,0.01,0,0.7071067811865476\n")
+    with open(spec + ".meta.json", "w") as fh:
+        fh.write("not json")
     # each fails before it writes an output
     for argv, named in ((("gaps", "--spectrum", missing), missing),
                         (("smallest-gap", "--h-list", "1e-2,zz"), "--h-list"),
                         (("actions", "--e-list", "0.1,abc"), "--e-list"),
                         (("smallest-gap", "--h-list", "1e-2"), "two distinct"),
-                        (("monodromy", "--segments", "1"), "3 segments")):
+                        (("monodromy", "--segments", "1"), "3 segments"),
+                        (("bs", "predict", "--model", model,
+                          "--out", str(tmp_path / "p.csv")), "'A'"),
+                        (("gaps", "--spectrum", spec,
+                          "--out", str(tmp_path / "g.csv")), "not JSON")):
         assert run(*argv) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and named in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
 
 
 def test_special_subcommand(capsys):

@@ -46,3 +46,14 @@ def test_unwinding_loop_passes(spec_h5em3):
     poly, res, (n_spec, n_pick) = out.measured
     assert out.ok and n_spec == n_pick
     assert res.monodromy.matrix.tolist() != [[1, 0], [0, 1]]
+
+
+def test_unwinding_loop_rejects_a_fixed_line_off_n0(spec_h5em3, monkeypatch):
+    # the monodromy's fixed line must be the n = 0 line: one fixed row on
+    # n = 1 fails the loop, and so does an empty fixed line
+    row = spec_h5em3.line(1)[:1]
+    for fixed in (row, row[:0]):
+        monkeypatch.setattr(ex.ml, "l0_line", lambda *args: fixed)
+        out = ex.quantum_loop(spec_h5em3, ex.UNWINDING_RADIUS, seed=0)
+        assert not out.ok
+        assert "on n = 0 = False" in out.detail

@@ -156,21 +156,14 @@ def test_transition_rejects_a_collinear_overlap():
     assert _fit_transition(chart, chart, pts, "on the disc").is_identity()
 
 
-def test_transition_algebra():
-    t = ChartTransition(np.array([[1, 1], [0, 1]]), np.array([2, -1]))
-    u = t.compose(t.inverse())
-    assert u.is_identity()
-    k = np.array([3, 4])
-    assert np.array_equal(t.inverse().apply(t.apply(k)), k)
-    with pytest.raises(ChartError):
-        ChartTransition(np.array([[2, 0], [0, 1]]), np.zeros(2, dtype=int))
-
-
 def test_transition_rejects_non_integral_entries():
     with pytest.raises(ChartError, match="integral"):
         ChartTransition(np.array([[1.6, 0.0], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ChartError, match="integral"):
         ChartTransition(np.eye(2), np.array([0.5, 0.0]))
+    # integral, but not invertible over the integers
+    with pytest.raises(ChartError, match="det"):
+        ChartTransition(np.array([[2, 0], [0, 1]]), np.zeros(2, dtype=int))
     t = ChartTransition(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
     assert t.matrix.dtype.kind == "i"
     assert t.matrix.tolist() == [[1, 1], [0, 1]]
@@ -363,9 +356,10 @@ def test_l0_line_warns_when_nothing_is_fixed(spec_h5em3, matrix, shift):
         assert len(l0_line(spec_h5em3, res.charts, monodromy)) == 0
 
 
-def test_l0_line_rejects_a_non_integral_monodromy(spec_h5em3):
+def test_transition_rejects_a_non_integral_monodromy(spec_h5em3):
     # a last chart sheared by 0.4 against the first: the end-to-start
-    # transition rounds to the identity but is not integral
+    # transition, which unwind takes as the monodromy, rounds to the
+    # identity but is not integral
     p = spec_h5em3.line(0)[-1]
     first = fit_local_chart(spec_h5em3, (p.E1, p.E2), spec_h5em3.h)
     shear = np.array([[1.0, 0.4], [0.0, 1.0]])
@@ -373,7 +367,8 @@ def test_l0_line_rejects_a_non_integral_monodromy(spec_h5em3):
                         offset=shear @ first.offset, radius=first.radius,
                         h=first.h)
     with pytest.raises(TransportError, match="does not hold"):
-        l0_line(spec_h5em3, [first, last])
+        _fit_transition(first, last, ml._points_array(spec_h5em3),
+                        "of the start and end charts")
 
 
 def test_chain_failure_names_the_segment(spec_h5em3):

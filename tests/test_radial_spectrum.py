@@ -429,22 +429,31 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
         assert np.array_equal(back.line(n), spec_h1em2.line(n))
         assert np.array_equal(back.line_x(n), spec_h1em2.line_x(n))
 
-    # a sidecar written when the config still had scheme and richardson
-    # reads back to the same config; any other value of those keys, or a
-    # key the config does not have, is rejected by name
-    meta = json.load(open(path + ".meta.json"))
-    for extra, error in [({"scheme": "fd2", "richardson": True}, None),
-                         ({"scheme": "fd2", "richardson": False},
-                          "richardson"),
-                         ({"scheme": "pruess"}, "scheme"),
-                         ({"grid_spacing": 0.1}, "grid_spacing")]:
-        with open(path + ".meta.json", "w") as fh:
-            json.dump({**meta, "config": {**meta["config"], **extra}}, fh)
-        if error is None:
-            assert read_spectrum_csv(path).config == spec_h1em2.config
-        else:
-            with pytest.raises(ConfigurationError, match=error):
-                read_spectrum_csv(path)
+    # a sidecar written when the config still had scheme and richardson,
+    # a config key the config does not have, a sidecar without potential,
+    # and one that is not JSON are rejected, naming the file and the key
+    meta_path = path + ".meta.json"
+    meta = json.load(open(meta_path))
+    without_potential = {k: v for k, v in meta.items() if k != "potential"}
+    cases = [(json.dumps({**meta, "config": {**meta["config"], **extra}}),
+              repr(named))
+             for extra, named in [({"scheme": "fd2", "richardson": True},
+                                   "scheme"),
+                                  ({"scheme": "fd2", "richardson": False},
+                                   "richardson"),
+                                  ({"scheme": "pruess"}, "scheme"),
+                                  ({"grid_spacing": 0.1}, "grid_spacing")]]
+    cases += [(json.dumps(without_potential), "'potential'"),
+              ('{"h": 0.01,', "not JSON")]
+    for text, error in cases:
+        with open(meta_path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ConfigurationError, match=error) as exc:
+            read_spectrum_csv(path)
+        assert meta_path in str(exc.value)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    assert read_spectrum_csv(path).config == spec_h1em2.config
     # a file that is not a spectrum CSV, and one without rows
     for text, error in [("E1,E2\n0.1,0.0\n", "bad spectrum CSV header"),
                         (header + "\n", "no rows")]:
@@ -467,17 +476,9 @@ def test_csv_without_sidecar_warns(tmp_path):
     assert back.config == default_config(0.1, float(np.max(table.points.E1)))
 
 
-def test_custom_polynomial_potential():
-    # the harmonic oscillator, given as a custom polynomial
-    custom = PotentialSpec.custom_polynomial((0.0, 0.5))
-    assert custom.kind == "custom_polynomial"
-    a = joint_spectrum(0.1, (-2, 2), (0.0, 1.2), potential=custom)
-    b = joint_spectrum(0.1, (-2, 2), (0.0, 1.2), potential=HARMONIC)
-    assert len(a.points) == len(b.points) > 10
-    assert a.points.tobytes() == b.points.tobytes()
-    for coefficients in ((0.0, 1.0, -1.0), (0.0, -0.5), (1.0,)):
-        with pytest.raises(ConfigurationError):
-            PotentialSpec.custom_polynomial(coefficients)
+def test_unknown_potential_kind_raises():
+    with pytest.raises(ConfigurationError, match="custom_polynomial"):
+        PotentialSpec("custom_polynomial", (0.0, 0.5))
 
 
 def test_grid_size_is_capped_loudly():

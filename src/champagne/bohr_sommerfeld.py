@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.optimize import brentq
@@ -61,10 +61,9 @@ class QuantizationModel:
 
     @staticmethod
     def from_json(path: str) -> "QuantizationModel":
-        """The model to_json wrote; a file with other keys raises
-        ConfigurationError naming them."""
-        names = [f.name for f in fields(QuantizationModel)]
-        return QuantizationModel(**_read_json(path, names))
+        """The model to_json wrote; a file with other keys, or a value
+        not of its field's type, raises ConfigurationError naming it."""
+        return QuantizationModel(**_read_json(path, QuantizationModel))
 
 
 def _check_range(x, h: float) -> None:

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all champagne modules, and the checks that
 turn a malformed JSON input file into a ConfigurationError."""
 
+import dataclasses
 import json
+import types
+import typing
 
 
 class ChampagneError(Exception):
@@ -40,9 +43,34 @@ class ConvergenceError(ChampagneError):
     """An iteration reached its cap before meeting its tolerance."""
 
 
+# the JSON values a field of each annotated type accepts
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), str: (str, "a string"),
+               tuple: (list, "an array"), type(None): (type(None), "null")}
+
+
+def _json_type(value, annotation) -> str | None:
+    """None if value is JSON of the annotated type, else what it must be;
+    true and false are of bool only, not numbers."""
+    union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    options = [typing.get_origin(a) or a for a in
+               (typing.get_args(annotation) if union else (annotation,))]
+    if isinstance(value, bool):
+        ok = bool in options
+    else:
+        ok = any(isinstance(value, _JSON_TYPES[t][0]) for t in options)
+    return None if ok else " or ".join(_JSON_TYPES[t][1] for t in options)
+
+
 def _check_keys(where: str, obj, keys) -> dict:
     """obj, if it is a JSON object with exactly the given keys; otherwise
-    ConfigurationError naming where and the keys unknown or missing."""
+    ConfigurationError naming where and the keys unknown or missing.
+    keys is a list of names, or a dataclass: then they are its fields, and
+    a value that is not JSON of its field's type raises too."""
+    hints = {}
+    if dataclasses.is_dataclass(keys):
+        hints = typing.get_type_hints(keys)
+        keys = [f.name for f in dataclasses.fields(keys)]
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where} is not a JSON object")
     unknown = sorted(set(obj) - set(keys))
@@ -50,6 +78,11 @@ def _check_keys(where: str, obj, keys) -> dict:
     if unknown or missing:
         raise ConfigurationError(
             f"{where}: unknown keys {unknown}, missing keys {missing}")
+    for key, annotation in hints.items():
+        wanted = _json_type(obj[key], annotation)
+        if wanted:
+            raise ConfigurationError(
+                f"{where}: {key} is {obj[key]!r}, not {wanted}")
     return obj
 
 

@@ -10,6 +10,12 @@ endpoint implicitly (no boundary row is needed for any n) and keeps the
 scheme second-order accurate; a two-grid Richardson step upgrades every
 eigenvalue to fourth order.
 
+default_config sizes the smallest grid its rules allow: the wall where
+the WKB barrier above e_max reaches 12 h, and any N whose spacing meets
+the error model at GRID_EPS = 2e-9 absolute.  The model is about 8 times
+optimistic at E = 0 for h <= 2e-5, which that constant absorbs.  On the
+focus window |x| <= 2.5, N passes MAX_GRID_POINTS near h = 4.1e-6.
+
 Levels are computed by bisection (Barth, Martin & Wilkinson) on Sturm
 counts from LAPACK dlarrc, which counts at two shifts in one pass over the
 matrix and is called through ctypes, so that it runs without the GIL.
@@ -36,10 +42,11 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.linalg import cython_lapack
+from scipy.optimize import brentq
 
 from .errors import (ConfigurationError, ConvergenceError, _check_keys,
                      _read_json)
@@ -79,19 +86,36 @@ class PotentialSpec:
             out += c
         return float(out) if out.ndim == 0 else out
 
-    def v_min(self) -> float:
-        """Minimum of V on a 20001-point scan of [0, r_confining(0) + 1];
-        exact enough for the grid-size bounds."""
-        r = np.linspace(0.0, self.r_confining(0.0) + 1.0, 20001)
-        return float(np.min(self.V(r)))
+    def _in_u(self) -> tuple:
+        """V as a polynomial in u = r^2, and the u at which V may be least:
+        0 and the real critical points u > 0, ascending."""
+        poly = np.polynomial.Polynomial(self.coefficients).trim()
+        roots = np.atleast_1d(poly.deriv().roots())
+        return poly, [0.0] + sorted(float(z.real) for z in roots
+                                    if z.imag == 0.0 and z.real > 0.0)
 
-    def r_confining(self, level: float) -> float:
-        """Smallest r beyond which V stays >= level."""
-        r = 1.0
-        while not np.all(self.V(np.linspace(r, 4.0 * r, 256)) >= level):
-            r *= 1.25
-            if r > 1e6:
-                raise ConfigurationError("potential does not confine")
+    def v_min(self) -> float:
+        """Minimum of V over r >= 0."""
+        poly, us = self._in_u()
+        return float(min(poly(u) for u in us))
+
+    def turning_point(self, level: float) -> float:
+        """Outer turning point: the smallest r beyond which V stays at or
+        above level, by brentq in u = r^2 past the last critical point of
+        V, and V(r) >= level holds at the r returned."""
+        poly, us = self._in_u()
+        if poly.degree() < 1 or poly.coef[-1] <= 0.0:
+            raise ConfigurationError("potential does not confine")
+        u0 = us[-1]                         # V increases beyond u0
+        if poly(u0) < level:
+            u1 = u0 + 1.0
+            while poly(u1) < level:
+                u1 = 2.0 * u1
+            u0 = brentq(lambda u: poly(u) - level, u0, u1)
+        r, step = math.sqrt(u0), _ULP * max(math.sqrt(u0), 1.0)
+        while self.V(r) < level:            # brentq may stop short of it
+            r += step
+            step *= 2.0
         return r
 
 
@@ -111,46 +135,61 @@ class DiscretizationConfig:
             raise ConfigurationError("r_max and h must be positive")
 
 
-def _wkb_tail(potential: PotentialSpec, e_max: float, r_max: float) -> float:
-    """Barrier integral int sqrt(2(V - e_max)) dr from the outer turning point."""
-    r = np.linspace(0.0, r_max, 4097)
-    v = potential.V(r)
-    above = v > e_max
-    if not above[-1]:
-        return 0.0
-    i0 = len(r) - int(np.argmin(above[::-1]))  # first index of the final run
-    seg = np.sqrt(np.maximum(2.0 * (v[i0:] - e_max), 0.0))
-    return float(np.trapezoid(seg, r[i0:]))
+# the absolute error default_config sizes the grid for
+GRID_EPS = 2e-9
+# Gauss-Legendre nodes and weights of the barrier integral, on [0, 1]
+_GL_S, _GL_W = np.polynomial.legendre.leggauss(32)
+_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+
+
+def _barrier(potential: PotentialSpec, level: float, r_turn: float,
+             r: float) -> float:
+    """WKB barrier integral int_{r_turn}^r sqrt(2 (V - level)) dr from the
+    outer turning point r_turn of level.  With r = r_turn + (r - r_turn)
+    s^2 the integrand is smooth at the turning point, and 32 fixed
+    Gauss-Legendre nodes in s resolve it."""
+    width = r - r_turn
+    v = potential.V(r_turn + width * _GL_S**2)
+    root = np.sqrt(2.0 * np.maximum(v - level, 0.0))
+    return float(np.dot(_GL_W, root * 2.0 * width * _GL_S))
 
 
 def default_config(h: float, e_max: float,
                    potential: PotentialSpec | None = None) -> DiscretizationConfig:
-    """Grid sized so the discretization error is far below the mean gap.
+    """The smallest grid that the error model of fd2 with Richardson allows.
 
-    r_max: smallest radius with V >= 2 max(e_max, 0.01), a 25% margin, and
-    enough barrier (WKB integral >= 12 h) that truncation shifts levels by
-    less than ~1e-10 relative.  delta: from the error model of fd2 with
-    Richardson, delta^4 p^6 / (720 h^4).
-    Raises ConfigurationError when that takes more than MAX_GRID_POINTS.
+    Wall: r_max is the smallest radius past the outer turning point of
+    2 e_max at which the WKB barrier int sqrt(2 (V - e_max)) dr, from the
+    outer turning point of e_max, reaches 12 h, so that truncation shifts
+    levels by about exp(-24) relative.  Both turning points and the wall
+    are roots found by brentq, the barrier by fixed Gauss-Legendre nodes.
+    Grid: N = max(64, ceil(r_max / delta)), any integer, with delta the
+    spacing at which the model error delta^4 p^6 / (720 h^4), at p^2 =
+    2 (e_max - min V) but at least 2e-3, equals GRID_EPS = 2e-9 absolute.
+    The model is about 8 times optimistic at E = 0 for h <= 2e-5, where
+    the n = 0 lines are 7.8e-4 (h = 2e-5) and 2.7e-3 (h = 1e-5) local gaps
+    from their three-grid values.  With 1e-8 in place of GRID_EPS the gap
+    law's error at h = 1e-5 grows from 0.13% to 1.2%, above the 0.22% at
+    h = 1e-4, and no longer falls with h.  On the focus window |x| <= 2.5
+    N passes MAX_GRID_POINTS near h = 4.1e-6: raises ConfigurationError
+    when N would exceed it.
     """
     potential = potential or PotentialSpec.champagne_bottle()
-    level = 2.0 * max(e_max, 0.01)
-    r_hi = potential.r_confining(level)
-    rr = np.linspace(0.0, r_hi, 8193)
-    vv = potential.V(rr)
-    idx = np.nonzero(vv >= level)[0]
-    r_v = float(rr[idx[0]]) if len(idx) else r_hi
-    r_max = 1.25 * max(r_v, 1e-2)
-    while _wkb_tail(potential, e_max, r_max) < 12.0 * h:
-        r_max *= 1.1
-        if r_max > 1e3:
-            raise ConfigurationError("cannot satisfy the barrier condition")
+    r_turn = potential.turning_point(e_max)
+
+    def shortfall(r):
+        return _barrier(potential, e_max, r_turn, r) - 12.0 * h
+
+    r_max = max(r_turn, potential.turning_point(2.0 * e_max))
+    if shortfall(r_max) < 0.0:
+        step = max(r_max, 1.0)
+        while shortfall(r_max + step) < 0.0:
+            step *= 2.0
+        r_max = brentq(shortfall, r_max, r_max + step)
 
     p_max2 = 2.0 * max(e_max - potential.v_min(), 1e-3)
-    gap = 2.0 * math.pi * SQRT2 * h / max(abs(math.log(h)), 1.0)
-    eps = min(1e-8, 5e-3 * gap)
-    delta = (720.0 * h**4 * eps / p_max2**3) ** 0.25
-    n = max(64, 1 << int(math.ceil(math.log2(r_max / delta))))
+    delta = (720.0 * h**4 * GRID_EPS / p_max2**3) ** 0.25
+    n = max(64, math.ceil(r_max / delta))
     if n > MAX_GRID_POINTS:
         raise ConfigurationError(
             f"h={h:g}, e_max={e_max:g} needs {n} grid points, more than "
@@ -651,8 +690,7 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
         meta = _read_json(meta_path, ["h", "n_range", "e_window", "config",
                                       "potential", "empty_lines"])
         config, potential = (
-            cls(**_check_keys(f"{meta_path} {key}", meta[key],
-                              [f.name for f in fields(cls)]))
+            cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
             for key, cls in [("config", DiscretizationConfig),
                              ("potential", PotentialSpec)])
         n_range = tuple(meta["n_range"])

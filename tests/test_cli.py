@@ -1,10 +1,12 @@
 """Command-line interface: dispatch, config precedence, determinism."""
 
 import json
+import math
 
 import pytest
 
 from champagne.cli import main
+from champagne.radial_spectrum import default_config
 
 
 def run(*argv):
@@ -48,6 +50,56 @@ def test_computation_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+
+
+def test_json_values_of_the_wrong_type_are_configuration_errors(tmp_path,
+                                                                 capsys):
+    # a string or a bool where the model or the sidecar has a number: one
+    # error line naming the key, not a traceback
+    good = dict(B=1.73, C=0.0, offset_mod_2pi=0.0, h=1e-3, residual=None,
+                source="fit", warning=False)
+    models = []
+    for i, (bad, named) in enumerate([
+            (dict(B="1.73"), "B is '1.73', not a number"),
+            (dict(h=True), "h is True, not a number"),
+            (dict(residual="small"), "not a number or null"),
+            (dict(warning=0), "warning is 0, not true or false")]):
+        model = str(tmp_path / f"m{i}.json")
+        with open(model, "w") as fh:
+            json.dump({**good, **bad}, fh)
+        models.append((("bs", "predict", "--model", model,
+                        "--out", str(tmp_path / "p.csv")), named))
+    spec = str(tmp_path / "s.csv")
+    assert run("spectrum", "--h", "1e-2", "--n-min", "0", "--n-max", "0",
+               "--e-min", "-0.05", "--e-max", "0.05", "--out", spec) == 0
+    meta = json.load(open(spec + ".meta.json"))
+    grid = meta["config"]["grid_points"]
+    meta["config"]["grid_points"] = str(grid)
+    with open(spec + ".meta.json", "w") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    for argv, named in models + [(("gaps", "--spectrum", spec,
+                                   "--out", str(tmp_path / "g.csv")),
+                                  f"grid_points is '{grid}', not an integer")]:
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+
+def test_r_max_alone_keeps_the_default_grid_spacing(tmp_path, capsys):
+    base = default_config(1e-2, 0.05)
+    spacing = base.r_max / base.grid_points
+    for r_max in (1.5, 3.0):
+        out = str(tmp_path / f"s{r_max}.csv")
+        assert run("spectrum", "--h", "1e-2", "--n-min", "0", "--n-max",
+                   "0", "--e-min", "-0.05", "--e-max", "0.05", "--r-max",
+                   str(r_max), "--out", out) == 0
+        config = json.load(open(out + ".meta.json"))["config"]
+        assert config["r_max"] == r_max
+        assert config["grid_points"] == math.ceil(r_max / spacing)
+        assert r_max / config["grid_points"] <= spacing
+    capsys.readouterr()
 
 
 def test_special_subcommand(capsys):

@@ -11,11 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from champagne import radial_spectrum
 from champagne.errors import ConfigurationError, ConvergenceError
-from champagne.radial_spectrum import (RICHARDSON_GAP_BUDGET,
+from champagne.radial_spectrum import (GRID_EPS, RICHARDSON_GAP_BUDGET,
                                        TridiagonalOperator, _abs_tol,
                                        _bisect, _counts,
                                        DiscretizationConfig, PotentialSpec,
@@ -74,9 +76,12 @@ CHAMPAGNE = PotentialSpec.champagne_bottle()
 
 
 def scipy_levels_below(op, e_top):
-    """The levels of op below e_top, by scipy's LAPACK bisection."""
+    """The levels of op below e_top, by scipy's LAPACK bisection run to
+    2 ULP relative: at dstebz's default tolerance its own error reaches
+    the 1e-9 local gaps asked of the window solve."""
     vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
-                            select="v", select_range=(-2.0, e_top))
+                            select="v", select_range=(-2.0, e_top),
+                            tol=1e-300)
     return vals[vals < e_top]
 
 
@@ -481,12 +486,87 @@ def test_unknown_potential_kind_raises():
         PotentialSpec("custom_polynomial", (0.0, 0.5))
 
 
+# where V is least, and its value there
+WELL = {"champagne_bottle": (math.sqrt(0.5), -0.25),
+        "harmonic_test": (0.0, 0.0)}
+X_HALF = 2.5 * math.sqrt(2.0)
+# the champagne focus windows |x| <= 2.5 of the gap scans, the |x| <= 27
+# window of a joint table at h = 1e-3, and harmonic windows, the one at
+# h = 1e-2 walled at the turning point of 2 e_max
+SIZED_LINES = ([(CHAMPAGNE, h, X_HALF * h)
+                for h in (1e-2, 1e-3, 1e-4, 2e-5, 1e-5)]
+               + [(CHAMPAGNE, 1e-3, 27.0 * math.sqrt(2.0) * 1e-3),
+                  (HARMONIC, 0.1, 2.7), (HARMONIC, 1e-2, 0.3),
+                  (HARMONIC, 1e-5, 12e-5)])
+
+
+def model_delta(h, e_max, potential):
+    """The spacing at which the error model of fd2 with Richardson,
+    delta^4 p^6 / (720 h^4) with p^2 = 2 (e_max - min V) but at least
+    2e-3, equals GRID_EPS."""
+    p2 = 2.0 * max(e_max - WELL[potential.kind][1], 1e-3)
+    return (720.0 * h**4 * GRID_EPS / p2**3) ** 0.25
+
+
+@pytest.mark.parametrize("potential,h,e_max", SIZED_LINES)
+def test_default_config_is_the_smallest_grid_its_rules_allow(potential, h,
+                                                             e_max):
+    config = default_config(h, e_max, potential)
+    r_max, grid = config.r_max, config.grid_points
+    # the wall: V(r_max) >= 2 e_max, and a WKB barrier of 12 h from the
+    # outer turning point of e_max, which quad integrates; at the smallest
+    # such radius one of the two holds with equality
+    r_turn = brentq(lambda r: potential.V(r) - e_max, WELL[potential.kind][0],
+                    10.0, xtol=1e-15)
+    barrier = quad(lambda r: math.sqrt(max(2.0 * (potential.V(r) - e_max),
+                                           0.0)),
+                   r_turn, r_max, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    assert potential.V(r_max) >= 2.0 * e_max
+    assert barrier >= 12.0 * h * (1.0 - 1e-9)
+    assert (math.isclose(barrier, 12.0 * h, rel_tol=1e-9)
+            or math.isclose(potential.V(r_max), 2.0 * e_max, rel_tol=1e-9))
+    # the grid: the fewest points, at least 64, that meet the model
+    delta = model_delta(h, e_max, potential)
+    assert r_max / grid <= delta
+    assert grid == 64 or r_max / (grid - 1) > delta
+
+
+@pytest.mark.parametrize("h,delta_max", [(1e-5, 6.019e-7), (2e-5, 1.2038e-6)])
+def test_deep_focus_grids_keep_their_spacing(h, delta_max):
+    # at E = 0 and h <= 2e-5 the model is about 8 times optimistic: the
+    # n = 0 lines are 2.7e-3 (h = 1e-5) and 7.8e-4 (h = 2e-5) local gaps
+    # from their three-grid values, and no coarser spacing than 1.2623 /
+    # 2^21 and 1.2623 / 2^20 may carry them
+    config = default_config(h, X_HALF * h)
+    assert config.r_max / config.grid_points <= delta_max
+
+
+@pytest.mark.parametrize("n,x_half", [(0, 2.5), (10, 27.0)])
+def test_default_grid_meets_the_error_target_at_h_1e_3(n, x_half):
+    # against the three-grid value (16 R_2N - R_N) / 15 from the Richardson
+    # values on N and 2N, each line is within GRID_EPS
+    h = 1e-3
+    e = x_half * math.sqrt(2.0) * h
+    config = default_config(h, e)
+    finer = DiscretizationConfig(r_max=config.r_max,
+                                 grid_points=2 * config.grid_points, h=h,
+                                 e_max=e)
+    got = eigenvalues_in_window(n, config, CHAMPAGNE, -e, e)
+    ref = eigenvalues_in_window(n, finer, CHAMPAGNE, -e, e)
+    assert got.k.tolist() == ref.k.tolist() and len(got) > 5
+    three_grid = (16.0 * ref.E1 - got.E1) / 15.0
+    assert np.max(np.abs(got.E1 - three_grid)) <= GRID_EPS
+
+
 def test_grid_size_is_capped_loudly():
-    # |x| <= 2.5: h = 1e-6 needs 2^25 points, more than the 2^22 allowed
-    x_half = 2.5 * math.sqrt(2.0)
-    assert default_config(1e-5, x_half * 1e-5).grid_points == 1 << 21
+    # |x| <= 2.5: h = 1e-5 takes ceil(r_max / delta) < 2^21 points, and
+    # h = 1e-6 would take about 1.7e7, more than the 2^22 allowed
+    config = default_config(1e-5, X_HALF * 1e-5)
+    assert config.grid_points == math.ceil(
+        config.r_max / model_delta(1e-5, X_HALF * 1e-5, CHAMPAGNE))
+    assert config.grid_points < 1 << 21
     with pytest.raises(ConfigurationError, match="grid points"):
-        default_config(1e-6, x_half * 1e-6)
+        default_config(1e-6, X_HALF * 1e-6)
 
 
 def test_config_validation():

@@ -46,15 +46,26 @@ class ConvergenceError(ChampagneError):
 # the JSON values a field of each annotated type accepts
 _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                bool: (bool, "true or false"), str: (str, "a string"),
-               tuple: (list, "an array"), type(None): (type(None), "null")}
+               tuple: (list, "an array"), dict: (dict, "an object"),
+               type(None): (type(None), "null")}
 
 
 def _json_type(value, annotation) -> str | None:
     """None if value is JSON of the annotated type, else what it must be;
-    true and false are of bool only, not numbers."""
-    union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    true and false are of bool only, not numbers.  tuple[int, int] is an
+    array of two integers, list[int] an array of integers."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (tuple, list):
+        kinds = (args if origin is tuple else
+                 args * (len(value) if isinstance(value, list) else 0))
+        ok = (isinstance(value, list) and len(value) == len(kinds)
+              and all(_json_type(v, t) is None for v, t in zip(value, kinds)))
+        count = len(args) if origin is tuple else "any number of"
+        return None if ok else (f"an array of {count} values, each "
+                                f"{_JSON_TYPES[args[0]][1]}")
+    union = origin in (typing.Union, types.UnionType)
     options = [typing.get_origin(a) or a for a in
-               (typing.get_args(annotation) if union else (annotation,))]
+               (args if union else (annotation,))]
     if isinstance(value, bool):
         ok = bool in options
     else:
@@ -63,11 +74,11 @@ def _json_type(value, annotation) -> str | None:
 
 
 def _check_keys(where: str, obj, keys) -> dict:
-    """obj, if it is a JSON object with exactly the given keys; otherwise
-    ConfigurationError naming where and the keys unknown or missing.
-    keys is a list of names, or a dataclass: then they are its fields, and
-    a value that is not JSON of its field's type raises too."""
-    hints = {}
+    """obj, if it is a JSON object with exactly the given keys, each value
+    JSON of its key's type; otherwise ConfigurationError naming where and
+    the keys unknown or missing, or the value of the wrong type.  keys is
+    a dict of names to types, or a dataclass: then they are its fields."""
+    hints = keys
     if dataclasses.is_dataclass(keys):
         hints = typing.get_type_hints(keys)
         keys = [f.name for f in dataclasses.fields(keys)]

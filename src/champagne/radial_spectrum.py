@@ -19,13 +19,12 @@ focus window |x| <= 2.5, N passes MAX_GRID_POINTS near h = 4.1e-6.
 Levels are computed by bisection (Barth, Martin & Wilkinson) on Sturm
 counts from LAPACK dlarrc, which counts at two shifts in one pass over the
 matrix and is called through ctypes, so that it runs without the GIL.
-Each pass halves two intervals.  The grid-2N counts at the window's ends
-give the radial indices of its levels, and both grids are bisected for
-exactly those indices, so the two grids pair by index.  A line's levels
-are cut into chunks of about equal work, bisected on one thread per
-usable CPU; every chunk starts from the line's one bracket, so the values
-do not depend on the cut.  Completeness at the window edges is checked
-from the measured Richardson correction, not from an error model, and a
+The bisection splits at the points of a fixed dyadic grid, so a level's
+value depends only on the operator and its index.  The grid-2N counts at
+the window's ends give the radial indices of its levels, both grids are
+bisected for exactly those indices, in equal index ranges on one thread
+per usable CPU, and the two grids pair by index.  Completeness at the
+window edges is checked from the measured Richardson correction, and a
 correction above RICHARDSON_GAP_BUDGET local gaps raises
 ConfigurationError.
 
@@ -302,6 +301,7 @@ _DLARRC = ctypes.CFUNCTYPE(
 # the largest order a C int indexes
 _MAX_ORDER = int(np.iinfo(np.intc).max)
 _ULP = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
@@ -309,7 +309,7 @@ def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
     dlarrc pass: the pivots <= 0 of the LDL^T factorizations of T - x and
     T - y.  Its recurrence has no pivot guard, so a pivot of exactly 0.0
     counts a level twice: it is counted, and so is the -inf pivot after
-    it.  sturm_count corrects for that and _bisect detects it."""
+    it.  _bisect detects that."""
     lcnt, rcnt, eigcnt, info = (ctypes.c_int(), ctypes.c_int(),
                                 ctypes.c_int(), ctypes.c_int())
     # op keeps both arrays, checked when it was made, alive until it returns
@@ -329,50 +329,70 @@ def _count_all(op: TridiagonalOperator, xs: list) -> list:
 
 def _abs_tol(op: TridiagonalOperator) -> float:
     """dstebz's default absolute tolerance: ULP times the larger
-    Gershgorin bound."""
-    return _ULP * max(abs(bound) for bound in op.gershgorin)
+    Gershgorin bound, and at least the smallest normal double."""
+    return max(_ULP * max(abs(bound) for bound in op.gershgorin), _TINY)
 
 
 def _bisect(op: TridiagonalOperator, first: int, stop: int,
-            a: float, b: float, ca: int, cb: int) -> np.ndarray:
-    """The eigenvalues of index first..stop-1 (from 0, ascending) by
-    bisection of the bracket (a, b], whose counts are ca <= first and
-    cb >= stop.
+            a: float, b: float) -> np.ndarray:
+    """The eigenvalues of index first..stop-1 (from 0, ascending) on the
+    dyadic grid of step cell, _abs_tol(op) rounded down to a power of two.
 
-    Every interval is halved at its midpoint until its width is at most
-    dstebz's default tolerance, _abs_tol(op) or 2 ULP of the larger end;
-    its levels are then its midpoint.  One dlarrc pass counts the
-    midpoints of two live intervals.  Each level follows the same
-    intervals whatever other indices are solved with it, so its value
-    depends only on op and the bracket.  Raises ConvergenceError on a
-    count outside its interval's counts, on an interval too narrow to
-    halve, and on a count made too high by a zero pivot.
+    The guess (a, b], clipped to the Gershgorin interval, is covered by
+    one or two aligned cells of the finest step 2^j >= cell that allows;
+    while the cover's counts miss an index, its end on that side moves
+    out by one cell and the step doubles.  Intervals are then halved at
+    their midpoints, exact doubles since cell > ULP * max |Gershgorin| / 2,
+    until one cell wide, and a level is the midpoint of the cell whose
+    counts hold its index: its value depends on op and its index alone.
+    One dlarrc pass counts two midpoints.  Raises ConfigurationError on an
+    index range outside 0..order, and ConvergenceError on a count past the
+    Gershgorin interval other than 0 or the order, on a count outside its
+    interval's counts, and on a count made too high by a zero pivot.
     """
-    if not (a < b and ca <= first <= stop <= cb):
+    order = len(op.diag)
+    if not 0 <= first <= stop <= order:
         raise ConfigurationError(
-            f"index range {first}..{stop - 1} is not inside the bracket "
-            f"({a}, {b}] of counts {ca}..{cb}")
-    atol = _abs_tol(op)
+            f"index range {first}..{stop - 1} is not inside the {order} "
+            f"levels of a {order}-point grid; the grid is too coarse")
+    lower, upper = op.gershgorin
+    cell = math.ldexp(1.0, math.frexp(_abs_tol(op))[1] - 1)
+    lo = min(max(a, lower), upper)
+    hi, step = min(max(b, lo), upper), cell
+    while True:
+        lo = math.floor(lo / step) * step
+        hi = max(math.ceil(hi / step) * step, lo + step)
+        if hi - lo > 2.0 * step:            # more than two cells
+            step *= 2.0
+            continue
+        clo, chi = _counts(op, lo, hi)
+        if clo <= first and chi >= stop:
+            break
+        if (clo > first and lo < lower) or (chi < stop and hi > upper):
+            raise ConvergenceError(
+                f"Sturm counts {clo}, {chi} at ({lo!r}, {hi!r}], past the "
+                f"Gershgorin interval ({lower!r}, {upper!r}], are not 0 "
+                f"and {order}")
+        lo -= step if clo > first else 0.0
+        hi += step if chi < stop else 0.0
+        step *= 2.0
     levels = np.empty(stop - first)
     ends = []                               # (b, cb) of each solved interval
-    live = [(a, b, ca, cb)]
+    live = [(lo, hi, clo, chi)]
     while live:
         halve = []
         for a, b, ca, cb in live:
-            lo, hi = max(ca, first), min(cb, stop)
-            if lo >= hi:                    # holds no level asked for
+            i, j = max(ca, first) - first, min(cb, stop) - first
+            if i >= j:                      # holds no level asked for
                 continue
-            if b - a <= max(atol, 2.0 * _ULP * max(abs(a), abs(b))):
-                levels[lo - first:hi - first] = 0.5 * (a + b)
+            if b - a <= cell:
+                levels[i:j] = 0.5 * (a + b)
                 ends.append((b, cb))
             else:
                 halve.append((a, b, ca, cb))
         mids = [0.5 * (a + b) for a, b, _, _ in halve]
         live = []
         for (a, b, ca, cb), m, cm in zip(halve, mids, _count_all(op, mids)):
-            if not a < m < b:
-                raise ConvergenceError(
-                    f"bisection cannot halve ({a!r}, {b!r}]")
             if not ca <= cm <= cb:
                 raise ConvergenceError(
                     f"Sturm count {cm} at {m!r} is outside the counts "
@@ -390,50 +410,12 @@ def _bisect(op: TridiagonalOperator, first: int, stop: int,
     return levels
 
 
-def _widen(op: TridiagonalOperator, a: float, b: float, ca: int, cb: int,
-           first: int, stop: int) -> tuple:
-    """(a, b, count(a), count(b)) for (a, b] moved out, each end by the
-    last step doubled, until its counts hold the indices first..stop-1.
-
-    An end past the Gershgorin interval counts 0 or the order, so this
-    ends for every index range inside 0..order; another range raises
-    ConfigurationError.
-    """
-    order = len(op.diag)
-    if not 0 <= first <= stop <= order:
-        raise ConfigurationError(
-            f"index range {first}..{stop - 1} is not inside the {order} "
-            f"levels of a {order}-point grid; the grid is too coarse")
-    step = max(b - a, _abs_tol(op))
-    while ca > first or cb < stop:
-        if ca > first:
-            a -= step
-        if cb < stop:
-            b += step
-        step *= 2.0
-        ca, cb = _counts(op, a, b)
-    return a, b, ca, cb
-
-
-def sturm_count(op: TridiagonalOperator, x: float) -> int:
-    """Number of eigenvalues at or below x, by LAPACK's dlarrc.
-
-    Levels solved on (a, b] have the indices sturm_count(a) ..
-    sturm_count(b) - 1.  The same pass counts at the next double above x,
-    and the smaller count is returned: a zero pivot at x counts a level
-    twice, and the count above x is then the lower one.
-    """
-    x = float(x)
-    return min(_counts(op, x, float(np.nextafter(x, math.inf))))
-
-
 def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
     """All discrete eigenvalues < e_max: those of index below the Sturm
-    count at e_max, bisected from below the Gershgorin interval."""
+    count at e_max."""
     e_max = float(e_max)
-    a = min(op.gershgorin[0], e_max) - 1.0
-    ca, expected = _counts(op, a, e_max)
-    vals = _bisect(op, 0, expected, a, e_max, ca, expected)
+    expected = _count_all(op, [e_max])[0]
+    vals = _bisect(op, 0, expected, op.gershgorin[0], e_max)
     vals = vals[vals < e_max]
     if len(vals) != expected:
         raise ConfigurationError(
@@ -463,48 +445,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _chunks(count: int, parts: int) -> list:
-    """Cut count levels of both grids into at most parts chunks of about
-    equal work, a grid-2N level costing two grid-N levels: a list of
-    ((start, stop) on 2N, (start, stop) on N), offsets from 0 to count."""
-    cuts = [round(j * 3 * count / parts) for j in range(parts + 1)]
-    chunks = []
-    for a, b in zip(cuts, cuts[1:]):
-        # the 2N level i takes work [2i, 2i + 2), the N level i [2 count +
-        # i, 2 count + i + 1); a chunk takes the levels that start in [a, b)
-        fine = (min(-(-a // 2), count), min(-(-b // 2), count))
-        coarse = (min(max(a - 2 * count, 0), count),
-                  min(max(b - 2 * count, 0), count))
-        if fine[0] < fine[1] or coarse[0] < coarse[1]:
-            chunks.append((fine, coarse))
-    return chunks
-
-
-def _grid_levels(fine: TridiagonalOperator, coarse: TridiagonalOperator,
-                 a: float, b: float, counts: tuple, first: int,
+def _grid_levels(ops: tuple, a: float, b: float, first: int,
                  stop: int) -> tuple:
-    """(E_2N, E_N): the levels of index first..stop-1 on both grids.
-
-    counts are the grid-2N counts at a and b.  Both brackets start from
-    (a, b] and are widened by counts; the grid-N one starts from the
-    grid-2N one.  The levels are cut into chunks, one per usable CPU, and
-    bisected on one pool; the values do not depend on the cut.
-    """
+    """(E_2N, E_N): the levels of index first..stop-1 on ops = (grid 2N,
+    grid N).  first..stop-1 is cut into equal index ranges, one per usable
+    CPU, each bisected on both grids from the guess (a, b] on one pool."""
     if stop <= first:
         return np.empty(0), np.empty(0)
-    brackets = [_widen(fine, a, b, *counts, first, stop)]
-    a, b = brackets[0][:2]
-    brackets.append(_widen(coarse, a, b, *_counts(coarse, a, b), first,
-                           stop))
-    ops = (fine, coarse)
+    for op in ops:
+        op.gershgorin       # cached here, not by every worker at once
+    parts = min(_usable_cpus(), stop - first)
+    cuts = [first + (stop - first) * j // parts for j in range(parts + 1)]
 
-    def solve(chunk):
-        return [_bisect(op, first + start, first + end, *bracket)
-                for op, bracket, (start, end) in zip(ops, brackets, chunk)]
+    def solve(i):
+        return [_bisect(op, cuts[i], cuts[i + 1], a, b) for op in ops]
 
-    chunks = _chunks(stop - first, _usable_cpus())
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        solved = list(pool.map(solve, chunks))
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        solved = list(pool.map(solve, range(parts)))
     grids = []
     for i, op in enumerate(ops):
         vals = np.concatenate([levels[i] for levels in solved])
@@ -534,15 +491,13 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     gaps raises ConfigurationError.
     """
     grid = config.grid_points
-    fine = build_radial_operator(n, config, potential, grid_points=2 * grid)
-    coarse = build_radial_operator(n, config, potential)
-    counts = _counts(fine, lo, hi)
-    first, stop = counts
+    ops = (build_radial_operator(n, config, potential, grid_points=2 * grid),
+           build_radial_operator(n, config, potential))
+    first, stop = _counts(ops[0], lo, hi)
     if stop - first < 2:
         first = max(first - 1, 0)
         stop = first + 2
-    e_fine, e_coarse = _grid_levels(fine, coarse, lo, hi, counts, first,
-                                    stop)
+    e_fine, e_coarse = _grid_levels(ops, lo, hi, first, stop)
     while True:
         e1 = (4.0 * e_fine - e_coarse) / 3.0
         ratio = _richardson_ratio(e_fine, e1)
@@ -552,13 +507,12 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                 f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}; "
                 f"N={grid} is too coarse")
         c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
-        counts = _counts(fine, lo - c, hi + c)
-        start, end = min(first, counts[0]), max(stop, counts[1])
+        start, end = _counts(ops[0], lo - c, hi + c)
+        start, end = min(first, start), max(stop, end)
         if (start, end) == (first, stop):
             break
-        below = _grid_levels(fine, coarse, lo - c, hi + c, counts, start,
-                             first)
-        above = _grid_levels(fine, coarse, lo - c, hi + c, counts, stop, end)
+        below = _grid_levels(ops, lo - c, lo, start, first)
+        above = _grid_levels(ops, hi, hi + c, stop, end)
         e_fine, e_coarse = (np.concatenate(parts)
                             for parts in zip(below, (e_fine, e_coarse), above))
         first, stop = start, end
@@ -669,8 +623,9 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
 def read_spectrum_csv(path: str) -> SpectrumTable:
     """Table written by write_spectrum_csv.  Without its .meta.json sidecar
     it warns, and assumes the champagne potential and default_config; a
-    sidecar that is not JSON, or whose objects have other keys than
-    write_spectrum_csv writes, raises ConfigurationError naming them."""
+    sidecar that is not JSON, whose objects have other keys than
+    write_spectrum_csv writes, or whose values are not of their types,
+    raises ConfigurationError naming them."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != CSV_HEADER:
@@ -687,8 +642,10 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
     e_window = (float(points["E1"].min()), float(points["E1"].max()))
     empty = []
     if os.path.exists(meta_path):
-        meta = _read_json(meta_path, ["h", "n_range", "e_window", "config",
-                                      "potential", "empty_lines"])
+        meta = _read_json(meta_path, {
+            "h": float, "n_range": tuple[int, int],
+            "e_window": tuple[float, float], "config": dict,
+            "potential": dict, "empty_lines": list[int]})
         config, potential = (
             cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
             for key, cls in [("config", DiscretizationConfig),

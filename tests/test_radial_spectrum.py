@@ -1,5 +1,6 @@
 """Radial eigensolver: harmonic oracle, convergence order, bookkeeping."""
 
+import functools
 import json
 import math
 import os
@@ -19,13 +20,12 @@ from champagne import radial_spectrum
 from champagne.errors import ConfigurationError, ConvergenceError
 from champagne.radial_spectrum import (GRID_EPS, RICHARDSON_GAP_BUDGET,
                                        TridiagonalOperator, _abs_tol,
-                                       _bisect, _counts,
+                                       _bisect, _count_all, _counts,
                                        DiscretizationConfig, PotentialSpec,
                                        build_radial_operator, default_config,
                                        eigenvalues_below,
                                        eigenvalues_in_window, joint_spectrum,
-                                       read_spectrum_csv, sturm_count,
-                                       write_spectrum_csv)
+                                       read_spectrum_csv, write_spectrum_csv)
 
 HARMONIC = PotentialSpec.harmonic_test()
 
@@ -135,8 +135,8 @@ def test_window_solve_is_additive(a, t, width, potential):
     right = eigenvalues_in_window(0, config, potential, b, c)
     parts = np.concatenate((left, right))
     assert whole.k.tolist() == parts["k"].tolist()
-    # bisection from other brackets: 1e-9 of the ~1e-2 gaps at this h
-    np.testing.assert_allclose(whole.E1, parts["E1"], rtol=0, atol=1e-11)
+    # a level's value depends on the operator and its index alone
+    assert whole.E1.tobytes() == parts["E1"].tobytes()
 
 
 def test_richardson_budget_rejects_a_coarse_grid():
@@ -160,15 +160,15 @@ def test_sturm_count_matches_eigensolver():
     cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
     op = build_radial_operator(2, cfg, HARMONIC)
     vals = eigenvalues_below(op, 1.0)
-    assert sturm_count(op, 1.0) == len(vals)
     mid = 0.5 * (vals[1] + vals[2])
-    assert sturm_count(op, mid) == 2
+    assert _counts(op, 1.0, mid) == (len(vals), 2)
 
 
 # the operators of the LAPACK reference tests: h = 1e-2, grids N and 2N
 REFERENCE_LINES = [(CHAMPAGNE, 0), (CHAMPAGNE, 3), (HARMONIC, 2)]
 
 
+@functools.cache
 def reference_operators(potential, n):
     config = default_config(1e-2, 0.3, potential)
     return [build_radial_operator(n, config, potential, grid_points=g)
@@ -192,9 +192,10 @@ def python_sturm_count(diag, off, x):
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
 def test_bisection_matches_scipy(potential, n):
-    # scipy's select="i" solve is dstebz; both stop at an interval of
-    # width at most max(ULP * Gershgorin norm, 2 ULP relative) and report
-    # its midpoint, so two brackets of one level agree within that width
+    # scipy's select="i" solve is dstebz, which stops at an interval of
+    # width at most max(ULP * Gershgorin norm, 2 ULP relative); _bisect
+    # stops at a dyadic cell no wider than the first.  Both report the
+    # midpoint, so the two agree within the wider width
     ulp = np.finfo(np.float64).eps
     for op in reference_operators(potential, n):
         d, e = op.diag, op.offdiag
@@ -203,9 +204,36 @@ def test_bisection_matches_scipy(potential, n):
         for first, stop in [(0, 1), (0, 12), (7, 30), (len(d) - 3, len(d))]:
             want = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                     select_range=(first, stop - 1))
-            got = _bisect(op, first, stop, a, b, 0, len(d))
+            got = _bisect(op, first, stop, a, b)
             tol = np.maximum(_abs_tol(op), 2.0 * ulp * np.abs(want))
             assert np.all(np.abs(got - want) <= tol), (first, stop)
+
+
+# guesses near the focus value, far outside the spectrum, and 0
+GUESSES = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e300, 1e300),
+                    st.just(0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_LINES), st.integers(0, 1), st.data())
+def test_levels_do_not_depend_on_the_guess(line, grid, data):
+    # the levels of first..stop-1 from the Gershgorin interval equal, bit
+    # for bit, those of any split of the range, each part bisected from
+    # any guess: one of zero width, one that holds none of its levels, or
+    # one far outside the spectrum
+    op = reference_operators(*line)[grid]
+    order = len(op.diag)
+    first = data.draw(st.one_of(st.integers(0, 60),
+                                st.integers(0, order - 1)))
+    stop = data.draw(st.integers(first, min(first + 12, order)))
+    want = _bisect(op, first, stop, *op.gershgorin)
+    cuts = sorted(data.draw(st.lists(st.integers(first, stop), max_size=3)))
+    got = []
+    for i, j in zip([first] + cuts, cuts + [stop]):
+        a = data.draw(GUESSES)
+        width = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        got.append(_bisect(op, i, j, a, a + width))
+    assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
@@ -218,8 +246,8 @@ def test_sturm_count_matches_the_python_loop(potential, n):
                                  [0.3, 50.0]))
         for x in points:
             want = python_sturm_count(op.diag, op.offdiag, x)
-            assert sturm_count(op, x) == want, x
-        assert sturm_count(op, 1e9) == len(op.diag)
+            assert _counts(op, x, x) == (want, want), x
+        assert _counts(op, 1e9, 1e9) == (len(op.diag), len(op.diag))
 
 
 def test_malformed_operator_is_rejected_before_lapack():
@@ -231,14 +259,12 @@ def test_malformed_operator_is_rejected_before_lapack():
            (d[:0], e[:0]), (np.where(d > 50.0, np.nan, d), e)]
     for diag, off in bad:
         with pytest.raises(ConfigurationError):
-            sturm_count(TridiagonalOperator(diag, off), 0.0)
-    # index ranges outside the bracket's counts, and an empty bracket
+            TridiagonalOperator(diag, off)
+    # index ranges outside the levels of the grid
     a, b = op.gershgorin[0] - 1.0, op.gershgorin[1] + 1.0
     for first, stop in [(-1, 3), (2, 1), (0, len(d) + 1)]:
         with pytest.raises(ConfigurationError, match="not inside"):
-            _bisect(op, first, stop, a, b, 0, len(d))
-    with pytest.raises(ConfigurationError, match="not inside"):
-        _bisect(op, 0, 0, 1.0, 1.0, *_counts(op, 1.0, 1.0))
+            _bisect(op, first, stop, a, b)
     # through the public path: an operator with a short off-diagonal
     with pytest.raises(ConfigurationError, match="off-diagonal"):
         eigenvalues_below(TridiagonalOperator(d, e[:-5]), 1.0)
@@ -257,15 +283,23 @@ def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
 
 def test_non_monotone_count_raises(monkeypatch):
     # dlarrc has no pivot guard: a pivot of exactly 0.0 counts a level
-    # twice.  A count above its interval's upper count is an error.
+    # twice.  A count above its interval's upper count is an error, and
+    # so is a count past the Gershgorin interval that is not 0 or the
+    # order: the cover stops moving out there instead of moving forever
     op = reference_operators(CHAMPAGNE, 0)[0]
     a, b = -0.05, 0.05
     ca, cb = _counts(op, a, b)
     assert cb - ca >= 2
-    monkeypatch.setattr(radial_spectrum, "_counts",
-                        lambda op, x, y: (cb + 1, cb + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(radial_spectrum, "_counts",
+                      lambda op, x, y: (cb + 1, cb + 1))
+        with pytest.raises(ConvergenceError, match="Gershgorin interval"):
+            _bisect(op, ca, cb, a, b)
+    # at the first midpoint, a count above the cover's
+    monkeypatch.setattr(radial_spectrum, "_count_all",
+                        lambda op, xs: [len(op.diag) + 1] * len(xs))
     with pytest.raises(ConvergenceError, match="outside the counts"):
-        _bisect(op, ca, cb, a, b, ca, cb)
+        _bisect(op, ca, cb, a, b)
 
 
 def test_zero_pivot_is_not_counted_twice():
@@ -273,16 +307,14 @@ def test_zero_pivot_is_not_counted_twice():
     # pivot is exactly 0.0, and dlarrc counts it and the -inf after it.
     op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]))
     assert _counts(op, 1.0, 1.0) == (2, 2)
-    assert sturm_count(op, 1.0) == 1
-    # the midpoint of (-1, 3] is 1: the level 2 would come out as 1
+    # 1 is a point of the dyadic grid: the level 2 would come out as 1
     with pytest.raises(ConvergenceError, match="pivot of exactly 0.0"):
-        _bisect(op, 0, 2, -1.0, 3.0, 0, 2)
+        _bisect(op, 0, 2, -1.0, 3.0)
     # on a radial operator, x = diag[0] makes the first pivot 0.0
     for op in reference_operators(CHAMPAGNE, 0):
         x = op.diag[0]
         want = python_sturm_count(op.diag, op.offdiag, x)
         assert _counts(op, x, x)[0] == want + 1
-        assert sturm_count(op, x) == want
 
 
 def test_too_coarse_grid_raises():
@@ -436,7 +468,8 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
 
     # a sidecar written when the config still had scheme and richardson,
     # a config key the config does not have, a sidecar without potential,
-    # and one that is not JSON are rejected, naming the file and the key
+    # top-level values not of their types, and one that is not JSON are
+    # rejected, naming the file and the key
     meta_path = path + ".meta.json"
     meta = json.load(open(meta_path))
     without_potential = {k: v for k, v in meta.items() if k != "potential"}
@@ -448,6 +481,9 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
                                    "richardson"),
                                   ({"scheme": "pruess"}, "scheme"),
                                   ({"grid_spacing": 0.1}, "grid_spacing")]]
+    cases += [(json.dumps({**meta, key: value}), key)
+              for key, value in [("n_range", "0,1"), ("empty_lines", "no"),
+                                 ("e_window", [1]), ("h", "x")]]
     cases += [(json.dumps(without_potential), "'potential'"),
               ('{"h": 0.01,', "not JSON")]
     for text, error in cases:

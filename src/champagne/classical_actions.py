@@ -354,14 +354,14 @@ def rotation_winding(loop: Sequence[tuple[float, float]]) -> float:
     return total
 
 
-def classical_monodromy(loop: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Monodromy of the period lattice around a closed loop in (E, L).
+def classical_monodromy(dth: float) -> np.ndarray:
+    """Monodromy of the period lattice around a loop of rotation_winding dth.
 
     Returns the integer matrix [[1, 0], [w, 1]] in the basis (radial cycle,
     angular cycle); w = +1 for a simple positively-oriented loop around the
     critical value, -1 for the reverse, 0 when the loop does not enclose it.
+    Raises DomainError when dth is more than 1e-3 from a multiple of 2 pi.
     """
-    dth = rotation_winding(loop)
     w = round(dth / (2.0 * math.pi))
     if abs(dth - 2.0 * math.pi * w) > 1e-3:
         raise DomainError(

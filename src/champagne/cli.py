@@ -15,6 +15,7 @@ codes: 0 success, 1 computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,7 @@ def _cmd_monodromy(cfg) -> int:
     loop = ca.circle_loop(cfg["center_e"], cfg["center_l"], cfg["radius"],
                           cfg["segments"])
     winding = ca.rotation_winding(loop)
-    matrix = ca.classical_monodromy(loop)
+    matrix = ca.classical_monodromy(winding)
     print(json.dumps(dict(winding=winding, matrix=matrix.tolist()),
                      sort_keys=True))
     return 0
@@ -400,6 +401,7 @@ _GROUPS = {"bs": "singular Bohr-Sommerfeld model",
            "reproduce": "end-to-end figure pipelines"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="champagne", allow_abbrev=False,

@@ -4,8 +4,10 @@ Away from the critical value the joint spectrum is locally a deformed
 affine image of h Z^2.  This module fits such lattice charts from data,
 continues one chart frame along closed polygonal lines through the
 spectrum (the developing map), extracts the monodromy as the end-to-start
-chart transition, and realizes the exact eigenvalue count of a spectrum
-polygon through Pick's formula.
+chart transition, and checks the counting identity N_spec = N_pick: the
+eigenvalues of a spectrum polygon, counted on the spectrum by their
+(k, n) labels with no chart, against Pick's formula on the developed
+polygon.
 
 All integer geometry (point-in-polygon, Pick counts, transitions) is done
 in exact arithmetic; floating point only enters through the chart fits,
@@ -62,12 +64,10 @@ class LatticeChart:
     h: float
     residual: float = 0.0
 
-    def real_labels(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts @ self.linear.T + self.offset) / self.h
-
     def labels(self, pts: np.ndarray) -> np.ndarray:
-        return np.rint(self.real_labels(pts)).astype(int)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        real = (pts @ self.linear.T + self.offset) / self.h
+        return np.rint(real).astype(int)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -283,10 +283,9 @@ class SpectrumPolygon:
     not repeated), kept as a record array of the table's POINT_DTYPE
     (fields h, n, k, E1, E2, x), so vertices.n is the column of line
     numbers and vertices[j].E1 one vertex's energy.
-    For loops enclosing the critical value the polygon must start on the
-    n = 0 line at E1 > 0 and contain exactly two n = 0 vertices, so that
-    its intersection with every lattice line is a segment with vertex
-    extremities.
+    count_in_polygon needs consecutive vertices on one line or on adjacent
+    lines, and a loop around the critical value to start on the n = 0
+    line at E1 > 0 and contain exactly two n = 0 vertices.
     """
 
     vertices: np.recarray
@@ -387,18 +386,6 @@ def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
                         monodromy=monodromy, charts=charts)
 
 
-def _first_chart_labels(pts: np.ndarray, charts) -> tuple:
-    """Labels of each point in the first chart (in chain order) whose disc
-    contains it, and the mask of points some chart covers."""
-    labels = np.zeros((len(pts), 2), dtype=int)
-    covered = np.zeros(len(pts), dtype=bool)
-    for ch in charts:
-        new = ch.contains(pts) & ~covered
-        labels[new] = ch.labels(pts[new])
-        covered |= new
-    return labels, covered
-
-
 def l0_line(spectrum, charts, monodromy: ChartTransition):
     """Eigenvalues unwound onto the line fixed pointwise by the monodromy.
 
@@ -412,7 +399,14 @@ def l0_line(spectrum, charts, monodromy: ChartTransition):
         return spectrum.points[:0]
     # fixed points solve N k = -shift; N is rank one for unipotent monodromy
     N = monodromy.matrix - np.eye(2, dtype=int)
-    labels, covered = _first_chart_labels(_points_array(spectrum), charts)
+    # each point takes the labels of the first chart whose disc holds it
+    pts = _points_array(spectrum)
+    labels = np.zeros((len(pts), 2), dtype=int)
+    covered = np.zeros(len(pts), dtype=bool)
+    for ch in charts:
+        new = ch.contains(pts) & ~covered
+        labels[new] = ch.labels(pts[new])
+        covered |= new
     fixed = covered & np.all(labels @ N.T == -monodromy.shift, axis=1)
     if not fixed.any():
         warnings.warn("no eigenvalue is fixed by the monodromy")
@@ -510,94 +504,36 @@ def lattice_point_in_polygon(p, vertices):
 
 # --- the counting theorem -------------------------------------------------
 
-def _enumerate_line_labels(line_pts: np.ndarray, charts) -> np.ndarray:
-    """Chain-frame labels for every point of one lattice line.
-
-    line_pts: the (E1, E2) rows of the line in x order.  Points covered by
-    a chart get their labels directly; the rest are filled in by the
-    consecutive-integer structure of the line (labels are affine in the
-    x-order index).  All covered points must agree with that affine
-    enumeration exactly; a mismatch means the chart chain is inconsistent
-    with the line enumeration and raises ChartError.
-    """
-    labels, covered = _first_chart_labels(line_pts, charts)
-    idx = np.flatnonzero(covered)
-    if len(idx) < 2:
-        raise ChartError("line has fewer than 2 chart-covered points")
-    adjacent = np.flatnonzero(np.diff(idx) == 1)
-    if not len(adjacent):
-        raise ChartError("no adjacent chart-covered pair on the line")
-    base_i = idx[adjacent[0]]
-    base = labels[base_i]
-    step = labels[base_i + 1] - base
-    affine = base + (np.arange(len(line_pts)) - base_i)[:, None] * step
-    bad = idx[np.any(labels[idx] != affine[idx], axis=1)]
-    if len(bad):
-        i = bad[0]
-        raise ChartError(
-            f"line enumeration inconsistent at index {i}: chart label "
-            f"{labels[i].tolist()} vs affine {affine[i].tolist()}")
-    return affine
-
-
-def _count_lines(spectrum, charts, poly_vertices, n_values) -> int:
-    total = 0
-    for n in n_values:
-        line = spectrum.line(n)
-        if len(line):
-            labels = _enumerate_line_labels(_plane(line), charts)
-            total += int(np.count_nonzero(
-                lattice_point_in_polygon(labels, poly_vertices)))
-    return total
-
-
 def count_in_polygon(spectrum, polygon: SpectrumPolygon,
                      unwound: UnwindResult) -> tuple[int, int]:
     """Verify the counting identity on one spectrum polygon.
 
     unwound is unwind(polygon, spectrum), which the caller already holds.
-    Returns (N_spec, N_pick): N_spec counts the joint eigenvalues whose
-    unwound labels land inside or on the unwound polygon (per-line affine
-    enumeration anchored in the boundary charts; enclosing loops are split
-    into the upper and lower half-planes glued along the n = 0 line), and
+    Returns (N_spec, N_pick).  N_spec counts, with no chart, the rows of
+    each line the polygon spans whose (k, n) lies inside or on the polygon
+    of the vertices' (k, n).  Consecutive vertices lie on one line or on
+    adjacent lines (DomainError otherwise), and k order is E1 order on a
+    line, so this exact test places each row as its (E1, E2) would.
     N_pick applies Pick's formula to the unwound vertices.  The theorem
     asserts they are equal.
     """
     n = polygon.vertices.n
-    if winding_around_origin(polygon.vertex_points()) == 0:
-        n_vals = range(int(n.min()), int(n.max()) + 1)
-        n_spec = _count_lines(spectrum, unwound.charts,
-                              unwound.vertices[:-1], n_vals)
-        n_pick = pick_count(unwound.vertices[:-1])
-        return n_spec, n_pick
-
-    if n[0] != 0:
-        raise DomainError(
-            "an enclosing polygon must start on the n = 0 line")
-    if not unwound.closed:
-        raise ChartError("enclosing loop anchored on the n = 0 line did "
-                         "not unwind to a closed polygon")
-    zero_idx = np.flatnonzero(n == 0)
-    if len(zero_idx) != 2:
-        raise DomainError(
-            f"enclosing polygon must have exactly 2 vertices on n = 0, "
-            f"found {len(zero_idx)}")
-    # the arcs of vertices 0..ia and ia..l (= vertex 0), upper one first
-    ia = int(zero_idx[1])
-    up, lo = slice(None, ia + 1), slice(ia, None)
-    if not np.all(n[up] >= 0):
-        up, lo = lo, up
-    if not (np.all(n[up] >= 0) and np.all(n[lo] <= 0)):
-        raise DomainError("polygon arcs must separate at the n = 0 line")
-    n_top = int(np.max(np.abs(n)))
-    # upper polytope counts lines n >= 0 (the closing n=0 chord is part of
-    # its boundary); the lower polytope counts strictly negative lines.
-    n_spec = _count_lines(spectrum, unwound.charts[up], unwound.vertices[up],
-                          range(0, n_top + 1))
-    n_spec += _count_lines(spectrum, unwound.charts[lo],
-                           unwound.vertices[lo], range(-n_top, 0))
-    n_pick = pick_count(unwound.vertices[:-1])
-    return n_spec, n_pick
+    if np.any(np.abs(n - np.roll(n, 1)) > 1):
+        raise DomainError("consecutive polygon vertices skip a line")
+    if winding_around_origin(polygon.vertex_points()) != 0:
+        zeros = np.flatnonzero(n == 0).tolist()
+        if n[0] != 0 or len(zeros) != 2:
+            raise DomainError(
+                "an enclosing polygon must start on the n = 0 line and "
+                f"have exactly 2 vertices there, not those at {zeros}")
+        if not unwound.closed:
+            raise ChartError("enclosing loop anchored on the n = 0 line did "
+                             "not unwind to a closed polygon")
+    corners = np.column_stack([polygon.vertices.k, n])
+    lines = map(spectrum.line, range(int(n.min()), int(n.max()) + 1))
+    n_spec = sum(int(np.count_nonzero(lattice_point_in_polygon(
+        np.column_stack([line.k, line.n]), corners))) for line in lines)
+    return n_spec, pick_count(unwound.vertices[:-1])
 
 
 # --- polygon construction -------------------------------------------------

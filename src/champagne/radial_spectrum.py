@@ -620,12 +620,34 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
         fh.write("\n")
 
 
+def _check_sidecar(meta_path: str, meta: dict, points: np.ndarray) -> None:
+    """ConfigurationError naming the sidecar and the key unless every row
+    has its h, an n in n_range and an E1 in [e_window), and every empty
+    line lies in n_range and has no rows."""
+    (n_lo, n_hi), (e_lo, e_hi) = meta["n_range"], meta["e_window"]
+    n, e1 = points["n"], points["E1"]
+    for key, bad in [("h", points["h"] != meta["h"]),
+                     ("n_range", (n < n_lo) | (n > n_hi)),
+                     ("e_window", (e1 < e_lo) | (e1 >= e_hi))]:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"{meta_path}: {key} is {meta[key]!r}, but data row {i} has "
+                f"(h, n, E1) = {points[['h', 'n', 'E1']][i].item()}")
+    stray = [m for m in meta["empty_lines"] if not n_lo <= m <= n_hi or m in n]
+    if stray:
+        raise ConfigurationError(
+            f"{meta_path}: empty_lines is {meta['empty_lines']!r}, but lines "
+            f"{stray} are outside n_range or have rows")
+
+
 def read_spectrum_csv(path: str) -> SpectrumTable:
     """Table written by write_spectrum_csv.  Without its .meta.json sidecar
-    it warns, and assumes the champagne potential and default_config; a
-    sidecar that is not JSON, whose objects have other keys than
-    write_spectrum_csv writes, or whose values are not of their types,
-    raises ConfigurationError naming them."""
+    it warns, and assumes the champagne potential and default_config.  A
+    sidecar that is not JSON, has other keys than write_spectrum_csv
+    writes, or values not of their types or not true of the rows, and rows
+    whose k does not rise strictly with E1 on a line raise
+    ConfigurationError naming them."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != CSV_HEADER:
@@ -650,6 +672,7 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
             cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
             for key, cls in [("config", DiscretizationConfig),
                              ("potential", PotentialSpec)])
+        _check_sidecar(meta_path, meta, points)
         n_range = tuple(meta["n_range"])
         e_window = tuple(meta["e_window"])
         empty = meta["empty_lines"]
@@ -658,6 +681,14 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
                       "potential and default_config for the table")
         potential = PotentialSpec.champagne_bottle()
         config = default_config(h, e_window[1], potential)
-    return SpectrumTable(h=h, n_range=n_range, e_window=e_window,
-                         points=points, config=config, potential=potential,
-                         empty_lines=empty)
+    table = SpectrumTable(h=h, n_range=n_range, e_window=e_window,
+                          points=points, config=config, potential=potential,
+                          empty_lines=empty)
+    # rows are sorted by (n, E1): k must rise with them on each line
+    pts = table.points
+    bad = np.flatnonzero((np.diff(pts.n) == 0) & ((np.diff(pts.k) <= 0)
+                                                  | (np.diff(pts.E1) <= 0)))
+    if len(bad):
+        raise ConfigurationError(f"{path}: k does not increase strictly with "
+                                 f"E1 on line n={pts.n[bad[0]]}")
+    return table

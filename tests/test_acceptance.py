@@ -131,7 +131,7 @@ def test_criterion_8_classical_monodromy():
     enclosing = list(reversed(ca.circle_loop(radius=0.2)))  # positive sense
     w_in = ca.rotation_winding(enclosing)
     w_out = ca.rotation_winding(ca.circle_loop(0.5, 0.0, 0.05))
-    m = ca.classical_monodromy(ca.circle_loop(radius=0.2))
+    m = ca.classical_monodromy(ca.rotation_winding(ca.circle_loop(radius=0.2)))
     eye = np.eye(2, dtype=int)
     unipotent = (np.trace(m) == 2 and round(np.linalg.det(m)) == 1
                  and not np.array_equal(m, eye))

@@ -102,12 +102,16 @@ def test_winding_raises_on_a_jump_bisection_cannot_resolve(monkeypatch):
 
 
 def test_classical_monodromy_matrices():
-    ccw = classical_monodromy(circle_loop(radius=0.2))
+    ccw = classical_monodromy(rotation_winding(circle_loop(radius=0.2)))
     assert ccw.tolist() == [[1, 0], [1, 1]]
-    cw = classical_monodromy(list(reversed(circle_loop(radius=0.2))))
+    cw = classical_monodromy(
+        rotation_winding(list(reversed(circle_loop(radius=0.2)))))
     assert cw.tolist() == [[1, 0], [-1, 1]]
-    away = classical_monodromy(circle_loop(0.5, 0.0, 0.05))
+    away = classical_monodromy(rotation_winding(circle_loop(0.5, 0.0, 0.05)))
     assert away.tolist() == [[1, 0], [0, 1]]
+    # a winding that is not a whole number of turns has no monodromy
+    with pytest.raises(DomainError, match="multiple of 2 pi"):
+        classical_monodromy(math.pi)
     # one or two segments enclose nothing: an error, not the identity
     for segments in (1, 2):
         with pytest.raises(DomainError, match="3 segments"):

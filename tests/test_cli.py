@@ -2,10 +2,12 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from champagne.cli import main
+from champagne.cli import _COMMANDS, build_parser, main
 from champagne.radial_spectrum import default_config
 
 
@@ -235,3 +237,24 @@ def test_reproduce_rejects_a_flag_its_pipeline_ignores(tmp_path, capsys):
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
     assert run("reproduce", "nope") == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block parses, and every
+    # command other than a reproduce pipeline has one, so a flag renamed
+    # or deleted in the command table cannot leave the README wrong
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n#", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("champagne ")]
+    names = {func: name for name, (func, _, _) in _COMMANDS.items()}
+    shown = set()
+    for line in lines:
+        try:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        shown.add(names[args.func])
+    assert shown == {name for name in _COMMANDS
+                     if not name.startswith("reproduce ")}

@@ -328,6 +328,41 @@ def test_enclosing_must_start_on_l0(spec_h5em3):
         count_in_polygon(spec_h5em3, shifted, res)
 
 
+def test_count_reads_no_chart(spec_h5em3):
+    # N_spec is counted on the table's (k, n) labels, so the same unwound
+    # polygon without its charts gives the same counts
+    for poly in (make_loop_polygon(spec_h5em3, 18.0, seed=7),
+                 make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
+                                   center=(-18.0, -5.0), enclosing=False)):
+        res = unwind(poly, spec_h5em3)
+        assert count_in_polygon(spec_h5em3, poly,
+                                dataclasses.replace(res, charts=[])) \
+            == count_in_polygon(spec_h5em3, poly, res)
+
+
+def test_count_rejects_an_edge_that_skips_a_line(spec_h5em3):
+    poly = make_loop_polygon(spec_h5em3, 18.0, seed=7)
+    assert poly.vertices.n[:3].tolist() == [0, 1, 2]
+    skipping = SpectrumPolygon(vertices=np.delete(poly.vertices, 1))
+    res = unwind(skipping, spec_h5em3)
+    with pytest.raises(DomainError, match="skip a line"):
+        count_in_polygon(spec_h5em3, skipping, res)
+
+
+def test_enclosing_needs_two_vertices_on_l0(spec_h5em3):
+    # a third n = 0 vertex, the start vertex's neighbour on its line
+    poly = make_loop_polygon(spec_h5em3, 18.0, seed=7)
+    start = poly.vertices[0]
+    line = spec_h5em3.line(0)
+    inner = line[line.k == start.k - 1]
+    third = SpectrumPolygon(vertices=np.concatenate(
+        [poly.vertices[:1], inner, poly.vertices[1:]]))
+    res = unwind(third, spec_h5em3)
+    with pytest.raises(DomainError,
+                       match=r"exactly 2 vertices there, not those at \[0, 1,"):
+        count_in_polygon(spec_h5em3, third, res)
+
+
 def test_l0_line_is_the_n0_line(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 20.0, seed=0)
     res = unwind(poly, spec_h5em3)

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -455,6 +456,7 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
 
     # rows in any order read back into the same (n, E1)-sorted lines
     header, *rows = open(path).read().splitlines()
+    rows_in_order = list(rows)
     np.random.default_rng(0).shuffle(rows)
     shuffled = str(tmp_path / "shuffled.csv")
     with open(shuffled, "w") as fh:
@@ -486,6 +488,22 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
                                  ("e_window", [1]), ("h", "x")]]
     cases += [(json.dumps(without_potential), "'potential'"),
               ('{"h": 0.01,', "not JSON")]
+    # values of their types that do not hold for the rows: another h, a
+    # line or an energy outside the ranges (the window is half-open), and
+    # an empty line outside n_range or with rows
+    e_top = float(np.max(spec_h1em2.points.E1))
+    cases += [(json.dumps({**meta, key: value}), error)
+              for key, value, error in [
+                  ("h", 0.5, r"h is 0.5, but data row 0 has \(h, n, E1\) "
+                             r"= \(0.01, -4, "),
+                  ("n_range", [-3, 9], r"n_range is \[-3, 9\], but data row "
+                                       r"0 has \(h, n, E1\) = \(0.01, -4, "),
+                  ("e_window", [3.0, 4.0], r"e_window is \[3.0, 4.0\], but "),
+                  ("e_window", [meta["e_window"][0], e_top],
+                   re.escape(f", {e_top!r})")),
+                  ("empty_lines", [5], r"lines \[5\] are outside n_range"),
+                  ("empty_lines", [-4, 5], r"lines \[-4, 5\] are outside "
+                                           "n_range or have rows")]]
     for text, error in cases:
         with open(meta_path, "w") as fh:
             fh.write(text)
@@ -495,6 +513,20 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
     assert read_spectrum_csv(path).config == spec_h1em2.config
+    # the first two rows, of one line, with their k swapped: k no longer
+    # rises with E1
+    first, second, *rest = (row.split(",") for row in rows_in_order)
+    assert first[1] == second[1] and int(first[2]) < int(second[2])
+    first[2], second[2] = second[2], first[2]
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + [",".join(row) for row in
+                                        (first, second, *rest)]) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match="k does not increase strictly with E1"):
+        read_spectrum_csv(path)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + rows_in_order) + "\n")
+    assert len(read_spectrum_csv(path).points) == len(spec_h1em2.points)
     # a file that is not a spectrum CSV, and one without rows
     for text, error in [("E1,E2\n0.1,0.0\n", "bad spectrum CSV header"),
                         (header + "\n", "no rows")]:

@@ -20,9 +20,9 @@ from .classical_actions import (action_sample, classical_monodromy,
                                 radial_action, regularized_action,
                                 rotation_number, rotation_winding)
 from .monodromy_lattice import (ChartTransition, LatticeChart,
-                                SpectrumPolygon, count_in_polygon,
-                                fit_local_chart, make_loop_polygon,
-                                pick_count, transport_chart, unwind)
+                                count_in_polygon, fit_local_chart,
+                                make_loop_polygon, pick_count,
+                                transport_chart, unwind)
 from .gap_analysis import (GapRecord, Window, dh_volume, measure_gaps,
                            smallest_gap_scan, weyl_count)
 
@@ -36,9 +36,9 @@ __all__ = [
     "QuantizationModel", "fit_model", "g_n", "predict_line",
     "action_sample", "classical_monodromy", "radial_action",
     "regularized_action", "rotation_number", "rotation_winding",
-    "ChartTransition", "LatticeChart", "SpectrumPolygon",
-    "count_in_polygon", "fit_local_chart", "make_loop_polygon",
-    "pick_count", "transport_chart", "unwind",
+    "ChartTransition", "LatticeChart", "count_in_polygon",
+    "fit_local_chart", "make_loop_polygon", "pick_count",
+    "transport_chart", "unwind",
     "GapRecord", "Window", "dh_volume", "measure_gaps",
     "smallest_gap_scan", "weyl_count",
 ]

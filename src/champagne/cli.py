@@ -234,7 +234,7 @@ def _unwind_json(poly, res, counts) -> dict:
         monodromy=res.monodromy.matrix.tolist(),
         monodromy_shift=res.monodromy.shift.tolist(),
         unwound_vertices=res.vertices.tolist(),
-        polygon=poly.vertex_points().tolist(),
+        polygon=poly[["E1", "E2"]].tolist(),
         counts=dict(spec=counts[0], pick=counts[1]))
 
 

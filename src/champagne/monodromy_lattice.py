@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartError, DomainError, TransportError
-from .radial_spectrum import POINT_DTYPE
 
 CHART_RESIDUAL_MAX = 0.05
 CHART_CONDITION_MAX = 1e3
@@ -118,30 +117,26 @@ def local_spacing(points: np.ndarray, center, k: int = 9) -> float:
     return float(np.median(np.min(dist, axis=1)))
 
 
-def fit_local_chart(points, center, h: float,
-                    radius: float | None = None) -> LatticeChart:
+def fit_local_chart(points, center, h: float) -> LatticeChart:
     """Fit an affine lattice chart on the disc around center.
 
     Basis candidates are the two shortest linearly independent
     nearest-neighbor difference vectors; the affine map is then refined by
     least squares against rounded integer labels until the labels are
-    stable.  When no radius is given, starts at 3.5 local spacings and
-    shrinks until the residual budget is met.  Raises ChartError when
-    fewer than 6 points fall in the disc, the neighbor geometry is
-    degenerate, the infinity-norm rounding residual exceeds
-    CHART_RESIDUAL_MAX,
+    stable.  The disc starts at 3.5 local spacings and shrinks until the
+    residual budget is met.  Raises ChartError when fewer than 6 points
+    fall in the disc, the neighbor geometry is degenerate, the
+    infinity-norm rounding residual exceeds CHART_RESIDUAL_MAX,
     or the linear part is ill conditioned.
     """
-    return _fit_chart(_points_array(points), center, h, radius)
+    return _fit_chart(_points_array(points), center, h)
 
 
-def _fit_chart(pts_all: np.ndarray, center, h: float, radius,
+def _fit_chart(pts_all: np.ndarray, center, h: float,
                frame: LatticeChart | None = None) -> LatticeChart:
     """fit_local_chart, refined from frame's (linear, offset) when given
     instead of from a nearest-neighbor basis."""
     center = (float(center[0]), float(center[1]))
-    if radius is not None:
-        return _fit_chart_fixed(pts_all, center, h, float(radius), frame)
     r = 3.5 * local_spacing(pts_all, center)
     last = None
     for _ in range(4):
@@ -253,8 +248,7 @@ def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
     return ChartTransition(T, s)
 
 
-def transport_chart(chart: LatticeChart, new_center, points,
-                    radius: float | None = None) -> LatticeChart:
+def transport_chart(chart: LatticeChart, new_center, points) -> LatticeChart:
     """Continue a chart frame to a nearby disc.
 
     Refits the chart at new_center starting from the old frame's
@@ -263,7 +257,7 @@ def transport_chart(chart: LatticeChart, new_center, points,
     on every overlap point (TransportError otherwise).
     """
     pts_all = _points_array(points)
-    moved = _fit_chart(pts_all, new_center, chart.h, radius, frame=chart)
+    moved = _fit_chart(pts_all, new_center, chart.h, frame=chart)
     where = f"at {new_center}"
     trans = _fit_transition(moved, chart, pts_all, where)
     if not trans.is_identity():
@@ -274,29 +268,6 @@ def transport_chart(chart: LatticeChart, new_center, points,
 
 
 # --- polygons and unwinding ----------------------------------------------
-
-@dataclass
-class SpectrumPolygon:
-    """Closed polygonal line through joint eigenvalues.
-
-    vertices: rows of a SpectrumTable in loop order, cyclic (first vertex
-    not repeated), kept as a record array of the table's POINT_DTYPE
-    (fields h, n, k, E1, E2, x), so vertices.n is the column of line
-    numbers and vertices[j].E1 one vertex's energy.
-    count_in_polygon needs consecutive vertices on one line or on adjacent
-    lines, and a loop around the critical value to start on the n = 0
-    line at E1 > 0 and contain exactly two n = 0 vertices.
-    """
-
-    vertices: np.recarray
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices,
-                                   dtype=POINT_DTYPE).view(np.recarray)
-
-    def vertex_points(self) -> np.ndarray:
-        return _plane(self.vertices)
-
 
 @dataclass
 class UnwindResult:
@@ -342,8 +313,11 @@ def _continue_chart(chart: LatticeChart, target: tuple,
     return current
 
 
-def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
+def unwind(polygon: np.recarray, spectrum) -> UnwindResult:
     """Develop the polygon onto the integer lattice by continuing one frame.
+
+    polygon holds rows of spectrum.points, a POINT_DTYPE record array, in
+    loop order with the first vertex not repeated.
 
     A chart is fitted at the first vertex and continued along each edge
     in short steps, each checked to keep the labels of the old disc
@@ -354,8 +328,8 @@ def unwind(polygon: SpectrumPolygon, spectrum) -> UnwindResult:
     block for loops around the critical value.
     """
     pts_all = _points_array(spectrum)
-    verts = polygon.vertex_points()
-    h = float(polygon.vertices.h[0])
+    verts = _plane(polygon)
+    h = float(polygon.h[0])
     ell = len(verts)
     if ell < 3:
         raise DomainError("polygon needs at least 3 vertices")
@@ -415,49 +389,66 @@ def l0_line(spectrum, charts, monodromy: ChartTransition):
 
 # --- exact integer geometry ----------------------------------------------
 
-def _orient(a, b, c) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
+# products of coordinate differences stay exact in int64 below this bound
+LATTICE_BOUND = 2 ** 30
 
 
-def _on_segment(a, b, p) -> bool:
-    if _orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+def _lattice(a) -> np.ndarray:
+    """a as an int64 array; DomainError when a coordinate reaches
+    LATTICE_BOUND in magnitude."""
+    a = np.asarray(a)
+    if a.size and (a.min() <= -LATTICE_BOUND or a.max() >= LATTICE_BOUND):
+        raise DomainError(
+            f"integer coordinates span {a.min()}..{a.max()}: the int64 "
+            "lattice geometry is exact only below 2^30 in magnitude")
+    return a.astype(np.int64, copy=False)
 
 
-def _segments_intersect(a, b, c, d) -> bool:
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    return (_on_segment(a, b, c) or _on_segment(a, b, d)
-            or _on_segment(c, d, a) or _on_segment(c, d, b))
+def _ring(vertices) -> np.ndarray:
+    """(m, 2) int64 vertices of a polygon, a closing repeat of the first
+    vertex dropped."""
+    v = _lattice(vertices).reshape(-1, 2)
+    if len(v) > 1 and (v[0] == v[-1]).all():
+        v = v[:-1]
+    return v
 
 
-def _validate_simple(v: list) -> int:
-    """Twice the signed area of the simple polygon v; DomainError when v
-    is degenerate or self-intersecting."""
+def _side(ax, ay, bx, by, px, py):
+    """(b - a) x (p - a), positive when p lies left of a -> b and zero on
+    its line, and whether p lies on the closed segment a b.  The int64
+    arrays broadcast against each other."""
+    cross = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+    return cross, (cross == 0) & ((px - ax) * (px - bx)
+                                  + (py - ay) * (py - by) <= 0)
+
+
+def _validate_simple(v: np.ndarray) -> int:
+    """Twice the signed area of the simple polygon v, (m, 2) int64;
+    DomainError when v is degenerate or self-intersecting."""
     m = len(v)
     if m < 3:
         raise DomainError("polygon needs at least 3 vertices")
-    for i in range(m):
-        if v[i] == v[(i + 1) % m]:
-            raise DomainError(f"repeated consecutive vertex at {i}")
-    area2 = sum(v[i][0] * v[(i + 1) % m][1] - v[(i + 1) % m][0] * v[i][1]
-                for i in range(m))
+    x, y = v.T
+    x1, y1 = np.roll(x, -1), np.roll(y, -1)
+    repeated = np.flatnonzero((x == x1) & (y == y1))
+    if len(repeated):
+        raise DomainError(f"repeated consecutive vertex at {repeated[0]}")
+    area2 = sum((x * y1 - x1 * y).tolist())
     if area2 == 0:
         raise DomainError("degenerate polygon (zero area)")
-    for i in range(m):
-        a, b = v[i], v[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            c, d = v[j], v[(j + 1) % m]
-            if _segments_intersect(a, b, c, d):
-                raise DomainError(
-                    f"polygon self-intersects: edges {i} and {j}")
+    # edge e = v[e] v[e+1] against vertex p, as [e, p]; then edge i = a b
+    # meets edge j = c d when c, d straddle a b and a, b straddle c d, or
+    # when an end of one lies on the other
+    cross, on = _side(x[:, None], y[:, None], x1[:, None], y1[:, None], x, y)
+    side = np.sign(cross)
+    side1, on1 = np.roll(side, -1, axis=1), np.roll(on, -1, axis=1)
+    meet = ((side != side1) & (side.T != side1.T)) | on | on1 | on.T | on1.T
+    # pairs i < j of edges that share no vertex
+    meet &= np.triu(np.ones((m, m), dtype=bool), 2)
+    meet[0, m - 1] = False
+    if meet.any():
+        i, j = np.argwhere(meet)[0]
+        raise DomainError(f"polygon self-intersects: edges {i} and {j}")
     return area2
 
 
@@ -465,35 +456,27 @@ def pick_count(vertices) -> int:
     """Lattice points inside or on a simple integer polygon, by Pick.
 
     N = Area + boundary/2 + 1, all in exact integer arithmetic; raises
-    DomainError for degenerate or self-intersecting input.
+    DomainError for degenerate or self-intersecting input, or for a
+    coordinate that reaches LATTICE_BOUND in magnitude.
     """
-    v = [(int(p[0]), int(p[1])) for p in vertices]
-    if len(v) > 1 and v[0] == v[-1]:
-        v = v[:-1]
+    v = _ring(vertices)
     area2 = abs(_validate_simple(v))
-    m = len(v)
-    boundary = sum(math.gcd(abs(v[(i + 1) % m][0] - v[i][0]),
-                            abs(v[(i + 1) % m][1] - v[i][1]))
-                   for i in range(m))
-    return (area2 + boundary) // 2 + 1
+    d = np.roll(v, -1, axis=0) - v
+    return (area2 + int(np.gcd(d[:, 0], d[:, 1]).sum())) // 2 + 1
 
 
 def lattice_point_in_polygon(p, vertices):
     """Exact inside-or-on test of integer points against an integer polygon.
 
     p is one point, giving a bool, or an (m, 2) array of points, giving an
-    (m,) bool array.  The arithmetic is int64 throughout, exact for
-    coordinates below 2^30 in magnitude.
+    (m,) bool array.  The arithmetic is int64 throughout; DomainError when
+    a coordinate reaches LATTICE_BOUND in magnitude.
     """
-    v = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
-    if len(v) > 1 and (v[0] == v[-1]).all():
-        v = v[:-1]
-    pts = np.asarray(p, dtype=np.int64)
+    v = _ring(vertices)
+    pts = _lattice(p)
     x, y = pts.reshape(-1, 2).T[:, :, None]      # (m, 1) against the edges
     (ax, ay), (bx, by) = v.T, np.vstack((v[1:], v[:1])).T
-    cross = (bx - ax) * (y - ay) - (x - ax) * (by - ay)
-    # collinear with an edge and between its ends
-    on_edge = (cross == 0) & ((x - ax) * (x - bx) + (y - ay) * (y - by) <= 0)
+    cross, on_edge = _side(ax, ay, bx, by, x, y)
     # edges that straddle the horizontal through the point and pass on its
     # right cross the ray to +x; a straddling edge through the point is
     # already counted by on_edge
@@ -504,23 +487,26 @@ def lattice_point_in_polygon(p, vertices):
 
 # --- the counting theorem -------------------------------------------------
 
-def count_in_polygon(spectrum, polygon: SpectrumPolygon,
+def count_in_polygon(spectrum, polygon: np.recarray,
                      unwound: UnwindResult) -> tuple[int, int]:
     """Verify the counting identity on one spectrum polygon.
 
-    unwound is unwind(polygon, spectrum), which the caller already holds.
+    polygon holds rows of spectrum.points, as for unwind, and unwound is
+    unwind(polygon, spectrum), which the caller already holds.
     Returns (N_spec, N_pick).  N_spec counts, with no chart, the rows of
     each line the polygon spans whose (k, n) lies inside or on the polygon
     of the vertices' (k, n).  Consecutive vertices lie on one line or on
     adjacent lines (DomainError otherwise), and k order is E1 order on a
-    line, so this exact test places each row as its (E1, E2) would.
+    line, so this exact test places each row as its (E1, E2) would.  A
+    loop around the critical value must start on the n = 0 line and hold
+    exactly two n = 0 vertices.
     N_pick applies Pick's formula to the unwound vertices.  The theorem
     asserts they are equal.
     """
-    n = polygon.vertices.n
+    n = polygon.n
     if np.any(np.abs(n - np.roll(n, 1)) > 1):
         raise DomainError("consecutive polygon vertices skip a line")
-    if winding_around_origin(polygon.vertex_points()) != 0:
+    if winding_around_origin(_plane(polygon)) != 0:
         zeros = np.flatnonzero(n == 0).tolist()
         if n[0] != 0 or len(zeros) != 2:
             raise DomainError(
@@ -529,7 +515,7 @@ def count_in_polygon(spectrum, polygon: SpectrumPolygon,
         if not unwound.closed:
             raise ChartError("enclosing loop anchored on the n = 0 line did "
                              "not unwind to a closed polygon")
-    corners = np.column_stack([polygon.vertices.k, n])
+    corners = np.column_stack([polygon.k, n])
     lines = map(spectrum.line, range(int(n.min()), int(n.max()) + 1))
     n_spec = sum(int(np.count_nonzero(lattice_point_in_polygon(
         np.column_stack([line.k, line.n]), corners))) for line in lines)
@@ -548,14 +534,15 @@ def _snap(spectrum, n: int, tx: float) -> int:
 
 def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
                       seed: int = 0, center=(0.0, 0.0),
-                      enclosing: bool = True) -> SpectrumPolygon:
+                      enclosing: bool = True) -> np.recarray:
     """Polygon through spectrum points with one vertex per line per side.
 
     Follows an ellipse of half-width radius_x (zoomed x units) and half-
     height n_top lines around `center` = (x, n), snapping each lattice
     line to its eigenvalue nearest the targeted x; every crossed line gets
     exactly one vertex on each side, so the polygon meets each line in a
-    segment with vertex extremities.  Enclosing loops start on the n = 0
+    segment with vertex extremities.  Returns the vertices as rows of
+    spectrum.points in loop order.  Enclosing loops start on the n = 0
     line at x > 0 and contain exactly two n = 0 vertices.  The radial
     jitter is seeded for reproducibility.
     """
@@ -563,26 +550,20 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
     cx, cn = float(center[0]), float(center[1])
     if n_top is None:
         n_top = max(1, int(round(0.75 * radius_x)))
+    n0 = int(round(cn))
 
     def half_width(dn: float) -> float:
         w = radius_x * math.sqrt(max(0.0, 1.0 - (dn / (n_top + 0.5)) ** 2))
         return w * (1.0 + 0.1 * (rng.random() - 0.5))
 
-    chosen = []
+    # up the right side, then down the left; an enclosing loop starts at
+    # the right side's crossing of the anchor line n0
+    ns = range(n0 - n_top, n0 + n_top + 1)
+    sides = [(n, 1.0) for n in ns] + [(n, -1.0) for n in reversed(ns)]
     if enclosing:
-        n0 = int(round(cn))
-        for n in range(n0, n0 + n_top + 1):          # right side, upward
-            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
-        for n in range(n0 + n_top, n0 - n_top - 1, -1):   # left side, down
-            chosen.append(_snap(spectrum, n, cx - half_width(n - cn)))
-        for n in range(n0 - n_top, n0, 1):            # right side, back up
-            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
-    else:
-        n0 = int(round(cn))
-        for n in range(n0 - n_top, n0 + n_top + 1):
-            chosen.append(_snap(spectrum, n, cx + half_width(n - cn)))
-        for n in range(n0 + n_top, n0 - n_top - 1, -1):
-            chosen.append(_snap(spectrum, n, cx - half_width(n - cn)))
+        sides = sides[n_top:] + sides[:n_top]
+    chosen = [_snap(spectrum, n, cx + side * half_width(n - cn))
+              for n, side in sides]
 
     dedup = []
     for i in chosen:
@@ -593,11 +574,11 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
         dedup.pop()
     vertices = spectrum.points[dedup]
     if enclosing:
-        zero_count = int(np.count_nonzero(vertices.n == int(round(cn))))
+        zero_count = int(np.count_nonzero(vertices.n == n0))
         if zero_count != 2:
             raise DomainError(
                 f"loop construction produced {zero_count} anchor-line "
                 "vertices; adjust radius")
     if len(dedup) < 3:
         raise DomainError("loop construction found too few vertices")
-    return SpectrumPolygon(vertices=vertices)
+    return vertices

@@ -9,13 +9,13 @@ import pytest
 from champagne import monodromy_lattice as ml
 from champagne.errors import ChartError, DomainError, TransportError
 from champagne.monodromy_lattice import (ChartTransition, LatticeChart,
-                                         SpectrumPolygon, _fit_transition,
-                                         count_in_polygon,
+                                         _fit_transition, count_in_polygon,
                                          fit_local_chart, l0_line,
                                          lattice_point_in_polygon,
                                          make_loop_polygon, pick_count,
                                          transport_chart, unwind,
                                          winding_around_origin)
+from champagne.radial_spectrum import POINT_DTYPE
 
 H = 1e-3
 
@@ -28,7 +28,7 @@ def square_lattice(m=10):
 
 def test_chart_on_exact_lattice():
     ij, pts = square_lattice()
-    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
     assert chart.residual < 1e-12
     # the fitted linear part is h * (an integer unimodular matrix)
     m = chart.linear
@@ -40,7 +40,7 @@ def test_chart_on_sheared_lattice():
     ij, _ = square_lattice()
     M = np.array([[1.0, 0.3], [0.0, 1.0]])
     pts = (H * ij) @ M.T
-    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
     assert chart.residual < 1e-10
     # linear inverts the shear up to a left GL(2, Z) factor
     g = chart.linear @ M
@@ -52,21 +52,21 @@ def test_chart_tolerates_bounded_noise():
     ij, pts = square_lattice()
     rng = np.random.default_rng(1)
     noisy = pts + 0.02 * H * rng.uniform(-1, 1, pts.shape)
-    chart = fit_local_chart(noisy, (0, 0), H, radius=4 * H)
+    chart = ml._fit_chart_fixed(noisy, (0, 0), H, 4 * H)
     assert chart.residual <= 0.05
 
 
 def test_chart_needs_enough_points():
     _, pts = square_lattice(1)
     with pytest.raises(ChartError):
-        fit_local_chart(pts[:4], (0, 0), H, radius=10 * H)
+        ml._fit_chart_fixed(pts[:4], (0, 0), H, 10 * H)
 
 
 def test_chart_rejects_large_distortion():
     ij, pts = square_lattice()
     warped = pts + 0.2 * H * np.sin(ij[:, :1] * 2.0)
     with pytest.raises(ChartError):
-        fit_local_chart(warped, (0, 0), H, radius=8 * H)
+        ml._fit_chart_fixed(warped, (0, 0), H, 8 * H)
 
 
 def test_chart_raises_when_labels_do_not_settle(monkeypatch):
@@ -80,13 +80,13 @@ def test_chart_raises_when_labels_do_not_settle(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", drifting)
     with pytest.raises(ChartError, match="still changing"):
-        fit_local_chart(pts, (0, 0), H, radius=4 * H)
+        ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
 
 
 def test_transport_keeps_the_frame():
     _, pts = square_lattice()
-    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
-    moved = transport_chart(chart, (3 * H, H), pts, radius=4 * H)
+    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    moved = transport_chart(chart, (3 * H, H), pts)
     overlap = pts[chart.contains(pts) & moved.contains(pts)]
     assert len(overlap) >= 6
     assert np.array_equal(chart.labels(overlap), moved.labels(overlap))
@@ -94,15 +94,15 @@ def test_transport_keeps_the_frame():
 
 def test_transport_needs_overlap():
     _, pts = square_lattice()
-    chart = fit_local_chart(pts, (-8 * H, -8 * H), H, radius=3 * H)
+    chart = ml._fit_chart_fixed(pts, (-8 * H, -8 * H), H, 3 * H)
     with pytest.raises(TransportError):
-        transport_chart(chart, (8 * H, 8 * H), pts, radius=3 * H)
+        transport_chart(chart, (8 * H, 8 * H), pts)
 
 
 def test_transport_rejects_a_frame_that_moved(monkeypatch):
     # a refit whose labels moved by one on the overlap is not the old frame
     _, pts = square_lattice()
-    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
     fit = ml._fit_chart
 
     def shifted(*args, **kwargs):
@@ -111,7 +111,7 @@ def test_transport_rejects_a_frame_that_moved(monkeypatch):
 
     monkeypatch.setattr(ml, "_fit_chart", shifted)
     with pytest.raises(TransportError, match="differs from the old one"):
-        transport_chart(chart, (3 * H, H), pts, radius=4 * H)
+        transport_chart(chart, (3 * H, H), pts)
 
 
 def test_continuation_halves_a_step_that_fails(monkeypatch):
@@ -120,11 +120,11 @@ def test_continuation_halves_a_step_that_fails(monkeypatch):
     transport = ml.transport_chart
     tried = []
 
-    def short_steps_only(old, center, points, radius=None):
+    def short_steps_only(old, center, points):
         tried.append(math.dist(old.center, center))
         if tried[-1] > 0.5 * H:
             raise TransportError("overlap too thin")
-        return transport(old, center, points, radius)
+        return transport(old, center, points)
 
     monkeypatch.setattr(ml, "transport_chart", short_steps_only)
     end = ml._continue_chart(chart, (3 * H, 0.0), pts)
@@ -134,7 +134,7 @@ def test_continuation_halves_a_step_that_fails(monkeypatch):
     assert tried[:3] == pytest.approx(
         [ml.STEP_FRACTION * chart.radius / 2 ** i for i in range(3)])
 
-    def never(old, center, points, radius=None):
+    def never(old, center, points):
         tried.append(center)
         raise TransportError("overlap too thin")
 
@@ -148,7 +148,7 @@ def test_continuation_halves_a_step_that_fails(monkeypatch):
 def test_transition_rejects_a_collinear_overlap():
     # labels on one lattice row fix the transition only along that row
     _, pts = square_lattice()
-    chart = fit_local_chart(pts, (0, 0), H, radius=4 * H)
+    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
     row = pts[(pts[:, 1] == 0) & (np.abs(pts[:, 0]) <= 3 * H)]
     assert len(row) == 7
     with pytest.raises(TransportError, match="one lattice line"):
@@ -191,6 +191,101 @@ def test_pick_rejects_degenerate():
         pick_count([(0, 0), (1, 0), (1, 0), (0, 1)])
     with pytest.raises(DomainError):
         pick_count([(0, 0), (3, 1), (3, -1), (0, 2)])  # crossing edges
+
+
+def test_integer_geometry_rejects_coordinates_from_2_to_the_30():
+    # the point lies outside the square, but int64 products of its
+    # coordinate differences wrap round
+    side = 2 ** 40
+    square = [(0, 0), (side, 0), (side, side), (0, side)]
+    with pytest.raises(DomainError, match="2\\^30"):
+        lattice_point_in_polygon((3 * side, side // 2), square)
+    with pytest.raises(DomainError, match="2\\^30"):
+        lattice_point_in_polygon((3 * side, side // 2), [(0, 0), (1, 0), (0, 1)])
+    for bad in (2 ** 30, -2 ** 30):
+        with pytest.raises(DomainError, match="2\\^30"):
+            pick_count([(0, 0), (bad, 0), (0, 1)])
+    # the triangle's 2^30 points on its long edge and one above it
+    top = 2 ** 30 - 1
+    assert pick_count([(0, 0), (top, 0), (0, 1)]) == 2 ** 30 + 1
+    assert pick_count([(0, 0), (-top, 0), (0, -1)]) == 2 ** 30 + 1
+    assert lattice_point_in_polygon((top, 0), [(0, 0), (top, 0), (0, 1)])
+
+
+def orient(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def on_segment(a, b, p):
+    return (orient(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def segments_intersect(a, b, c, d):
+    if (orient(a, b, c) != orient(a, b, d)
+            and orient(c, d, a) != orient(c, d, b)):
+        return True
+    return (on_segment(a, b, c) or on_segment(a, b, d)
+            or on_segment(c, d, a) or on_segment(c, d, b))
+
+
+def reference_validate_simple(v):
+    """Twice the signed area of the polygon v, in Python integers, testing
+    each pair of non-adjacent edges on its own; DomainError as
+    pick_count raises it."""
+    m = len(v)
+    if m < 3:
+        raise DomainError("polygon needs at least 3 vertices")
+    for i in range(m):
+        if v[i] == v[(i + 1) % m]:
+            raise DomainError(f"repeated consecutive vertex at {i}")
+    area2 = sum(v[i][0] * v[(i + 1) % m][1] - v[(i + 1) % m][0] * v[i][1]
+                for i in range(m))
+    if area2 == 0:
+        raise DomainError("degenerate polygon (zero area)")
+    for i in range(m):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            if segments_intersect(v[i], v[(i + 1) % m], v[j], v[(j + 1) % m]):
+                raise DomainError(
+                    f"polygon self-intersects: edges {i} and {j}")
+    return area2
+
+
+def reference_pick_count(vertices):
+    v = [tuple(p) for p in vertices]
+    if len(v) > 1 and v[0] == v[-1]:
+        v = v[:-1]
+    area2 = abs(reference_validate_simple(v))
+    boundary = sum(math.gcd(b[0] - a[0], b[1] - a[1])
+                   for a, b in zip(v, v[1:] + v[:1]))
+    return (area2 + boundary) // 2 + 1
+
+
+def outcome(count, vertices):
+    try:
+        return count(vertices)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_pick_matches_the_pairwise_oracle():
+    # small boxes give repeated vertices, collinear and touching edges and
+    # crossings; each polygon must get the oracle's count or its error
+    rng = np.random.default_rng(2024)
+    kinds = ("polygon needs", "repeated", "degenerate", "polygon self")
+    seen = set()
+    for _ in range(3000):
+        v = rng.integers(-3, 4, (int(rng.integers(3, 9)), 2)).tolist()
+        if rng.random() < 0.1:
+            v.append(v[0])
+        want = outcome(reference_pick_count, v)
+        assert outcome(pick_count, v) == want, v
+        seen.add(next((k for k in kinds if str(want).startswith(k)), "count"))
+    assert seen == {*kinds, "count"}
 
 
 def random_simple_polygon(rng):
@@ -266,10 +361,16 @@ def test_point_in_polygon_on_an_array_of_points():
 
 # --- real spectra -------------------------------------------------------------
 
+def table_rows(records):
+    """A polygon as make_loop_polygon returns it: a POINT_DTYPE record
+    array of table rows."""
+    return np.asarray(records, dtype=POINT_DTYPE).view(np.recarray)
+
+
 def exact_line_count(spectrum, polygon):
     """Chart-free oracle: per line, the points between its two vertices."""
     per = {}
-    for v in polygon.vertices:
+    for v in polygon:
         per.setdefault(v.n, []).append(v.x)
     total = 0
     for n, xs in per.items():
@@ -305,8 +406,7 @@ def test_count_equality_and_oracle(spec_h5em3):
     assert n_spec == n_pick
     assert n_spec == exact_line_count(spec_h5em3, poly)
     # the same loop the other way round: its lower arc comes first
-    rev = SpectrumPolygon(vertices=np.concatenate(
-        [poly.vertices[:1], poly.vertices[:0:-1]]))
+    rev = table_rows(np.concatenate([poly[:1], poly[:0:-1]]))
     assert count_in_polygon(spec_h5em3, rev, unwind(rev, spec_h5em3)) \
         == (n_spec, n_pick)
 
@@ -314,7 +414,7 @@ def test_count_equality_and_oracle(spec_h5em3):
 def test_count_non_enclosing(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
                              center=(-18.0, -5.0), enclosing=False)
-    assert winding_around_origin(poly.vertex_points()) == 0
+    assert winding_around_origin(ml._plane(poly)) == 0
     n_spec, n_pick = count_in_polygon(spec_h5em3, poly,
                                       unwind(poly, spec_h5em3))
     assert n_spec == n_pick == exact_line_count(spec_h5em3, poly)
@@ -322,7 +422,7 @@ def test_count_non_enclosing(spec_h5em3):
 
 def test_enclosing_must_start_on_l0(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=3)
-    shifted = SpectrumPolygon(vertices=np.roll(poly.vertices, -5))
+    shifted = table_rows(np.roll(poly, -5))
     res = unwind(shifted, spec_h5em3)
     with pytest.raises(DomainError):
         count_in_polygon(spec_h5em3, shifted, res)
@@ -342,8 +442,8 @@ def test_count_reads_no_chart(spec_h5em3):
 
 def test_count_rejects_an_edge_that_skips_a_line(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=7)
-    assert poly.vertices.n[:3].tolist() == [0, 1, 2]
-    skipping = SpectrumPolygon(vertices=np.delete(poly.vertices, 1))
+    assert poly.n[:3].tolist() == [0, 1, 2]
+    skipping = table_rows(np.delete(poly, 1))
     res = unwind(skipping, spec_h5em3)
     with pytest.raises(DomainError, match="skip a line"):
         count_in_polygon(spec_h5em3, skipping, res)
@@ -352,11 +452,10 @@ def test_count_rejects_an_edge_that_skips_a_line(spec_h5em3):
 def test_enclosing_needs_two_vertices_on_l0(spec_h5em3):
     # a third n = 0 vertex, the start vertex's neighbour on its line
     poly = make_loop_polygon(spec_h5em3, 18.0, seed=7)
-    start = poly.vertices[0]
+    start = poly[0]
     line = spec_h5em3.line(0)
     inner = line[line.k == start.k - 1]
-    third = SpectrumPolygon(vertices=np.concatenate(
-        [poly.vertices[:1], inner, poly.vertices[1:]]))
+    third = table_rows(np.concatenate([poly[:1], inner, poly[1:]]))
     res = unwind(third, spec_h5em3)
     with pytest.raises(DomainError,
                        match=r"exactly 2 vertices there, not those at \[0, 1,"):
@@ -410,7 +509,7 @@ def test_chain_failure_names_the_segment(spec_h5em3):
     # a polygon with a huge jump cannot be glued; the error says where
     verts = [spec_h5em3.line(0)[0], spec_h5em3.line(20)[-1],
              spec_h5em3.line(-20)[0]]
-    poly = SpectrumPolygon(vertices=verts)
+    poly = table_rows(verts)
     with pytest.raises((ChartError, TransportError), match="segment"):
         unwind(poly, spec_h5em3)
 

@@ -105,7 +105,7 @@ def _cmd_spectrum(cfg) -> int:
     if cfg["grid_points"] is not None or cfg["r_max"] is not None:
         base = rs.default_config(cfg["h"], cfg["e_max"])
         r_max = cfg["r_max"] or base.r_max
-        # a wall moved alone keeps the grid spacing of default_config
+        # a wall moved alone keeps the mesh density of default_config
         grid = cfg["grid_points"] or max(
             64, math.ceil(r_max / (base.r_max / base.grid_points)))
         config = rs.DiscretizationConfig(r_max=r_max, grid_points=grid,
@@ -315,12 +315,14 @@ def _reproduce_cusp_z(cfg) -> int:
 
 
 def _reproduce_gaps_formule(cfg) -> int:
-    out = ex.smallest_gap([ex.smallest_gap_lines(h).solve()
-                           for h in ex.SMALLEST_GAP_H])
+    tables = [ex.smallest_gap_lines(h).solve() for h in ex.SMALLEST_GAP_H]
+    out = ex.smallest_gap(tables)
     ga.write_plot_data(cfg["prefix"] + "gaps_formule.dat",
                        [r.lnh_abs for r in out.measured.rows],
                        [1.0 / r.gap_min_measured for r in out.measured.rows])
-    return _verdict("gaps-formule", out)
+    rule = ex.bohr_sommerfeld([t for t in tables if t.h in ex.BS_RULE_H])
+    return max(_verdict("gaps-formule", out),
+               _verdict("gaps-formule Bohr-Sommerfeld rule", rule))
 
 
 def _reproduce_weyl(cfg) -> int:
@@ -349,6 +351,8 @@ _LOOP = dict(spectrum=(str, "spectrum.csv"), loop_radius=(float, 20.0),
              n_top=(int, None), seed=(int, 0), center_x=(float, 0.0),
              center_n=(float, 0.0), non_enclosing=(bool, False))
 _PREFIX = dict(prefix=(str, ""))
+_HELP = {"grid_points": "mesh intervals m; levels are solved on m and 2m",
+         "r_max": "the wall; moved alone, it keeps the mesh density"}
 
 # leaf subcommand -> (handler, help, {flag: (type, default)}).  A bool flag
 # takes no value on the command line and 1/true/yes or 0/false/no in a
@@ -420,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
             if typ is bool:
                 p.add_argument(flag, action="store_const", const=True)
             else:
-                p.add_argument(flag, type=typ)
+                p.add_argument(flag, type=typ, help=_HELP.get(key))
         p.set_defaults(func=func, flags=flags)
     return root
 

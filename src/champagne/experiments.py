@@ -12,6 +12,8 @@ their shared fixture spectra to the same functions.
                                              criterion 4
     smallest-gap scaling  smallest_gap       reproduce gaps-formule;
                                              criterion 5
+    singular Bohr-        bohr_sommerfeld    reproduce gaps-formule;
+      Sommerfeld rule                        criterion 11
     log-Weyl count        weyl               reproduce weyl; criterion 6
     quantum monodromy     quantum_monodromy  criterion 10
       and counting        quantum_loop       reproduce unwinding; each
@@ -145,6 +147,29 @@ def smallest_gap(tables) -> Outcome:
                    f">= {R_SQUARED_MIN}, h={GAP_MIN_H:g} measured vs "
                    f"champagne variant {gap_dev:.2%} <= "
                    f"{GAP_MIN_REL_DEV_MAX:.0%}", scan)
+
+
+# --- the singular Bohr-Sommerfeld rule ---------------------------------------
+
+BS_RULE_H = (1e-4, 1e-5)
+BS_RESIDUAL_MAX = 2e-4
+BS_B_REL_DEV_MAX = 5e-4
+
+
+def bohr_sommerfeld(tables) -> Outcome:
+    """fit_model (B and one intercept, C = 0) on the n = 0 line over |x| <=
+    SMALLEST_GAP_X_HALF at each h of BS_RULE_H: the rms residual, in local
+    gaps, must be at most BS_RESIDUAL_MAX and B within BS_B_REL_DEV_MAX of
+    2.5 ln 2.  measured: [(h, QuantizationModel)] in BS_RULE_H order."""
+    x = (-SMALLEST_GAP_X_HALF, SMALLEST_GAP_X_HALF)
+    rows = [(t.h, bs.fit_model(t, n_set=[0], x_window=x))
+            for t in _at(tables, BS_RULE_H)]
+    return Outcome(all(m.residual <= BS_RESIDUAL_MAX and abs(
+        m.B / bs.B_REFERENCE - 1.0) <= BS_B_REL_DEV_MAX for _, m in rows),
+        "; ".join(f"h={h:g}: rms residual {m.residual:.2e} gaps (<= "
+                  f"{BS_RESIDUAL_MAX:g}), B / (2.5 ln 2) - 1 = "
+                  f"{m.B / bs.B_REFERENCE - 1.0:+.4%} (|.| <= "
+                  f"{BS_B_REL_DEV_MAX:.2%})" for h, m in rows), rows)
 
 
 # --- log-Weyl count ----------------------------------------------------------

@@ -327,12 +327,12 @@ def unwind(polygon: np.recarray, spectrum) -> UnwindResult:
     is the identity for non-enclosing loops and unipotent with one Jordan
     block for loops around the critical value.
     """
-    pts_all = _points_array(spectrum)
     verts = _plane(polygon)
-    h = float(polygon.h[0])
     ell = len(verts)
     if ell < 3:
         raise DomainError("polygon needs at least 3 vertices")
+    pts_all = _points_array(spectrum)
+    h = float(polygon.h[0])
 
     try:
         chart0 = fit_local_chart(pts_all, verts[0], h)
@@ -472,17 +472,21 @@ def lattice_point_in_polygon(p, vertices):
     (m,) bool array.  The arithmetic is int64 throughout; DomainError when
     a coordinate reaches LATTICE_BOUND in magnitude.
     """
-    v = _ring(vertices)
     pts = _lattice(p)
-    x, y = pts.reshape(-1, 2).T[:, :, None]      # (m, 1) against the edges
+    inside = _inside(pts.reshape(-1, 2), _ring(vertices))
+    return bool(inside[0]) if pts.ndim == 1 else inside
+
+
+def _inside(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """lattice_point_in_polygon on (m, 2) int64 points and a ring v."""
+    x, y = pts.T[:, :, None]                     # (m, 1) against the edges
     (ax, ay), (bx, by) = v.T, np.vstack((v[1:], v[:1])).T
     cross, on_edge = _side(ax, ay, bx, by, x, y)
     # edges that straddle the horizontal through the point and pass on its
     # right cross the ray to +x; a straddling edge through the point is
     # already counted by on_edge
     crosses = ((ay > y) != (by > y)) & ((cross > 0) == (by > ay))
-    inside = on_edge.any(axis=1) | (crosses.sum(axis=1) % 2 == 1)
-    return bool(inside[0]) if pts.ndim == 1 else inside
+    return on_edge.any(axis=1) | (crosses.sum(axis=1) % 2 == 1)
 
 
 # --- the counting theorem -------------------------------------------------
@@ -515,10 +519,10 @@ def count_in_polygon(spectrum, polygon: np.recarray,
         if not unwound.closed:
             raise ChartError("enclosing loop anchored on the n = 0 line did "
                              "not unwind to a closed polygon")
-    corners = np.column_stack([polygon.k, n])
+    ring = _ring(np.column_stack([polygon.k, n]))     # converted once
     lines = map(spectrum.line, range(int(n.min()), int(n.max()) + 1))
-    n_spec = sum(int(np.count_nonzero(lattice_point_in_polygon(
-        np.column_stack([line.k, line.n]), corners))) for line in lines)
+    n_spec = sum(int(np.count_nonzero(_inside(
+        _lattice(np.column_stack([line.k, line.n])), ring))) for line in lines)
     return n_spec, pick_count(unwound.vertices[:-1])
 
 

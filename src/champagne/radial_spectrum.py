@@ -4,29 +4,15 @@ For each angular quantum number n the operator
 
     H_n u = -(h^2/2) (u'' - (n^2 - 1/4) u / r^2) + V(r) u
 
-acts on L^2(0, r_max) with a Dirichlet wall at r_max.  It is discretized
-on the half-offset grid r_j = (j + 1/2) delta, which realizes the r = 0
-endpoint implicitly (no boundary row is needed for any n) and keeps the
-scheme second-order accurate; a two-grid Richardson step upgrades every
-eigenvalue to fourth order.
-
-default_config sizes the smallest grid its rules allow: the wall where
-the WKB barrier above e_max reaches 12 h, and any N whose spacing meets
-the error model at GRID_EPS = 2e-9 absolute.  The model is about 8 times
-optimistic at E = 0 for h <= 2e-5, which that constant absorbs.  On the
-focus window |x| <= 2.5, N passes MAX_GRID_POINTS near h = 4.1e-6.
-
-Levels are computed by bisection (Barth, Martin & Wilkinson) on Sturm
-counts from LAPACK dlarrc, which counts at two shifts in one pass over the
-matrix and is called through ctypes, so that it runs without the GIL.
-The bisection splits at the points of a fixed dyadic grid, so a level's
-value depends only on the operator and its index.  The grid-2N counts at
-the window's ends give the radial indices of its levels, both grids are
-bisected for exactly those indices, in equal index ranges on one thread
-per usable CPU, and the two grids pair by index.  Completeness at the
-window edges is checked from the measured Richardson correction, and a
-correction above RICHARDSON_GAP_BUDGET local gaps raises
-ConfigurationError.
+acts on L^2(0, r_max) with a Dirichlet wall at r_max.  Its levels come
+from constant-perturbation shooting (Pruess, SIAM J. Numer. Anal. 10,
+1973; MATSLISE, ACM TOMS 31, 2005) on a mesh that default_config sizes,
+second order, with Richardson on the meshes m and 2m.  A Pruefer phase,
+shot from r = 0 and from the wall, counts the levels below any E and
+passes (k + 1) pi at level k; all levels of a line are solved at once by
+secant steps on a fixed dyadic grid, so that a level depends on the line
+and its index alone.  A Richardson correction above RICHARDSON_GAP_BUDGET
+local gaps raises ConfigurationError.
 
 Joint eigenvalues are reported as (E1, E2) = (radial eigenvalue, h n)
 together with the zoomed coordinate x = E1 / (sqrt(2) h).
@@ -34,24 +20,21 @@ together with the zoomed coordinate x = E1 / (sqrt(2) h).
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import cython_lapack
 from scipy.optimize import brentq
 
 from .errors import (ConfigurationError, ConvergenceError, _check_keys,
                      _read_json)
 
 SQRT2 = math.sqrt(2.0)
-MAX_GRID_POINTS = 1 << 22
+# the largest mesh m; the finer mesh has 2m intervals
+MAX_GRID_POINTS = 1 << 19
 
 
 # --- potentials ---------------------------------------------------------
@@ -122,6 +105,9 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
+    """grid_points is the interval count m of the shooting mesh: levels
+    are solved on it and on the mesh 2m that halves its intervals."""
+
     r_max: float
     grid_points: int
     h: float
@@ -130,15 +116,19 @@ class DiscretizationConfig:
     def __post_init__(self):
         if self.grid_points < 64:
             raise ConfigurationError("grid_points must be >= 64")
-        if not (self.r_max > 0.0 and self.h > 0.0):
-            raise ConfigurationError("r_max and h must be positive")
+        if not (self.h > 0.0 and self.r_max > math.sqrt(self.h)):
+            raise ConfigurationError("h must be positive, r_max > sqrt(h)")
 
 
-# the absolute error default_config sizes the grid for
-GRID_EPS = 2e-9
+# intervals per local wavelength 2 pi h / p_max, below which CP shooting
+# leaves its asymptotic regime, and per sqrt(h), where its error, about
+# d^2 W'' / 12, is a small part of the local gap h
+INTERVALS_PER_WAVELENGTH = 3.0
+INTERVALS_PER_SQRT_H = 16.0
 # Gauss-Legendre nodes and weights of the barrier integral, on [0, 1]
 _GL_S, _GL_W = np.polynomial.legendre.leggauss(32)
 _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+_ULP = float(np.finfo(np.float64).eps)
 
 
 def _barrier(potential: PotentialSpec, level: float, r_turn: float,
@@ -153,25 +143,29 @@ def _barrier(potential: PotentialSpec, level: float, r_turn: float,
     return float(np.dot(_GL_W, root * 2.0 * width * _GL_S))
 
 
+def _split(m: int, h: float, r_max: float, n: int) -> tuple:
+    """(r0, m_geo): the Frobenius start 1e-2 sqrt(h (1 + |n|)), at most
+    sqrt(h) / 2, and the intervals of the geometric part from r0 to sqrt(h),
+    whose spacing then runs on into that of the uniform part."""
+    rg = math.sqrt(h)
+    r0 = min(1e-2 * math.sqrt(h * (1.0 + abs(n))), 0.5 * rg)
+    span = math.log(rg / r0) * rg
+    return r0, min(max(1, round(m * span / (span + r_max - rg))), m - 1)
+
+
 def default_config(h: float, e_max: float,
                    potential: PotentialSpec | None = None) -> DiscretizationConfig:
-    """The smallest grid that the error model of fd2 with Richardson allows.
+    """The smallest mesh the error model of CP shooting allows.
 
     Wall: r_max is the smallest radius past the outer turning point of
     2 e_max at which the WKB barrier int sqrt(2 (V - e_max)) dr, from the
     outer turning point of e_max, reaches 12 h, so that truncation shifts
     levels by about exp(-24) relative.  Both turning points and the wall
     are roots found by brentq, the barrier by fixed Gauss-Legendre nodes.
-    Grid: N = max(64, ceil(r_max / delta)), any integer, with delta the
-    spacing at which the model error delta^4 p^6 / (720 h^4), at p^2 =
-    2 (e_max - min V) but at least 2e-3, equals GRID_EPS = 2e-9 absolute.
-    The model is about 8 times optimistic at E = 0 for h <= 2e-5, where
-    the n = 0 lines are 7.8e-4 (h = 2e-5) and 2.7e-3 (h = 1e-5) local gaps
-    from their three-grid values.  With 1e-8 in place of GRID_EPS the gap
-    law's error at h = 1e-5 grows from 0.13% to 1.2%, above the 0.22% at
-    h = 1e-4, and no longer falls with h.  On the focus window |x| <= 2.5
-    N passes MAX_GRID_POINTS near h = 4.1e-6: raises ConfigurationError
-    when N would exceed it.
+    Mesh: the fewest intervals m >= 64 whose uniform part is spaced at most
+    2 pi h / (INTERVALS_PER_WAVELENGTH p_max), at p_max^2 = 2 (e_max -
+    min V) but at least 2e-3, and sqrt(h) / INTERVALS_PER_SQRT_H; raises
+    ConfigurationError when m would exceed MAX_GRID_POINTS.
     """
     potential = potential or PotentialSpec.champagne_bottle()
     r_turn = potential.turning_point(e_max)
@@ -186,248 +180,253 @@ def default_config(h: float, e_max: float,
             step *= 2.0
         r_max = brentq(shortfall, r_max, r_max + step)
 
-    p_max2 = 2.0 * max(e_max - potential.v_min(), 1e-3)
-    delta = (720.0 * h**4 * GRID_EPS / p_max2**3) ** 0.25
-    n = max(64, math.ceil(r_max / delta))
-    if n > MAX_GRID_POINTS:
+    p_max = math.sqrt(2.0 * max(e_max - potential.v_min(), 1e-3))
+    uniform = (r_max - math.sqrt(h)) / min(
+        2.0 * math.pi * h / (INTERVALS_PER_WAVELENGTH * p_max),
+        math.sqrt(h) / INTERVALS_PER_SQRT_H)
+    m = max(64, math.ceil(uniform))
+    while m - _split(m, h, r_max, 0)[1] < uniform:
+        m += 1
+    if m > MAX_GRID_POINTS:
         raise ConfigurationError(
-            f"h={h:g}, e_max={e_max:g} needs {n} grid points, more than "
-            f"the {MAX_GRID_POINTS} the fd2 solver allows")
-    return DiscretizationConfig(r_max=r_max, grid_points=n, h=h, e_max=e_max)
+            f"h={h:g}, e_max={e_max:g} needs a mesh of {m} intervals, more "
+            f"than the {MAX_GRID_POINTS} the solver allows")
+    return DiscretizationConfig(r_max=r_max, grid_points=m, h=h, e_max=e_max)
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal matrix: diagonal diag, off-diagonal offdiag.
+# --- constant-perturbation shooting -------------------------------------
+# W = V + h^2 (n^2 - 1/4) / (2 r^2) is held at its value at each interval's
+# geometric midpoint, and u'' = q u, q = 2 (W - E) / h^2, solved exactly:
+# y = (S u, u') maps by [[c, S s], [q s / S, c]], c = cos t or cosh t, t =
+# sqrt(|q|) d, s = sin t or sinh t over sqrt(|q|).  A product of maps is
+# carried as (m00, m01, m10, m11, w, phi): w pi + phi is the lifted Pruefer
+# angle of y for the solution from u = 0, phi in [0, pi] that of its line.
 
-    Checked once, when it is made: both are C-contiguous 1-d float64
-    arrays, finite, with one entry fewer off the diagonal.
-    """
+_BLOCK = 1 << 14            # matrix entries multiplied out at once
+_GROWTH_MAX = 300.0         # log of the growth a block may reach unscaled
+_MAX_STEPS = 60             # phase evaluations per level
 
-    diag: np.ndarray
-    offdiag: np.ndarray
 
-    def __post_init__(self):
-        for name, a in (("diag", self.diag), ("offdiag", self.offdiag)):
-            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                    and a.ndim == 1 and a.flags.c_contiguous):
+def _line_angle(y0, y1):
+    """The angle in [0, pi] of the line through (y0, y1)."""
+    return np.arctan2(np.abs(y0), np.copysign(1.0, y0) * y1)
+
+
+def _lift(phi, w, phi_b, dot):
+    """w + 1 where phi_b, turned by delta in [0, pi) to the line angle phi,
+    passed pi: then phi < phi_b - pi / 2 if dot > 0, else phi < phi_b."""
+    return w + ((phi - phi_b + np.copysign(0.25 * math.pi, dot)) < 0.0)
+
+
+def _leaves(q0, d, e2, scale):
+    """The maps of the intervals (q0, d) at q = q0 - e2, rows by energies,
+    and the log of how far their product can grow."""
+    q = np.subtract.outer(q0, e2)
+    t = q * (d * d)[:, None]
+    osc = t < 0.0
+    t = np.sqrt(np.abs(t))
+    growth = float(np.max(np.sum(t, axis=0, where=~osc)))
+    # cos t and sin t from tau = tan(t / 2), at a tenth of their cost
+    tau = np.tan(0.5 * t)
+    inv = 2.0 / (1.0 + tau * tau)
+    c = np.where(osc, inv - 1.0, np.cosh(t))
+    s = np.where(osc, tau * inv, np.sinh(t)) * (d[:, None]
+                                                / np.maximum(t, 1e-300))
+    m01 = s * scale
+    # j = round(t / pi) half turns on an oscillating interval, less one
+    # where m01 and (-1)^j differ in sign
+    j = np.round(t * (1.0 / math.pi)) * osc
+    w = j - ((m01 < 0.0) != (np.floor(0.5 * j) != 0.5 * j))
+    return [c, m01, q * s / scale, c, w, _line_angle(m01, c)], growth
+
+
+def _compose(a, b):
+    """The map b after a, with its lift: the solution from u = 0 leaves a
+    on the line of (a01, a11), at phi_a, and b turns it by a delta in
+    [0, pi) from b e0, so that the lift is (w_a + w_b) pi + phi_b + delta."""
+    a00, a01, a10, a11, wa, _ = a
+    b00, b01, b10, b11, wb, phib = b
+    p01, p11 = b00 * a01 + b01 * a11, b10 * a01 + b11 * a11
+    phi = _line_angle(p01, p11)
+    dot = (b01 * p01 + b11 * p11) * np.copysign(1.0, a01)
+    return [b00 * a00 + b01 * a10, p01, b10 * a00 + b11 * a10, p11,
+            _lift(phi, wa + wb, phib, dot), phi]
+
+
+def _product(q0, d, e2, scale):
+    """The maps of the intervals (q0, d) at e2, multiplied out in order:
+    blocks of 2^k rows, bit-reversed and padded with the identity, pair
+    their contiguous halves, then are composed and scaled.  A block whose
+    growth passes _GROWTH_MAX is halved, down to one interval."""
+    rows = 1 << (max(2, _BLOCK // len(e2)).bit_length() - 1)
+    rows = min(rows, 1 << (len(q0) - 1).bit_length())
+    total, i = None, 0
+    while i < len(q0):
+        block = np.zeros((2, rows))
+        block[0, :len(q0[i:i + rows])] = q0[i:i + rows]
+        block[1, :len(d[i:i + rows])] = d[i:i + rows]
+        # bit-reversed order: the transpose reverses the bits of an index
+        order = np.arange(rows).reshape((2,) * (rows.bit_length() - 1)).T
+        maps, growth = _leaves(*block[:, order.ravel()], e2, scale)
+        if growth > _GROWTH_MAX:
+            if rows == 1:
                 raise ConfigurationError(
-                    f"{name} must be a C-contiguous 1-d float64 array")
-        n = len(self.diag)
-        if len(self.offdiag) != n - 1:
-            raise ConfigurationError(
-                f"{n} diagonal entries need {n - 1} off-diagonal ones, not "
-                f"{len(self.offdiag)}")
-        if not 1 <= n <= _MAX_ORDER:
-            raise ConfigurationError(f"order {n} is outside 1..{_MAX_ORDER}")
-        if not (np.all(np.isfinite(self.diag))
-                and np.all(np.isfinite(self.offdiag))):
-            raise ConfigurationError("the tridiagonal matrix is not finite")
-
-    @functools.cached_property
-    def gershgorin(self) -> tuple:
-        """(lower, upper), an interval that holds every eigenvalue."""
-        radius = np.zeros(len(self.diag))
-        np.abs(self.offdiag, out=radius[:-1])
-        radius[1:] += radius[:-1]           # numpy buffers the overlap
-        return (float(np.min(self.diag - radius)),
-                float(np.max(self.diag + radius)))
-
-
-def build_radial_operator(n: int, config: DiscretizationConfig,
-                          potential: PotentialSpec | None = None,
-                          grid_points: int | None = None) -> TridiagonalOperator:
-    """Symmetric tridiagonal matrix for H_n on the half-offset grid.
-
-    diag_j = h^2/delta^2 + h^2 n^2 / (2 r_j^2) + V(r_j) with r_j = (j + 1/2)
-    delta, and offdiag_j = -h^2/(2 delta^2) (j + 1) / sqrt((j + 1/2)(j +
-    3/2)), built with in-place operations in the order of those formulas:
-    the build peaks at about 1.6 times the size of the two results.
-    """
-    potential = potential or PotentialSpec.champagne_bottle()
-    if potential.V(config.r_max) < 2.0 * config.e_max:
-        raise ConfigurationError(
-            f"V(r_max)={potential.V(config.r_max):g} < 2 e_max="
-            f"{2.0 * config.e_max:g}; enlarge r_max")
-    N = grid_points or config.grid_points
-    h = config.h
-    delta = config.r_max / N
-    r = np.arange(N, dtype=np.float64)
-    r += 0.5
-    r *= delta
-    diag = potential.V(r)
-    r *= r
-    np.divide(0.5 * h * h * float(n * n), r, out=r)
-    r += (h * h) / (delta * delta)
-    diag += r
-    del r
-    # off = the scale times (j + 1), over sqrt((j + 1/2)(j + 3/2)); every
-    # j + 1/2, j + 1 and j + 3/2 below is exact
-    off = np.arange(N - 1, dtype=np.float64)
-    off += 0.5
-    root = off + 1.0
-    root *= off
-    np.sqrt(root, out=root)
-    off += 0.5
-    off *= -(h * h / (2.0 * delta * delta))
-    off /= root
-    return TridiagonalOperator(diag, off)
-
-
-# --- LAPACK dlarrc Sturm counts and bisection ---------------------------
-# dlarrc counts the eigenvalues at or below two shifts in one pass over the
-# matrix.  It is called through the function pointer scipy's cython_lapack
-# exports, with ctypes, which releases the GIL for the length of the call,
-# so that bisections on different threads run at the same time.
-
-def _capsule_address(capsule) -> int:
-    # private function objects: setting restype on ctypes.pythonapi's own
-    # would change them for every user in the process
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return get_pointer(capsule, get_name(capsule))
-
-
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-# DLARRC(JOBT, N, VL, VU, D, E, PIVMIN, EIGCNT, LCNT, RCNT, INFO)
-_DLARRC = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, ctypes.c_void_p,
-    ctypes.c_void_p, _DOUBLE, _INT, _INT, _INT, _INT)(
-    _capsule_address(cython_lapack.__pyx_capi__["dlarrc"]))
-# the largest order a C int indexes
-_MAX_ORDER = int(np.iinfo(np.intc).max)
-_ULP = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
-
-
-def _counts(op: TridiagonalOperator, x: float, y: float) -> tuple:
-    """Numbers of eigenvalues at or below x and at or below y, in one
-    dlarrc pass: the pivots <= 0 of the LDL^T factorizations of T - x and
-    T - y.  Its recurrence has no pivot guard, so a pivot of exactly 0.0
-    counts a level twice: it is counted, and so is the -inf pivot after
-    it.  _bisect detects that."""
-    lcnt, rcnt, eigcnt, info = (ctypes.c_int(), ctypes.c_int(),
-                                ctypes.c_int(), ctypes.c_int())
-    # op keeps both arrays, checked when it was made, alive until it returns
-    _DLARRC(b"T", ctypes.c_int(len(op.diag)), ctypes.c_double(x),
-            ctypes.c_double(y), op.diag.ctypes.data, op.offdiag.ctypes.data,
-            ctypes.c_double(0.0), eigcnt, lcnt, rcnt, info)
-    return lcnt.value, rcnt.value
-
-
-def _count_all(op: TridiagonalOperator, xs: list) -> list:
-    """The counts at every x of xs, two per dlarrc pass."""
-    counts = []
-    for i in range(0, len(xs), 2):
-        counts += _counts(op, xs[i], xs[min(i + 1, len(xs) - 1)])
-    return counts[:len(xs)]
-
-
-def _abs_tol(op: TridiagonalOperator) -> float:
-    """dstebz's default absolute tolerance: ULP times the larger
-    Gershgorin bound, and at least the smallest normal double."""
-    return max(_ULP * max(abs(bound) for bound in op.gershgorin), _TINY)
-
-
-def _bisect(op: TridiagonalOperator, first: int, stop: int,
-            a: float, b: float) -> np.ndarray:
-    """The eigenvalues of index first..stop-1 (from 0, ascending) on the
-    dyadic grid of step cell, _abs_tol(op) rounded down to a power of two.
-
-    The guess (a, b], clipped to the Gershgorin interval, is covered by
-    one or two aligned cells of the finest step 2^j >= cell that allows;
-    while the cover's counts miss an index, its end on that side moves
-    out by one cell and the step doubles.  Intervals are then halved at
-    their midpoints, exact doubles since cell > ULP * max |Gershgorin| / 2,
-    until one cell wide, and a level is the midpoint of the cell whose
-    counts hold its index: its value depends on op and its index alone.
-    One dlarrc pass counts two midpoints.  Raises ConfigurationError on an
-    index range outside 0..order, and ConvergenceError on a count past the
-    Gershgorin interval other than 0 or the order, on a count outside its
-    interval's counts, and on a count made too high by a zero pivot.
-    """
-    order = len(op.diag)
-    if not 0 <= first <= stop <= order:
-        raise ConfigurationError(
-            f"index range {first}..{stop - 1} is not inside the {order} "
-            f"levels of a {order}-point grid; the grid is too coarse")
-    lower, upper = op.gershgorin
-    cell = math.ldexp(1.0, math.frexp(_abs_tol(op))[1] - 1)
-    lo = min(max(a, lower), upper)
-    hi, step = min(max(b, lo), upper), cell
-    while True:
-        lo = math.floor(lo / step) * step
-        hi = max(math.ceil(hi / step) * step, lo + step)
-        if hi - lo > 2.0 * step:            # more than two cells
-            step *= 2.0
+                    f"an interval grows by exp({growth:.3g}): E is below V")
+            rows //= 2
             continue
-        clo, chi = _counts(op, lo, hi)
-        if clo <= first and chi >= stop:
+        while len(maps[0]) > 1:
+            half = len(maps[0]) // 2
+            maps = _compose([x[:half] for x in maps], [x[half:] for x in maps])
+        maps = [x[0] for x in maps]
+        total = maps if total is None else _compose(total, maps)
+        top = np.max(np.abs(total[:4]), axis=0)    # directions alone count
+        total = [x / top for x in total[:4]] + total[4:]
+        i += rows
+    return total
+
+
+class _Line:
+    """H_n on the mesh of config.grid_points intervals cut in refine parts
+    each (_split).  The shots from r0 and from the wall meet at the uniform
+    node where V + h^2 n^2 / (2 r^2) is least, inside the well."""
+
+    def __init__(self, n: int, config: DiscretizationConfig,
+                 potential: PotentialSpec, refine: int = 1):
+        h, r_max, rg = config.h, config.r_max, math.sqrt(config.h)
+        if potential.V(r_max) < 2.0 * config.e_max:
+            raise ConfigurationError(
+                f"V(r_max)={potential.V(r_max):g} < 2 e_max="
+                f"{2.0 * config.e_max:g}; enlarge r_max")
+        self.h, self.nu, self.potential = h, abs(n), potential
+        self.r0, m_geo = _split(config.grid_points, h, r_max, n)
+        m_uni, m_geo = refine * (config.grid_points - m_geo), refine * m_geo
+        nodes = np.concatenate((
+            self.r0 * (rg / self.r0) ** (np.arange(m_geo) / m_geo),
+            rg + (r_max - rg) * (np.arange(m_uni) / m_uni), [r_max]))
+        r2 = nodes[:-1] * nodes[1:]
+        # q(E) = q0 - 2 E / h^2 on each interval
+        self.q0 = 2.0 / h**2 * potential.V(np.sqrt(r2)) + (n * n - 0.25) / r2
+        self.d = np.diff(nodes)
+        inner = nodes[m_geo:-1]
+        well = potential.V(inner) + 0.5 * (h * n / inner)**2
+        self.match = m_geo + int(np.argmin(well))
+        self.w_match = float(np.min(well))
+
+    def phase(self, E) -> np.ndarray:
+        """F(E) / pi, the sum of the Pruefer angles shot from r0 and from
+        the wall, at the match node.  It increases with E, its whole part
+        counts the levels at or below E, and level k is where it is k + 1."""
+        s = np.sqrt(2.0 * np.maximum(E - self.w_match, 5e-4)) / self.h
+        e2, j = 2.0 / self.h**2 * E, self.match
+        l00, l01, l10, l11, wl, phil = _product(self.q0[:j], self.d[:j], e2, s)
+        right = _product(self.q0[:j - 1:-1], self.d[:j - 1:-1], e2, s)
+        # y = (S u, u') of r^(|n| + 1/2) (1 + a1 r^2 + a2 r^4) at r0, at an
+        # angle in (0, pi): the left map turns it by [0, pi) from e0's lift
+        c0, c1 = (self.potential.coefficients + (0.0,))[:2]
+        nu, r2 = self.nu, self.r0**2
+        a1 = (c0 - E) / (2.0 * (1.0 + nu)) / self.h**2
+        a2 = (4.0 * (1 + nu) * a1**2 + 2.0 * c1 / self.h**2) / (16.0 + 8 * nu)
+        series = 1.0 + r2 * (a1 + r2 * a2)
+        du = (nu + 0.5) * series + r2 * (2.0 * a1 + 4.0 * a2 * r2)
+        y0 = l00 * s * self.r0 * series + l01 * du
+        y1 = l10 * s * self.r0 * series + l11 * du
+        phi = _line_angle(y0, y1)
+        wl = _lift(phi, wl, phil, l01 * y0 + l11 * y1)
+        return wl + right[4] + (phi + right[5]) / math.pi
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
+    """The levels of index first, first + 1, ..., each from two samples of
+    the phase, the second one evaluated, and the first too if known.
+    Returns the levels, the slope of the phase at each, and the span the
+    slope was measured over.
+
+    A level is the midpoint of the cell on whose ends the phase passes
+    k + 1, on a grid of step 2^j in (5e-11 h, 1e-10 h]: its value depends on
+    the line and its index alone.  Each step evaluates, for the levels not
+    yet solved, the grid point nearest the secant step of the last two
+    samples, or outside the bracket known, its midpoint; once the step's
+    error estimate is under a quarter cell, the ends of its cell.
+    ConvergenceError after _MAX_STEPS steps, or where the phase falls.
+    """
+    cell = math.ldexp(1.0, math.frexp(1e-10 * line.h)[1] - 1)
+    x1, f1, x2, f2 = (np.array(v, dtype=np.float64) for v in (x1, f1, x2, f2))
+    target = first + 1.0 + np.arange(len(x2))
+    # grid indices below the level and at or above it
+    ja, jb = np.full(len(x2), -np.inf), np.full(len(x2), np.inf)
+    for x, f in [(x2, f2), (x1, f1)][:1 + known]:
+        ja = np.where(f < target, np.maximum(ja, np.floor(x / cell)), ja)
+        jb = np.where(f < target, jb, np.minimum(jb, np.ceil(x / cell)))
+    slope, span = (f2 - f1) / (x2 - x1), np.abs(x2 - x1)
+    live = np.arange(len(x2))
+    for _ in range(_MAX_STEPS):
+        if np.any(ja >= jb):
+            i = int(np.argmax(ja >= jb))
+            raise ConvergenceError(
+                f"line n={line.nu}: the phase reaches {target[i]:g} at "
+                f"{jb[i] * cell!r}, not at {ja[i] * cell!r}: it does not rise")
+        live = live[jb[live] - ja[live] > 1.0]
+        if not len(live):
             break
-        if (clo > first and lo < lower) or (chi < stop and hi > upper):
-            raise ConvergenceError(
-                f"Sturm counts {clo}, {chi} at ({lo!r}, {hi!r}], past the "
-                f"Gershgorin interval ({lower!r}, {upper!r}], are not 0 "
-                f"and {order}")
-        lo -= step if clo > first else 0.0
-        hi += step if chi < stop else 0.0
-        step *= 2.0
-    levels = np.empty(stop - first)
-    ends = []                               # (b, cb) of each solved interval
-    live = [(lo, hi, clo, chi)]
-    while live:
-        halve = []
-        for a, b, ca, cb in live:
-            i, j = max(ca, first) - first, min(cb, stop) - first
-            if i >= j:                      # holds no level asked for
-                continue
-            if b - a <= cell:
-                levels[i:j] = 0.5 * (a + b)
-                ends.append((b, cb))
+        a1, b1, a2, b2 = x1[live], f1[live], x2[live], f2[live]
+        t, jl, jr = target[live], ja[live] + 1.0, jb[live] - 1.0
+        s = (b2 - b1) / (a2 - a1)
+        g = (a2 - (b2 - t) / s) / cell
+        error = np.abs((g * cell - a2) * (g * cell - a1) * s)
+        # out of the bracket: its midpoint, or where it is open, a move
+        # toward the level by twice the last step, at least h
+        g = np.where((s > 0.0) & (g > jl - 1.0) & (g < jr + 1.0), g, np.where(
+            np.isfinite(jl + jr), 0.5 * (jl + jr), (a2 + np.copysign(
+                np.maximum(2.0 * np.abs(a2 - a1), line.h), t - b2)) / cell))
+        j = np.floor(g)
+        snap = (error < 0.25 * cell) | (np.abs(g * cell - a2) < 2.0 * cell)
+        pts = np.clip(np.where(snap, j, np.round(g)), jl, jr)
+        two = snap & (j >= jl) & (j + 1.0 <= jr)
+        idx = np.concatenate((live, live[two]))
+        jj = np.concatenate((pts, j[two] + 1.0))
+        for i, ji, fi in zip(idx.tolist(), jj.tolist(),
+                             line.phase(jj * cell).tolist()):
+            if fi < target[i]:
+                ja[i] = max(ja[i], ji)
             else:
-                halve.append((a, b, ca, cb))
-        mids = [0.5 * (a + b) for a, b, _, _ in halve]
-        live = []
-        for (a, b, ca, cb), m, cm in zip(halve, mids, _count_all(op, mids)):
-            if not ca <= cm <= cb:
-                raise ConvergenceError(
-                    f"Sturm count {cm} at {m!r} is outside the counts "
-                    f"{ca}..{cb} of its interval ({a!r}, {b!r}]")
-            live += [(a, m, ca, cm), (m, b, cm, cb)]
-    # A count one too high at a point x puts a level of the interval below
-    # x at x, in place of the one above it.  That level's interval ends at
-    # x, and the count at the next double up is then below x's.
-    above = [float(np.nextafter(b, math.inf)) for b, _ in ends]
-    for (b, cb), c in zip(ends, _count_all(op, above)):
-        if c < cb:
-            raise ConvergenceError(
-                f"Sturm count {cb} at {b!r} is above the count {c} at the "
-                f"next double: a pivot of exactly 0.0 counted a level twice")
-    return levels
+                jb[i] = min(jb[i], ji)
+            x1[i], f1[i], x2[i], f2[i] = x2[i], f2[i], ji * cell, fi
+            if abs(x2[i] - x1[i]) >= 1024.0 * cell:
+                slope[i] = (f2[i] - f1[i]) / (x2[i] - x1[i])
+                span[i] = abs(x2[i] - x1[i])
+    else:
+        raise ConvergenceError(
+            f"line n={line.nu}: levels of index {first + live} not "
+            f"resolved to the step {cell:g} in {_MAX_STEPS} evaluations")
+    return (ja + 0.5) * cell, slope, span
 
 
-def eigenvalues_below(op: TridiagonalOperator, e_max: float) -> np.ndarray:
-    """All discrete eigenvalues < e_max: those of index below the Sturm
-    count at e_max."""
-    e_max = float(e_max)
-    expected = _count_all(op, [e_max])[0]
-    vals = _bisect(op, 0, expected, op.gershgorin[0], e_max)
-    vals = vals[vals < e_max]
-    if len(vals) != expected:
-        raise ConfigurationError(
-            f"eigenvalue count {len(vals)} disagrees with Sturm count "
-            f"{expected} below {e_max}")
-    return vals
+def _levels(coarse: _Line, fine: _Line, first: int, stop: int,
+            a: float, b: float) -> tuple:
+    """(E_2m, E_m): the levels of index first..stop-1 on the fine and the
+    coarse mesh, from the phases at a and b, then by a Newton step on the
+    coarse slope; ConfigurationError for any other number of levels."""
+    if stop <= first:
+        return np.empty(0), np.empty(0)
+    size = stop - first
+    fa, fb = coarse.phase(np.array([a, b]))
+    coarse_levels, slope, span = _solve(
+        coarse, first, np.full(size, a), np.full(size, fa), np.full(size, b),
+        np.full(size, fb))
+    f = fine.phase(coarse_levels)
+    fine_levels = _solve(fine, first, coarse_levels - span, f - slope * span,
+                         coarse_levels, f, known=False)[0]
+    if not len(coarse_levels) == len(fine_levels) == size:
+        raise ConfigurationError(f"the solves returned {len(fine_levels)} "
+                                 f"levels where the phase counts {size}")
+    return fine_levels, coarse_levels
 
 
 # one radial level: index k from the bottom and eigenvalue E1
 LEVEL_DTYPE = np.dtype([("k", np.int64), ("E1", np.float64)])
 
-# largest Richardson correction |E_rich - E_2N| allowed, in local gaps
+# largest Richardson correction |E_rich - E_2m| allowed, in local gaps
 RICHARDSON_GAP_BUDGET = 0.5
 
 
@@ -441,63 +440,28 @@ def _richardson_ratio(fine: np.ndarray, rich: np.ndarray) -> float:
     return float(np.max(np.abs(rich - fine) / local, initial=0.0))
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _grid_levels(ops: tuple, a: float, b: float, first: int,
-                 stop: int) -> tuple:
-    """(E_2N, E_N): the levels of index first..stop-1 on ops = (grid 2N,
-    grid N).  first..stop-1 is cut into equal index ranges, one per usable
-    CPU, each bisected on both grids from the guess (a, b] on one pool."""
-    if stop <= first:
-        return np.empty(0), np.empty(0)
-    for op in ops:
-        op.gershgorin       # cached here, not by every worker at once
-    parts = min(_usable_cpus(), stop - first)
-    cuts = [first + (stop - first) * j // parts for j in range(parts + 1)]
-
-    def solve(i):
-        return [_bisect(op, cuts[i], cuts[i + 1], a, b) for op in ops]
-
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        solved = list(pool.map(solve, range(parts)))
-    grids = []
-    for i, op in enumerate(ops):
-        vals = np.concatenate([levels[i] for levels in solved])
-        if len(vals) != stop - first:
-            raise ConfigurationError(
-                f"bisection returned {len(vals)} levels of index {first}.."
-                f"{stop - 1} on {len(op.diag)} points, the Sturm counts "
-                f"{stop - first}")
-        grids.append(vals)
-    return tuple(grids)
-
-
 def eigenvalues_in_window(n: int, config: DiscretizationConfig,
                           potential: PotentialSpec,
                           lo: float, hi: float) -> np.recarray:
     """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
     index from the bottom.
 
-    The grid-2N Sturm counts at lo and hi give the indices of the window's
-    levels.  Both grids are bisected for exactly those indices and E1 =
-    (4 E_2N - E_N) / 3, so the pairing is by index and cannot drop a level.
-    A window with fewer than two levels takes its neighbours too, so that
-    a correction and a gap are measured.  Completeness comes from the
-    measured correction: with c = 2 max |E1 - E_2N|, the levels the grid
-    2N has in (lo - c, lo] and (hi, hi + c] are added on both grids, until
-    c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET local
-    gaps raises ConfigurationError.
+    The phase counts on the mesh 2m at lo and hi give the indices of the
+    window's levels.  Both meshes are solved for exactly those indices and
+    E1 = (4 E_2m - E_m) / 3, so the pairing is by index and cannot drop a
+    level.  A window with fewer than two levels takes its neighbours too,
+    so that a correction and a gap are measured.  Completeness comes from
+    the measured correction: with c = 2 max |E1 - E_2m|, the levels the
+    mesh 2m has in (lo - c, lo] and (hi, hi + c] are added on both meshes,
+    until c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET
+    local gaps raises ConfigurationError.
     """
-    grid = config.grid_points
-    ops = (build_radial_operator(n, config, potential, grid_points=2 * grid),
-           build_radial_operator(n, config, potential))
-    first, stop = _counts(ops[0], lo, hi)
+    coarse, fine = (_Line(n, config, potential, refine) for refine in (1, 2))
+    first, stop = (math.floor(f) for f in fine.phase(np.array([lo, hi])))
     if stop - first < 2:
         first = max(first - 1, 0)
         stop = first + 2
-    e_fine, e_coarse = _grid_levels(ops, lo, hi, first, stop)
+    e_fine, e_coarse = _levels(coarse, fine, first, stop, lo, hi)
     while True:
         e1 = (4.0 * e_fine - e_coarse) / 3.0
         ratio = _richardson_ratio(e_fine, e1)
@@ -505,14 +469,15 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
             raise ConfigurationError(
                 f"line n={n}: the Richardson correction is {ratio:.3g} "
                 f"local gaps, above the budget of {RICHARDSON_GAP_BUDGET}; "
-                f"N={grid} is too coarse")
+                f"m={config.grid_points} is too coarse")
         c = 2.0 * float(np.max(np.abs(e1 - e_fine)))
-        start, end = _counts(ops[0], lo - c, hi + c)
+        start, end = (math.floor(f)
+                      for f in fine.phase(np.array([lo - c, hi + c])))
         start, end = min(first, start), max(stop, end)
         if (start, end) == (first, stop):
             break
-        below = _grid_levels(ops, lo - c, lo, start, first)
-        above = _grid_levels(ops, hi, hi + c, stop, end)
+        below = _levels(coarse, fine, start, first, lo - c, lo)
+        above = _levels(coarse, fine, stop, end, hi, hi + c)
         e_fine, e_coarse = (np.concatenate(parts)
                             for parts in zip(below, (e_fine, e_coarse), above))
         first, stop = start, end
@@ -570,8 +535,8 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
     """Joint eigenvalues (E1, E2=hn) for n in n_range, E1 in e_window.
 
     The radial operator depends on n only through n^2, so only |n| lines
-    are solved, one after another, each on one thread per usable CPU, and
-    negative lines are mirrored bit for bit.
+    are solved, one after another, and negative lines are mirrored bit for
+    bit.
     """
     n_min, n_max = int(n_range[0]), int(n_range[1])
     lo, hi = float(e_window[0]), float(e_window[1])

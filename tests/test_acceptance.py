@@ -57,13 +57,14 @@ def test_criterion_2_harmonic_eigensolver_oracle():
         for k in range(11):
             exact = h * (2 * k + n + 1)
             worst = max(worst, abs(got[k][1] - exact) / exact)
-    # grid-doubling error ratio on the plain second-order scheme
+    # mesh-doubling error ratio of the ground state on one CP mesh, with
+    # no Richardson step: the second-order scheme
     errs = []
     for npts in (512, 1024):
         cfg = rs.DiscretizationConfig(r_max=6.0, grid_points=npts, h=h,
                                       e_max=1.0)
-        op = rs.build_radial_operator(0, cfg, pot)
-        errs.append(abs(rs.eigenvalues_below(op, 0.2)[0] - h))
+        coarse, fine = (rs._Line(0, cfg, pot, refine) for refine in (1, 2))
+        errs.append(abs(rs._levels(coarse, fine, 0, 1, 0.05, 0.2)[1][0] - h))
     ratio = errs[0] / errs[1]
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and 3.5 <= ratio <= 4.5 and dt < 30.0
@@ -165,6 +166,11 @@ def test_criterion_9_regularized_action():
            f"{dev:.2e} <= 1e-4, raw derivative increments "
            f"{g[1] - g[0]:.3f}, {g[2] - g[1]:.3f} ~ ln10/sqrt2 "
            f"= {math.log(10.0) / SQRT2:.3f}")
+
+
+def test_criterion_11_singular_bohr_sommerfeld_rule(spec_h1em4, spec_h1em5):
+    out = ex.bohr_sommerfeld([spec_h1em4, spec_h1em5])
+    report(11, "singular Bohr-Sommerfeld rule", out.ok, out.detail)
 
 
 def test_criterion_10_quantum_monodromy_and_counting(spec_h5em3,

@@ -391,6 +391,30 @@ def test_unwind_enclosing_loop(spec_h5em3):
     assert np.array_equal((M - I) @ (M - I), 0 * I)
 
 
+def test_unwind_rejects_fewer_than_three_vertices(spec_h5em3):
+    # an empty polygon is a DomainError, as two rows are, not an IndexError
+    # from reading its first row
+    for rows in (0, 1, 2):
+        with pytest.raises(DomainError, match="at least 3 vertices"):
+            unwind(spec_h5em3.points[:rows], spec_h5em3)
+
+
+def test_count_matches_a_point_by_point_count(spec_h5em3):
+    # the corners are converted once for all the lines; each row placed
+    # on its own by lattice_point_in_polygon gives the same N_spec
+    for poly in (make_loop_polygon(spec_h5em3, 18.0, seed=7),
+                 make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
+                                   center=(-18.0, -5.0), enclosing=False)):
+        corners = np.column_stack([poly.k, poly.n])
+        rows = spec_h5em3.points[(spec_h5em3.points.n >= poly.n.min())
+                                 & (spec_h5em3.points.n <= poly.n.max())]
+        one_by_one = sum(lattice_point_in_polygon((int(p.k), int(p.n)),
+                                                  corners) for p in rows)
+        n_spec, _ = count_in_polygon(spec_h5em3, poly,
+                                     unwind(poly, spec_h5em3))
+        assert n_spec == one_by_one > 0
+
+
 def test_unwind_non_enclosing_is_identity(spec_h5em3):
     poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=1,
                              center=(18.0, 6.0), enclosing=False)

@@ -1,32 +1,26 @@
 """Radial eigensolver: harmonic oracle, convergence order, bookkeeping."""
 
+import dataclasses
 import functools
 import json
 import math
 import os
 import re
-import sys
-import threading
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from champagne import radial_spectrum
+import fd2
+from champagne import radial_spectrum as rs
 from champagne.errors import ConfigurationError, ConvergenceError
-from champagne.radial_spectrum import (GRID_EPS, RICHARDSON_GAP_BUDGET,
-                                       TridiagonalOperator, _abs_tol,
-                                       _bisect, _count_all, _counts,
+from champagne.radial_spectrum import (MAX_GRID_POINTS, RICHARDSON_GAP_BUDGET,
                                        DiscretizationConfig, PotentialSpec,
-                                       build_radial_operator, default_config,
-                                       eigenvalues_below,
-                                       eigenvalues_in_window, joint_spectrum,
-                                       read_spectrum_csv, write_spectrum_csv)
+                                       default_config, eigenvalues_in_window,
+                                       joint_spectrum, read_spectrum_csv,
+                                       write_spectrum_csv)
 
 HARMONIC = PotentialSpec.harmonic_test()
 
@@ -47,17 +41,29 @@ def test_harmonic_oracle_h01():
             assert abs(e - ref) / ref < 1e-6, (n, k, e, ref)
 
 
+def mesh_levels(line, first, stop, a, b):
+    """The levels of index first..stop-1 of one mesh, with no Richardson
+    step, solved from the phases at a and b."""
+    size = stop - first
+    fa, fb = line.phase(np.array([a, b]))
+    return rs._solve(line, first, np.full(size, a), np.full(size, fa),
+                     np.full(size, b), np.full(size, fb))[0]
+
+
+def mesh_level(n, config, potential, k, lo, hi):
+    """Level k on the mesh of config alone."""
+    return float(mesh_levels(rs._Line(n, config, potential), k, k + 1, lo,
+                             hi)[0])
+
+
 def test_grid_doubling_second_order():
-    # plain fd2 error must shrink by ~4 per grid doubling
+    # the plain CP error must shrink by ~4 per mesh doubling
     h = 0.1
     e_ref = h * 1.0  # ground state, n = 0
     errs = []
-    for npts in (512, 1024, 2048):
-        cfg = DiscretizationConfig(r_max=6.0, grid_points=npts, h=h,
-                                   e_max=1.0)
-        vals = eigenvalues_below(build_radial_operator(0, cfg, HARMONIC),
-                                 0.5)
-        errs.append(abs(vals[0] - e_ref))
+    for m in (512, 1024, 2048):
+        cfg = DiscretizationConfig(r_max=6.0, grid_points=m, h=h, e_max=1.0)
+        errs.append(abs(mesh_level(0, cfg, HARMONIC, 0, 0.05, 0.2) - e_ref))
     for a, b in zip(errs[:-1], errs[1:]):
         assert 3.5 <= a / b <= 4.5
 
@@ -66,9 +72,7 @@ def test_richardson_beats_plain():
     h = 0.1
     config = DiscretizationConfig(r_max=6.0, grid_points=1024, h=h, e_max=1.0)
     e_ref = h * 3.0  # k = 1, n = 0
-    # plain fd2: the grid-N level in [0.2, 0.4)
-    plain = eigenvalues_below(build_radial_operator(0, config, HARMONIC), 0.4)
-    ep = plain[plain >= 0.2][0]
+    ep = mesh_level(0, config, HARMONIC, 1, 0.2, 0.4)
     er = eigenvalues_in_window(0, config, HARMONIC, 0.2, 0.4)[0][1]
     assert abs(er - e_ref) < 1e-2 * abs(ep - e_ref)
 
@@ -76,48 +80,129 @@ def test_richardson_beats_plain():
 CHAMPAGNE = PotentialSpec.champagne_bottle()
 
 
-def scipy_levels_below(op, e_top):
-    """The levels of op below e_top, by scipy's LAPACK bisection run to
-    2 ULP relative: at dstebz's default tolerance its own error reaches
-    the 1e-9 local gaps asked of the window solve."""
-    vals = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
-                            select="v", select_range=(-2.0, e_top),
-                            tol=1e-300)
-    return vals[vals < e_top]
+# --- an independent route through the same mesh ---------------------------
+# The interval maps are written out from their formulas and applied to
+# (u, u') one interval at a time, in a Python loop: no pairwise products,
+# no Pruefer lift, no dyadic grid.  Levels are the zeros of the Wronskian
+# at the match node, found by brentq between the fd2 levels.
+
+def interval_maps(line, E):
+    """(c, s, q s) of every interval of line at the energy E: the map
+    (u, u') -> (c u + s u', q s u + c u')."""
+    q = line.q0 - (2.0 / line.h**2) * E
+    a = np.sqrt(np.abs(q))
+    t = a * line.d
+    c = np.where(q < 0.0, np.cos(t), np.cosh(t))
+    s = np.where(q < 0.0, np.sin(t), np.sinh(t)) / np.where(a > 0.0, a, 1.0)
+    s = np.where(a > 0.0, s, line.d)
+    return c.tolist(), s.tolist(), (q * s).tolist()
 
 
-def brute_force_window(coarse, fine, lo, hi):
-    """All levels of grids N and 2N, paired by position, extrapolated,
-    then filtered to [lo, hi): (k, E1) pairs."""
-    m = min(len(coarse), len(fine))
-    rich = (4.0 * fine[:m] - coarse[:m]) / 3.0
-    return [(k, e) for k, e in enumerate(rich) if lo <= e < hi]
+def step(u, du, c, s, qs):
+    u, du = c * u + s * du, qs * u + c * du
+    scale = max(abs(u), abs(du))            # keeps the signs and zeros
+    return u / scale, du / scale
+
+
+def frobenius_start(line, E):
+    """(u, u') over r0^(|n| - 1/2) at r0 of r^(|n| + 1/2) sum_j a_j r^(2j),
+    a_0 = 1, whose recursion 4 j (j + |n|) a_j = 2 / h^2 ((c_0 - E)
+    a_(j-1) + c_1 a_(j-2)) from u'' = ((n^2 - 1/4) / r^2 + 2 (V - E) / h^2)
+    u is taken to j = 2."""
+    c0, c1 = line.potential.coefficients[:2]
+    nu, r = line.nu, line.r0
+    a1 = 2.0 / line.h**2 * (c0 - E) / (4.0 * (1 + nu))
+    a2 = 2.0 / line.h**2 * ((c0 - E) * a1 + c1) / (8.0 * (2 + nu))
+    u = r * (1.0 + a1 * r**2 + a2 * r**4)
+    du = (nu + 0.5) * (1.0 + a1 * r**2 + a2 * r**4) \
+        + 2.0 * a1 * r**2 + 4.0 * a2 * r**4
+    return u, du
+
+
+def wronskian(line, E):
+    """u_L v' + u_L' v at the match node, with u_L shot from the Frobenius
+    start and v from the wall (v = 0, v' = 1) inward: it vanishes at the
+    levels and changes sign at each."""
+    c, s, qs = interval_maps(line, E)
+    u, du = frobenius_start(line, E)
+    for i in range(line.match):
+        u, du = step(u, du, c[i], s[i], qs[i])
+    v, dv = 0.0, 1.0
+    for i in reversed(range(line.match, len(c))):
+        v, dv = step(v, dv, c[i], s[i], qs[i])
+    return u * dv + du * v
+
+
+def zero_count(line, E):
+    """Zeros in (r0, r_max) of the solution shot from the Frobenius start:
+    sin(a tau + phi) passes its zeros in each oscillating interval, and a
+    sign change marks the one zero an interval of cosh and sinh holds."""
+    c, s, qs = interval_maps(line, E)
+    q = line.q0 - (2.0 / line.h**2) * E
+    u, du = frobenius_start(line, E)
+    zeros = 0
+    for i in range(len(c)):
+        if q[i] < 0.0:
+            a = math.sqrt(-q[i])
+            phi = math.atan2(u, du / a)
+            zeros += (math.floor((a * line.d[i] + phi) / math.pi)
+                      - math.floor(phi / math.pi))
+            u, du = step(u, du, c[i], s[i], qs[i])
+        else:
+            before = u
+            u, du = step(u, du, c[i], s[i], qs[i])
+            zeros += before != 0.0 and (u == 0.0 or (u > 0) != (before > 0))
+    return zeros
+
+
+def oracle_levels(line, fd2_levels):
+    """The levels of one mesh but the top one, level k between the
+    midpoints of fd2 levels k - 1, k and k + 1."""
+    mids = 0.5 * (fd2_levels[1:] + fd2_levels[:-1])
+    ends = np.concatenate(([2.0 * fd2_levels[0] - mids[0]], mids))
+    return np.array([brentq(lambda e: wronskian(line, e), a, b, xtol=1e-15,
+                            rtol=4.0 * np.finfo(float).eps)
+                     for a, b in zip(ends[:-1], ends[1:])])
+
+
+@functools.cache
+def oracle_window_levels(potential, n, e_top):
+    """On h = 1e-2: the config, fd2's levels, and the oracle's levels on
+    the meshes m and 2m, of every index whose fd2 level lies below
+    e_top + 0.05 but the top one."""
+    h = 1e-2
+    config = default_config(h, e_top, potential)
+    first, ref = fd2.window_levels(n, config.r_max, 4 * config.grid_points,
+                                   h, potential, -1.0, e_top + 0.05)
+    assert first == 0
+    coarse, fine = (oracle_levels(rs._Line(n, config, potential, refine), ref)
+                    for refine in (1, 2))
+    return config, ref[:-1], coarse, fine
 
 
 @pytest.mark.parametrize("potential,n", [(CHAMPAGNE, 0), (CHAMPAGNE, 3),
                                          (HARMONIC, 0), (HARMONIC, 2)])
 def test_window_solve_matches_brute_force(potential, n):
-    h = 1e-2
+    # every level of the window solve equals, to 1e-9 local gaps, the
+    # brute-force value of the same index: all levels below 0.3 on both
+    # meshes by the oracle, extrapolated, then filtered to the window
     e_top = 0.3
-    config = default_config(h, e_top, potential)
-    coarse = scipy_levels_below(build_radial_operator(n, config, potential),
-                                e_top)
-    fine = scipy_levels_below(build_radial_operator(
-        n, config, potential, grid_points=2 * config.grid_points), e_top)
+    config, _, coarse, fine = oracle_window_levels(potential, n, e_top)
+    rich = (4.0 * fine - coarse) / 3.0
     mid = len(fine) // 2
-    # between the grid-2N value of a level and its extrapolated value
-    split = fine[mid] + (fine[mid] - coarse[mid]) / 6.0
+    # between the mesh-2m value of a level and its extrapolated value
+    split = fine[mid] + 0.5 * (rich[mid] - fine[mid])
     windows = [(fine[2], fine[12]), (fine[mid], fine[mid + 1]),
                (fine[mid - 1], fine[mid - 1] + 1e-14),
                (0.5 * (fine[mid] + fine[mid + 1]), fine[mid + 4]),
                (fine[mid] - 1e-13, fine[mid] + 1e-13),
                (fine[3], 0.5 * (fine[3] + fine[4])),
                (split, fine[mid + 3]), (fine[mid - 3], split)]
+    gap = float(np.min(np.diff(fine)))
     for lo, hi in windows:
-        want = brute_force_window(coarse, fine, lo, hi)
+        want = [(k, e) for k, e in enumerate(rich) if lo <= e < hi]
         got = eigenvalues_in_window(n, config, potential, lo, hi)
         assert [k for k, _ in want] == got.k.tolist(), (lo, hi)
-        gap = float(np.min(np.diff(fine)))
         for (_, e), g in zip(want, got.E1):
             assert abs(e - g) <= 1e-9 * gap, (lo, hi)
 
@@ -136,284 +221,159 @@ def test_window_solve_is_additive(a, t, width, potential):
     right = eigenvalues_in_window(0, config, potential, b, c)
     parts = np.concatenate((left, right))
     assert whole.k.tolist() == parts["k"].tolist()
-    # a level's value depends on the operator and its index alone
+    # a level's value depends on the line and its index alone
     assert whole.E1.tobytes() == parts["E1"].tobytes()
 
 
 def test_richardson_budget_rejects_a_coarse_grid():
-    # at h = 1e-3 near E = 0 the correction is ~1.1 gaps on N = 1024
-    # and ~0.06 gaps on N = 4096, against a budget of 0.5
-    h = 1e-3
-    r_max = default_config(h, 0.05).r_max
+    # at h = 1e-4 near E = 0 the correction is ~0.8 local gaps on m = 80
+    # and ~0.03 gaps on m = 512, against a budget of 0.5
+    h = 1e-4
+    r_max = default_config(h, 0.02).r_max
 
     def window(grid_points):
         config = DiscretizationConfig(r_max=r_max, grid_points=grid_points,
-                                      h=h, e_max=0.05)
-        return eigenvalues_in_window(0, config, CHAMPAGNE, -0.02, 0.02)
+                                      h=h, e_max=0.02)
+        return eigenvalues_in_window(0, config, CHAMPAGNE, -0.002, 0.002)
 
     assert RICHARDSON_GAP_BUDGET == 0.5
-    assert len(window(4096)) == 34
+    assert len(window(512)) == 45
     with pytest.raises(ConfigurationError, match="Richardson correction"):
-        window(1024)
+        window(80)
 
 
 def test_sturm_count_matches_eigensolver():
+    # the phase counts the levels the solve finds below 1.0, and 2 below
+    # the midpoint of levels 1 and 2
     cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
-    op = build_radial_operator(2, cfg, HARMONIC)
-    vals = eigenvalues_below(op, 1.0)
+    line = rs._Line(2, cfg, HARMONIC)
+    vals = eigenvalues_in_window(2, cfg, HARMONIC, -1.0, 1.0).E1
     mid = 0.5 * (vals[1] + vals[2])
-    assert _counts(op, 1.0, mid) == (len(vals), 2)
+    counts = np.floor(line.phase(np.array([1.0, mid])))
+    assert counts.tolist() == [len(vals), 2]
 
 
-# the operators of the LAPACK reference tests: h = 1e-2, grids N and 2N
+# the lines of the oracle tests: h = 1e-2, meshes m and 2m
 REFERENCE_LINES = [(CHAMPAGNE, 0), (CHAMPAGNE, 3), (HARMONIC, 2)]
 
 
 @functools.cache
-def reference_operators(potential, n):
-    config = default_config(1e-2, 0.3, potential)
-    return [build_radial_operator(n, config, potential, grid_points=g)
-            for g in (config.grid_points, 2 * config.grid_points)]
-
-
-def python_sturm_count(diag, off, x):
-    """Eigenvalues strictly below x: the signs of the LDL^T pivots of
-    T - x, one Python step per row."""
-    shifted = (diag - x).tolist()
-    off2 = (off ** 2).tolist()
-    d = shifted[0]
-    count = int(d < 0.0)
-    for a, b2 in zip(shifted[1:], off2):
-        if d == 0.0:
-            d = 1e-300
-        d = a - b2 / d
-        count += d < 0.0
-    return count
-
-
-@pytest.mark.parametrize("potential,n", REFERENCE_LINES)
-def test_bisection_matches_scipy(potential, n):
-    # scipy's select="i" solve is dstebz, which stops at an interval of
-    # width at most max(ULP * Gershgorin norm, 2 ULP relative); _bisect
-    # stops at a dyadic cell no wider than the first.  Both report the
-    # midpoint, so the two agree within the wider width
-    ulp = np.finfo(np.float64).eps
-    for op in reference_operators(potential, n):
-        d, e = op.diag, op.offdiag
-        a, b = op.gershgorin[0] - 1.0, op.gershgorin[1] + 1.0
-        assert _counts(op, a, b) == (0, len(d))
-        for first, stop in [(0, 1), (0, 12), (7, 30), (len(d) - 3, len(d))]:
-            want = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                    select_range=(first, stop - 1))
-            got = _bisect(op, first, stop, a, b)
-            tol = np.maximum(_abs_tol(op), 2.0 * ulp * np.abs(want))
-            assert np.all(np.abs(got - want) <= tol), (first, stop)
-
-
-# guesses near the focus value, far outside the spectrum, and 0
-GUESSES = st.one_of(st.floats(-0.3, 0.3), st.floats(-1e300, 1e300),
-                    st.just(0.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(REFERENCE_LINES), st.integers(0, 1), st.data())
-def test_levels_do_not_depend_on_the_guess(line, grid, data):
-    # the levels of first..stop-1 from the Gershgorin interval equal, bit
-    # for bit, those of any split of the range, each part bisected from
-    # any guess: one of zero width, one that holds none of its levels, or
-    # one far outside the spectrum
-    op = reference_operators(*line)[grid]
-    order = len(op.diag)
-    first = data.draw(st.one_of(st.integers(0, 60),
-                                st.integers(0, order - 1)))
-    stop = data.draw(st.integers(first, min(first + 12, order)))
-    want = _bisect(op, first, stop, *op.gershgorin)
-    cuts = sorted(data.draw(st.lists(st.integers(first, stop), max_size=3)))
-    got = []
-    for i, j in zip([first] + cuts, cuts + [stop]):
-        a = data.draw(GUESSES)
-        width = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-        got.append(_bisect(op, i, j, a, a + width))
-    assert np.concatenate(got).tobytes() == want.tobytes()
+def reference_line(potential, n, refine):
+    return rs._Line(n, default_config(1e-2, 0.3, potential), potential,
+                    refine)
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
 def test_sturm_count_matches_the_python_loop(potential, n):
-    for op in reference_operators(potential, n):
-        vals = eigenvalues_below(op, 0.3)
-        # midpoints between levels, below the lowest and above the top
-        points = np.concatenate(([vals[0] - 1.0, vals[0] - 1e-3],
-                                 0.5 * (vals[:-1] + vals[1:])[::3],
-                                 [0.3, 50.0]))
-        for x in points:
-            want = python_sturm_count(op.diag, op.offdiag, x)
-            assert _counts(op, x, x) == (want, want), x
-        assert _counts(op, 1e9, 1e9) == (len(op.diag), len(op.diag))
+    # the whole part of the phase is the number of zeros the solution
+    # has, counted one interval at a time
+    _, ref, _, _ = oracle_window_levels(potential, n, 0.3)
+    for refine in (1, 2):
+        line = reference_line(potential, n, refine)
+        points = np.concatenate(([ref[0] - 1.0, ref[0] - 1e-3],
+                                 0.5 * (ref[:-1] + ref[1:])[::3],
+                                 [0.3, 3.0]))
+        counts = np.floor(line.phase(points)).astype(int).tolist()
+        assert counts == [zero_count(line, x) for x in points]
+        assert counts[2:-2] == list(range(1, len(ref), 3))
 
 
-def test_malformed_operator_is_rejected_before_lapack():
-    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
-    op = build_radial_operator(0, cfg, HARMONIC)
-    d, e = op.diag, op.offdiag
-    bad = [(d.astype(np.float32), e), (d, e.astype(np.int64)),
-           (np.repeat(d, 2)[::2], e), (d, e[:-1]), (d, np.append(e, 1.0)),
-           (d[:0], e[:0]), (np.where(d > 50.0, np.nan, d), e)]
-    for diag, off in bad:
-        with pytest.raises(ConfigurationError):
-            TridiagonalOperator(diag, off)
-    # index ranges outside the levels of the grid
-    a, b = op.gershgorin[0] - 1.0, op.gershgorin[1] + 1.0
-    for first, stop in [(-1, 3), (2, 1), (0, len(d) + 1)]:
-        with pytest.raises(ConfigurationError, match="not inside"):
-            _bisect(op, first, stop, a, b)
-    # through the public path: an operator with a short off-diagonal
-    with pytest.raises(ConfigurationError, match="off-diagonal"):
-        eigenvalues_below(TridiagonalOperator(d, e[:-5]), 1.0)
-
-
-def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
-    # a solve that disagrees with the Sturm counts is an error, not a
-    # table with a level dropped
-    inner = radial_spectrum._bisect
-    monkeypatch.setattr(radial_spectrum, "_bisect",
-                        lambda op, *args: inner(op, *args)[1:])
-    config = default_config(1e-2, 0.3)
-    with pytest.raises(ConfigurationError, match="Sturm counts"):
-        eigenvalues_in_window(0, config, CHAMPAGNE, -0.05, 0.05)
-
-
-def test_non_monotone_count_raises(monkeypatch):
-    # dlarrc has no pivot guard: a pivot of exactly 0.0 counts a level
-    # twice.  A count above its interval's upper count is an error, and
-    # so is a count past the Gershgorin interval that is not 0 or the
-    # order: the cover stops moving out there instead of moving forever
-    op = reference_operators(CHAMPAGNE, 0)[0]
-    a, b = -0.05, 0.05
-    ca, cb = _counts(op, a, b)
-    assert cb - ca >= 2
-    with monkeypatch.context() as patch:
-        patch.setattr(radial_spectrum, "_counts",
-                      lambda op, x, y: (cb + 1, cb + 1))
-        with pytest.raises(ConvergenceError, match="Gershgorin interval"):
-            _bisect(op, ca, cb, a, b)
-    # at the first midpoint, a count above the cover's
-    monkeypatch.setattr(radial_spectrum, "_count_all",
-                        lambda op, xs: [len(op.diag) + 1] * len(xs))
-    with pytest.raises(ConvergenceError, match="outside the counts"):
-        _bisect(op, ca, cb, a, b)
-
-
-def test_zero_pivot_is_not_counted_twice():
-    # T = [[1, 1], [1, 1]] has the levels 0 and 2.  At x = 1 the first
-    # pivot is exactly 0.0, and dlarrc counts it and the -inf after it.
-    op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]))
-    assert _counts(op, 1.0, 1.0) == (2, 2)
-    # 1 is a point of the dyadic grid: the level 2 would come out as 1
-    with pytest.raises(ConvergenceError, match="pivot of exactly 0.0"):
-        _bisect(op, 0, 2, -1.0, 3.0)
-    # on a radial operator, x = diag[0] makes the first pivot 0.0
-    for op in reference_operators(CHAMPAGNE, 0):
-        x = op.diag[0]
-        want = python_sturm_count(op.diag, op.offdiag, x)
-        assert _counts(op, x, x)[0] == want + 1
-
-
-def test_too_coarse_grid_raises():
-    # a window with more levels on grid 2N than grid N has at all is an
-    # error, not an endless widening of the grid-N bracket
-    config = DiscretizationConfig(r_max=1.1, grid_points=64, h=1e-3,
-                                  e_max=0.1)
-    with pytest.raises(ConfigurationError, match="too coarse"):
-        eigenvalues_in_window(0, config, CHAMPAGNE, -0.3, 0.1)
+@pytest.mark.parametrize("potential,n", REFERENCE_LINES)
+def test_bisection_matches_scipy(potential, n):
+    # on each mesh, the safeguarded secant and bisection steps on the
+    # dyadic grid stop in the cell of scipy's brentq root of the oracle's
+    # Wronskian: the level is that cell's midpoint, and a cell is at most
+    # 1e-10 h wide
+    _, _, *meshes = oracle_window_levels(potential, n, 0.3)
+    cell = 1e-10 * 1e-2
+    for refine, want in zip((1, 2), meshes):
+        line = reference_line(potential, n, refine)
+        for first, stop in [(0, 1), (0, 12), (7, 14)]:
+            got = mesh_levels(line, first, stop, -0.3, 0.3)
+            assert np.all(np.abs(got - want[first:stop]) <= cell), first
 
 
 def test_chunked_bisection_is_bit_identical(monkeypatch):
-    # every chunk bisects from the line's one bracket through the same
-    # midpoints, so 1 to 5 chunks give the same levels, bit for bit
+    # the interval maps are multiplied out in blocks of rows, scaled and
+    # composed; blocks of 2^10 to 2^16 entries give the same levels, bit
+    # for bit, since each is the midpoint of its cell on the dyadic grid
     h = 1e-4
     e1 = 2.5 * math.sqrt(2.0) * h
     config = default_config(h, e1)
     lines = []
-    for chunks in range(1, 6):
-        monkeypatch.setattr(radial_spectrum, "_usable_cpus",
-                            lambda: chunks)
+    for size in (1 << 10, 1 << 12, 1 << 14, 1 << 16):
+        monkeypatch.setattr(rs, "_BLOCK", size)
         lines.append(eigenvalues_in_window(0, config, CHAMPAGNE, -e1, e1))
     assert len(lines[0]) >= 8
     for line in lines[1:]:
         assert line.tobytes() == lines[0].tobytes()
 
 
-def legacy_radial_operator(n, config, potential, grid_points):
-    """build_radial_operator written out as whole-array expressions."""
-    N = grid_points
-    h = config.h
-    delta = config.r_max / N
-    j = np.arange(N)
-    r = (j + 0.5) * delta
-    u = r ** 2
-    v = np.zeros_like(u)
-    for c in reversed(potential.coefficients):
-        v = v * u + c
-    diag = (h * h) / (delta * delta) + 0.5 * h * h * float(n * n) \
-        / (r * r) + v
-    jj = np.arange(N - 1)
-    off = -(h * h / (2.0 * delta * delta)) * (jj + 1.0) \
-        / np.sqrt((jj + 0.5) * (jj + 1.5))
-    return diag, off
+# guesses near the focus value, farther out, and 0
+GUESSES = st.one_of(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0),
+                    st.just(0.0))
 
 
-@pytest.mark.parametrize("potential,n", [(CHAMPAGNE, 0), (CHAMPAGNE, 5),
-                                         (HARMONIC, 2)])
-def test_operator_build_is_bit_identical_and_in_place(potential, n):
-    config = default_config(1e-3, 0.04, potential)
-    grid = 1 << 16
-    diag, off = legacy_radial_operator(n, config, potential, grid)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        op = build_radial_operator(n, config, potential, grid_points=grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert op.diag.tobytes() == diag.tobytes()
-    assert op.offdiag.tobytes() == off.tobytes()
-    assert peak <= 2 * (op.diag.nbytes + op.offdiag.nbytes), peak
-
-
-def test_threaded_lines_equal_a_serial_solve(monkeypatch):
-    # 9 |n| lines, each bisected on one thread per CPU, with the
-    # interpreter switching threads as often as it can: every level
-    # equals, bit for bit, the one a line-by-line solve in one chunk on
-    # one worker thread gives
-    h = 1e-2
-    window = (-10.5 * math.sqrt(2.0) * h, 10.5 * math.sqrt(2.0) * h)
-    config = default_config(h, window[1])
-    with monkeypatch.context() as patch:
-        patch.setattr(radial_spectrum, "_usable_cpus", lambda: 1)
-        serial = {m: eigenvalues_in_window(m, config, CHAMPAGNE, *window)
-                  for m in range(9)}
-    assert len(serial) > len(os.sched_getaffinity(0))
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_LINES), st.integers(1, 2), st.data())
+def test_levels_do_not_depend_on_the_guess(line, refine, data):
+    # the levels of first..stop-1 solved from the window ends equal, bit
+    # for bit, those of any split of the range, each part solved from
+    # any two guesses: equal ones, ones that hold none of its levels, or
+    # ones far from them
+    line = reference_line(*line, refine)
+    first = data.draw(st.integers(0, 40))
+    stop = data.draw(st.integers(first, first + 12))
+    want = mesh_levels(line, first, stop, -0.3, 0.3)
+    cuts = sorted(data.draw(st.lists(st.integers(first, stop), max_size=3)))
     got = []
-    solver = threading.Thread(target=lambda: got.append(
-        joint_spectrum(h, (-8, 8), window)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        t0 = time.perf_counter()
-        solver.start()
-        solver.join(timeout=120.0)
-        elapsed = time.perf_counter() - t0
-    finally:
-        sys.setswitchinterval(interval)
-    assert not solver.is_alive() and len(got) == 1, elapsed
-    table = got[0]
-    assert table.config == config
-    for n in range(-8, 9):
-        line = table.line(n)
-        assert line.k.tolist() == serial[abs(n)].k.tolist(), n
-        assert line.E1.tobytes() == serial[abs(n)].E1.tobytes(), n
-        assert np.all(line.n == n)
+    for i, j in zip([first] + cuts, cuts + [stop]):
+        a, b = data.draw(GUESSES), data.draw(GUESSES)
+        got.append(mesh_levels(line, i, j, a, b))
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
+    # a solve that disagrees with the phase counts is an error, not a
+    # table with a level dropped
+    inner = rs._solve
+    monkeypatch.setattr(rs, "_solve", lambda *args, **kwargs: tuple(
+        x[1:] for x in inner(*args, **kwargs)))
+    config = default_config(1e-2, 0.3)
+    with pytest.raises(ConfigurationError, match="the phase counts"):
+        eigenvalues_in_window(0, config, CHAMPAGNE, -0.05, 0.05)
+
+
+def test_non_monotone_count_raises(monkeypatch):
+    # a phase that falls where it should rise is an error, not a level
+    # put between the two samples that show it
+    line = rs._Line(0, default_config(1e-2, 0.3), CHAMPAGNE)
+    monkeypatch.setattr(line, "phase",
+                        lambda E: 11.5 - 100.0 * np.asarray(E))
+    with pytest.raises(ConvergenceError, match="does not rise"):
+        mesh_levels(line, 10, 12, -0.05, 0.05)
+
+
+def test_too_coarse_grid_raises():
+    # 64 intervals for h = 1e-4 are an error naming the mesh, not a table
+    config = DiscretizationConfig(r_max=1.1, grid_points=64, h=1e-4,
+                                  e_max=0.1)
+    with pytest.raises(ConfigurationError, match="too coarse"):
+        eigenvalues_in_window(0, config, CHAMPAGNE, -0.003, 0.003)
+
+
+@pytest.mark.parametrize("n", [0, 8, 16, 24, 32])
+def test_radial_index_is_the_fd2_sturm_index(spec_h1em3, n):
+    # on the workhorse table, k of every level is the index that fd2's
+    # Sturm count gives the level of the same value
+    table = spec_h1em3
+    line = table.line(n)
+    lo, hi = table.e_window
+    first, ref = fd2.window_levels(n, table.config.r_max, 1 << 14, table.h,
+                                   table.potential, lo, hi)
+    assert line.k.tolist() == list(range(first, first + len(ref)))
+    gap = float(np.min(np.diff(ref)))
+    assert np.max(np.abs(line.E1 - ref)) <= 1e-2 * gap
 
 
 def test_truncation_insensitivity():
@@ -568,12 +528,20 @@ SIZED_LINES = ([(CHAMPAGNE, h, X_HALF * h)
                   (HARMONIC, 1e-5, 12e-5)])
 
 
-def model_delta(h, e_max, potential):
-    """The spacing at which the error model of fd2 with Richardson,
-    delta^4 p^6 / (720 h^4) with p^2 = 2 (e_max - min V) but at least
-    2e-3, equals GRID_EPS."""
-    p2 = 2.0 * max(e_max - WELL[potential.kind][1], 1e-3)
-    return (720.0 * h**4 * GRID_EPS / p2**3) ** 0.25
+def model_spacing(h, e_max, potential):
+    """The largest spacing of the uniform part that the mesh rules allow:
+    3 intervals per local wavelength 2 pi h / p_max, with p_max^2 = 2
+    (e_max - min V) but at least 2e-3, and 16 per sqrt(h)."""
+    p_max = math.sqrt(2.0 * max(e_max - WELL[potential.kind][1], 1e-3))
+    return min(2.0 * math.pi * h / (3.0 * p_max), math.sqrt(h) / 16.0)
+
+
+def uniform_spacing(config, potential, m):
+    """The widest interval of the uniform part, sqrt(h) to r_max, of the
+    n = 0 mesh of m intervals."""
+    line = rs._Line(0, dataclasses.replace(config, grid_points=m), potential)
+    left = line.r0 + np.concatenate(([0.0], np.cumsum(line.d)[:-1]))
+    return float(np.max(line.d[left >= math.sqrt(config.h) * (1 - 1e-9)]))
 
 
 @pytest.mark.parametrize("potential,h,e_max", SIZED_LINES)
@@ -593,26 +561,18 @@ def test_default_config_is_the_smallest_grid_its_rules_allow(potential, h,
     assert barrier >= 12.0 * h * (1.0 - 1e-9)
     assert (math.isclose(barrier, 12.0 * h, rel_tol=1e-9)
             or math.isclose(potential.V(r_max), 2.0 * e_max, rel_tol=1e-9))
-    # the grid: the fewest points, at least 64, that meet the model
-    delta = model_delta(h, e_max, potential)
-    assert r_max / grid <= delta
-    assert grid == 64 or r_max / (grid - 1) > delta
-
-
-@pytest.mark.parametrize("h,delta_max", [(1e-5, 6.019e-7), (2e-5, 1.2038e-6)])
-def test_deep_focus_grids_keep_their_spacing(h, delta_max):
-    # at E = 0 and h <= 2e-5 the model is about 8 times optimistic: the
-    # n = 0 lines are 2.7e-3 (h = 1e-5) and 7.8e-4 (h = 2e-5) local gaps
-    # from their three-grid values, and no coarser spacing than 1.2623 /
-    # 2^21 and 1.2623 / 2^20 may carry them
-    config = default_config(h, X_HALF * h)
-    assert config.r_max / config.grid_points <= delta_max
+    # the mesh: the fewest intervals, at least 64, whose uniform part
+    # meets the model spacing
+    delta = model_spacing(h, e_max, potential)
+    assert uniform_spacing(config, potential, grid) <= delta * (1.0 + 1e-9)
+    assert (grid == 64
+            or uniform_spacing(config, potential, grid - 1) > delta)
 
 
 @pytest.mark.parametrize("n,x_half", [(0, 2.5), (10, 27.0)])
 def test_default_grid_meets_the_error_target_at_h_1e_3(n, x_half):
-    # against the three-grid value (16 R_2N - R_N) / 15 from the Richardson
-    # values on N and 2N, each line is within GRID_EPS
+    # against the three-mesh value (16 R_2m - R_m) / 15 from the Richardson
+    # values on m, 2m and 4m, each line is within 1e-5 local gaps
     h = 1e-3
     e = x_half * math.sqrt(2.0) * h
     config = default_config(h, e)
@@ -622,19 +582,18 @@ def test_default_grid_meets_the_error_target_at_h_1e_3(n, x_half):
     got = eigenvalues_in_window(n, config, CHAMPAGNE, -e, e)
     ref = eigenvalues_in_window(n, finer, CHAMPAGNE, -e, e)
     assert got.k.tolist() == ref.k.tolist() and len(got) > 5
-    three_grid = (16.0 * ref.E1 - got.E1) / 15.0
-    assert np.max(np.abs(got.E1 - three_grid)) <= GRID_EPS
+    three_mesh = (16.0 * ref.E1 - got.E1) / 15.0
+    gap = float(np.min(np.diff(three_mesh)))
+    assert np.max(np.abs(got.E1 - three_mesh)) <= 1e-5 * gap
 
 
 def test_grid_size_is_capped_loudly():
-    # |x| <= 2.5: h = 1e-5 takes ceil(r_max / delta) < 2^21 points, and
-    # h = 1e-6 would take about 1.7e7, more than the 2^22 allowed
-    config = default_config(1e-5, X_HALF * 1e-5)
-    assert config.grid_points == math.ceil(
-        config.r_max / model_delta(1e-5, X_HALF * 1e-5, CHAMPAGNE))
-    assert config.grid_points < 1 << 21
-    with pytest.raises(ConfigurationError, match="grid points"):
-        default_config(1e-6, X_HALF * 1e-6)
+    # |x| <= 2.5: h = 1e-5 takes about 3.4e4 intervals, and h = 1e-7 would
+    # take about 3.4e6, more than the 2^19 allowed
+    assert default_config(1e-5, X_HALF * 1e-5).grid_points < 1 << 16
+    assert MAX_GRID_POINTS == 1 << 19
+    with pytest.raises(ConfigurationError, match="intervals"):
+        default_config(1e-7, X_HALF * 1e-7)
 
 
 def test_config_validation():
@@ -646,5 +605,5 @@ def test_config_validation():
 
 def test_operator_requires_confining_window():
     cfg = DiscretizationConfig(r_max=1.0, grid_points=256, h=0.1, e_max=5.0)
-    with pytest.raises(ConfigurationError):
-        build_radial_operator(0, cfg, HARMONIC)  # V(1) = 0.5 < 2 * 5
+    with pytest.raises(ConfigurationError, match="enlarge r_max"):
+        eigenvalues_in_window(0, cfg, HARMONIC, 0.0, 1.0)  # V(1) < 2 * 5

@@ -51,7 +51,6 @@ class QuantizationModel:
     offset_mod_2pi: float
     h: float
     residual: float | None = None
-    source: str = "fit"
     warning: bool = False
 
     def to_json(self, path: str) -> None:
@@ -172,7 +171,7 @@ def fit_model(table, n_set=None, x_window=None) -> QuantizationModel:
     n0 = min(lines, key=abs)
     offset = (TWO_PI * d[n0] - C * n0) % TWO_PI
     return QuantizationModel(B=B, C=C, offset_mod_2pi=offset, h=h,
-                             residual=resid, source="fit", warning=warning)
+                             residual=resid, warning=warning)
 
 
 # --- gap law -------------------------------------------------------------

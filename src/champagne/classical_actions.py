@@ -16,6 +16,7 @@ quadrature, so accuracy is uniform down to very small |L| and |E|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,13 +35,9 @@ _DEGENERATE_REL = 1e-8
 
 # --- quadrature --------------------------------------------------------
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEG_CACHE:
-        _LEG_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEG_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss(f, a: float, b: float, n0: int = 64, tol: float = 1e-9,

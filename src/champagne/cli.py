@@ -104,12 +104,12 @@ def _cmd_spectrum(cfg) -> int:
     config = None
     if cfg["grid_points"] is not None or cfg["r_max"] is not None:
         base = rs.default_config(cfg["h"], cfg["e_max"])
-        r_max = cfg["r_max"] or base.r_max
+        r_max = base.r_max if cfg["r_max"] is None else cfg["r_max"]
         # a wall moved alone keeps the mesh density of default_config
-        grid = cfg["grid_points"] or max(
-            64, math.ceil(r_max / (base.r_max / base.grid_points)))
-        config = rs.DiscretizationConfig(r_max=r_max, grid_points=grid,
-                                         h=cfg["h"], e_max=cfg["e_max"])
+        grid = cfg["grid_points"]
+        if grid is None:
+            grid = max(64, math.ceil(r_max / (base.r_max / base.grid_points)))
+        config = rs.DiscretizationConfig(r_max=r_max, grid_points=grid)
     table = rs.joint_spectrum(cfg["h"], (cfg["n_min"], cfg["n_max"]),
                               (cfg["e_min"], cfg["e_max"]), config=config)
     rs.write_spectrum_csv(table, cfg["out"])

@@ -15,7 +15,10 @@ and its index alone.  A Richardson correction above RICHARDSON_GAP_BUDGET
 local gaps raises ConfigurationError.
 
 Joint eigenvalues are reported as (E1, E2) = (radial eigenvalue, h n)
-together with the zoomed coordinate x = E1 / (sqrt(2) h).
+together with the zoomed coordinate x = E1 / (sqrt(2) h).  Each fact of a
+table is stored once: h in its rows, the mesh (r_max, grid_points) in
+DiscretizationConfig, V in the kind of PotentialSpec, and the line and
+energy windows in the CSV's JSON sidecar.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,26 +42,32 @@ MAX_GRID_POINTS = 1 << 19
 
 # --- potentials ---------------------------------------------------------
 
+# the coefficients c_k of V(r) = sum_k c_k r^(2k), by kind
+POTENTIALS = {"champagne_bottle": (0.0, -1.0, 1.0),
+              "harmonic_test": (0.0, 0.5)}
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Radial potential V(r) = sum_k coefficients[k] * r^(2k)."""
+    """Radial potential of one kind of POTENTIALS."""
 
     kind: str
-    coefficients: tuple
 
     @staticmethod
     def champagne_bottle() -> "PotentialSpec":
-        return PotentialSpec("champagne_bottle", (0.0, -1.0, 1.0))
+        return PotentialSpec("champagne_bottle")
 
     @staticmethod
     def harmonic_test() -> "PotentialSpec":
-        return PotentialSpec("harmonic_test", (0.0, 0.5))
+        return PotentialSpec("harmonic_test")
 
     def __post_init__(self):
-        if self.kind not in ("champagne_bottle", "harmonic_test"):
+        if self.kind not in POTENTIALS:
             raise ConfigurationError(f"unknown potential kind {self.kind!r}")
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
+
+    @property
+    def coefficients(self) -> tuple:
+        return POTENTIALS[self.kind]
 
     def V(self, r):
         u = np.asarray(r, dtype=float) ** 2
@@ -105,19 +114,15 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    """grid_points is the interval count m of the shooting mesh: levels
-    are solved on it and on the mesh 2m that halves its intervals."""
+    """The mesh alone: the wall r_max, and grid_points, the interval count m
+    of the shooting mesh; levels are solved on it and on the mesh 2m."""
 
     r_max: float
     grid_points: int
-    h: float
-    e_max: float
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise ConfigurationError("grid_points must be >= 64")
-        if not (self.h > 0.0 and self.r_max > math.sqrt(self.h)):
-            raise ConfigurationError("h must be positive, r_max > sqrt(h)")
 
 
 # intervals per local wavelength 2 pi h / p_max, below which CP shooting
@@ -191,7 +196,7 @@ def default_config(h: float, e_max: float,
         raise ConfigurationError(
             f"h={h:g}, e_max={e_max:g} needs a mesh of {m} intervals, more "
             f"than the {MAX_GRID_POINTS} the solver allows")
-    return DiscretizationConfig(r_max=r_max, grid_points=m, h=h, e_max=e_max)
+    return DiscretizationConfig(r_max=r_max, grid_points=m)
 
 
 # --- constant-perturbation shooting -------------------------------------
@@ -286,17 +291,15 @@ def _product(q0, d, e2, scale):
 
 
 class _Line:
-    """H_n on the mesh of config.grid_points intervals cut in refine parts
-    each (_split).  The shots from r0 and from the wall meet at the uniform
-    node where V + h^2 n^2 / (2 r^2) is least, inside the well."""
+    """H_n at h on the mesh of config.grid_points intervals cut in refine
+    parts each (_split).  The shots from r0 and from the wall meet at the
+    uniform node where V + h^2 n^2 / (2 r^2) is least, inside the well."""
 
-    def __init__(self, n: int, config: DiscretizationConfig,
+    def __init__(self, n: int, h: float, config: DiscretizationConfig,
                  potential: PotentialSpec, refine: int = 1):
-        h, r_max, rg = config.h, config.r_max, math.sqrt(config.h)
-        if potential.V(r_max) < 2.0 * config.e_max:
-            raise ConfigurationError(
-                f"V(r_max)={potential.V(r_max):g} < 2 e_max="
-                f"{2.0 * config.e_max:g}; enlarge r_max")
+        if not (h > 0.0 and config.r_max > math.sqrt(h)):
+            raise ConfigurationError("h must be positive, r_max > sqrt(h)")
+        r_max, rg = config.r_max, math.sqrt(h)
         self.h, self.nu, self.potential = h, abs(n), potential
         self.r0, m_geo = _split(config.grid_points, h, r_max, n)
         m_uni, m_geo = refine * (config.grid_points - m_geo), refine * m_geo
@@ -440,11 +443,12 @@ def _richardson_ratio(fine: np.ndarray, rich: np.ndarray) -> float:
     return float(np.max(np.abs(rich - fine) / local, initial=0.0))
 
 
-def eigenvalues_in_window(n: int, config: DiscretizationConfig,
+def eigenvalues_in_window(n: int, h: float, config: DiscretizationConfig,
                           potential: PotentialSpec,
                           lo: float, hi: float) -> np.recarray:
-    """Levels in [lo, hi) as records (k, E1), k ascending; k is the radial
-    index from the bottom.
+    """Levels in [lo, hi) of H_n at h as records (k, E1), k ascending; k is
+    the radial index from the bottom.  The wall must confine the window:
+    V(r_max) >= 2 hi, or ConfigurationError.
 
     The phase counts on the mesh 2m at lo and hi give the indices of the
     window's levels.  Both meshes are solved for exactly those indices and
@@ -456,7 +460,11 @@ def eigenvalues_in_window(n: int, config: DiscretizationConfig,
     until c uncovers no more.  A correction above RICHARDSON_GAP_BUDGET
     local gaps raises ConfigurationError.
     """
-    coarse, fine = (_Line(n, config, potential, refine) for refine in (1, 2))
+    if potential.V(config.r_max) < 2.0 * hi:
+        raise ConfigurationError(
+            f"V(r_max)={potential.V(config.r_max):g} < 2 hi={2.0 * hi:g}; "
+            "enlarge r_max")
+    coarse, fine = (_Line(n, h, config, potential, r) for r in (1, 2))
     first, stop = (math.floor(f) for f in fine.phase(np.array([lo, hi])))
     if stop - first < 2:
         first = max(first - 1, 0)
@@ -510,7 +518,6 @@ class SpectrumTable:
     points: np.recarray
     config: DiscretizationConfig
     potential: PotentialSpec
-    empty_lines: list = field(default_factory=list)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=POINT_DTYPE)
@@ -532,7 +539,8 @@ class SpectrumTable:
 def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
                    config: DiscretizationConfig | None = None,
                    potential: PotentialSpec | None = None) -> SpectrumTable:
-    """Joint eigenvalues (E1, E2=hn) for n in n_range, E1 in e_window.
+    """Joint eigenvalues (E1, E2=hn) for n in n_range, E1 in e_window, at
+    h on the mesh config, by default default_config(h, e_window top).
 
     The radial operator depends on n only through n^2, so only |n| lines
     are solved, one after another, and negative lines are mirrored bit for
@@ -545,20 +553,18 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
     potential = potential or PotentialSpec.champagne_bottle()
     config = config or default_config(h, hi, potential)
 
-    results = {m: eigenvalues_in_window(m, config, potential, lo, hi)
+    results = {m: eigenvalues_in_window(m, h, config, potential, lo, hi)
                for m in sorted({abs(n) for n in range(n_min, n_max + 1)})}
 
     ns = np.arange(n_min, n_max + 1)
     lines = [results[abs(n)] for n in ns.tolist()]
-    sizes = np.array([len(levels) for levels in lines])
-    n = np.repeat(ns, sizes)
+    n = np.repeat(ns, [len(levels) for levels in lines])
     levels = np.concatenate(lines)
     points = np.rec.fromarrays(
         [np.full(len(n), h), n, levels["k"], levels["E1"], h * n,
          levels["E1"] / (SQRT2 * h)], dtype=POINT_DTYPE)
     return SpectrumTable(h=h, n_range=(n_min, n_max), e_window=(lo, hi),
-                         points=points, config=config, potential=potential,
-                         empty_lines=ns[sizes == 0].tolist())
+                         points=points, config=config, potential=potential)
 
 
 # --- serialization ------------------------------------------------------
@@ -572,13 +578,10 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
     np.savetxt(path, table.points, fmt=CSV_FORMAT, header=CSV_HEADER,
                comments="")
     meta = {
-        "h": table.h,
         "n_range": list(table.n_range),
         "e_window": list(table.e_window),
         "config": asdict(table.config),
-        "potential": {"kind": table.potential.kind,
-                      "coefficients": list(table.potential.coefficients)},
-        "empty_lines": table.empty_lines,
+        "potential": asdict(table.potential),
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -587,32 +590,25 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
 
 def _check_sidecar(meta_path: str, meta: dict, points: np.ndarray) -> None:
     """ConfigurationError naming the sidecar and the key unless every row
-    has its h, an n in n_range and an E1 in [e_window), and every empty
-    line lies in n_range and has no rows."""
+    has an n in n_range and an E1 in [e_window)."""
     (n_lo, n_hi), (e_lo, e_hi) = meta["n_range"], meta["e_window"]
     n, e1 = points["n"], points["E1"]
-    for key, bad in [("h", points["h"] != meta["h"]),
-                     ("n_range", (n < n_lo) | (n > n_hi)),
+    for key, bad in [("n_range", (n < n_lo) | (n > n_hi)),
                      ("e_window", (e1 < e_lo) | (e1 >= e_hi))]:
         if bad.any():
             i = int(np.argmax(bad))
             raise ConfigurationError(
                 f"{meta_path}: {key} is {meta[key]!r}, but data row {i} has "
                 f"(h, n, E1) = {points[['h', 'n', 'E1']][i].item()}")
-    stray = [m for m in meta["empty_lines"] if not n_lo <= m <= n_hi or m in n]
-    if stray:
-        raise ConfigurationError(
-            f"{meta_path}: empty_lines is {meta['empty_lines']!r}, but lines "
-            f"{stray} are outside n_range or have rows")
 
 
 def read_spectrum_csv(path: str) -> SpectrumTable:
-    """Table written by write_spectrum_csv.  Without its .meta.json sidecar
-    it warns, and assumes the champagne potential and default_config.  A
-    sidecar that is not JSON, has other keys than write_spectrum_csv
-    writes, or values not of their types or not true of the rows, and rows
-    whose k does not rise strictly with E1 on a line raise
-    ConfigurationError naming them."""
+    """Table written by write_spectrum_csv, at the h of its rows.  Without
+    its .meta.json sidecar it warns, and assumes the champagne potential
+    and default_config.  Rows of more than one h, a sidecar that is not
+    JSON, has other keys than write_spectrum_csv writes, or values not of
+    their types or not true of the rows, and rows whose k does not rise
+    strictly with E1 on a line raise ConfigurationError naming them."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != CSV_HEADER:
@@ -624,15 +620,18 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
     if not len(points):
         raise ConfigurationError(f"no rows in {path}")
     h = float(points["h"][0])
+    other = np.flatnonzero(points["h"] != h)
+    if len(other):
+        raise ConfigurationError(
+            f"{path}: data row {other[0]} has h = "
+            f"{float(points['h'][other[0]])!r}, but data row 0 has h = {h!r}")
     meta_path = path + ".meta.json"
     n_range = (int(points["n"].min()), int(points["n"].max()))
     e_window = (float(points["E1"].min()), float(points["E1"].max()))
-    empty = []
     if os.path.exists(meta_path):
         meta = _read_json(meta_path, {
-            "h": float, "n_range": tuple[int, int],
-            "e_window": tuple[float, float], "config": dict,
-            "potential": dict, "empty_lines": list[int]})
+            "n_range": tuple[int, int], "e_window": tuple[float, float],
+            "config": dict, "potential": dict})
         config, potential = (
             cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
             for key, cls in [("config", DiscretizationConfig),
@@ -640,15 +639,13 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
         _check_sidecar(meta_path, meta, points)
         n_range = tuple(meta["n_range"])
         e_window = tuple(meta["e_window"])
-        empty = meta["empty_lines"]
     else:
         warnings.warn(f"{meta_path} not found: assuming the champagne "
                       "potential and default_config for the table")
         potential = PotentialSpec.champagne_bottle()
         config = default_config(h, e_window[1], potential)
     table = SpectrumTable(h=h, n_range=n_range, e_window=e_window,
-                          points=points, config=config, potential=potential,
-                          empty_lines=empty)
+                          points=points, config=config, potential=potential)
     # rows are sorted by (n, E1): k must rise with them on each line
     pts = table.points
     bad = np.flatnonzero((np.diff(pts.n) == 0) & ((np.diff(pts.k) <= 0)

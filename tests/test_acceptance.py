@@ -52,7 +52,7 @@ def test_criterion_2_harmonic_eigensolver_oracle():
     config = rs.default_config(h, e_hi, pot)
     worst = 0.0
     for n in range(0, 6):
-        got = rs.eigenvalues_in_window(n, config, pot, 0.0, e_hi)
+        got = rs.eigenvalues_in_window(n, h, config, pot, 0.0, e_hi)
         assert len(got) >= 11
         for k in range(11):
             exact = h * (2 * k + n + 1)
@@ -61,9 +61,9 @@ def test_criterion_2_harmonic_eigensolver_oracle():
     # no Richardson step: the second-order scheme
     errs = []
     for npts in (512, 1024):
-        cfg = rs.DiscretizationConfig(r_max=6.0, grid_points=npts, h=h,
-                                      e_max=1.0)
-        coarse, fine = (rs._Line(0, cfg, pot, refine) for refine in (1, 2))
+        cfg = rs.DiscretizationConfig(r_max=6.0, grid_points=npts)
+        coarse, fine = (rs._Line(0, h, cfg, pot, refine)
+                        for refine in (1, 2))
         errs.append(abs(rs._levels(coarse, fine, 0, 1, 0.05, 0.2)[1][0] - h))
     ratio = errs[0] / errs[1]
     dt = time.perf_counter() - t0

@@ -137,12 +137,13 @@ def test_model_json_roundtrip(tmp_path):
     model.to_json(path)
     back = QuantizationModel.from_json(path)
     assert back == model
-    # an older file with the dropped A and D, a key the model does not have,
-    # a key it lacks, and a file that holds no JSON object: ConfigurationError
-    # naming the file and the key
+    # an older file with the dropped A and D, or with the dropped source, a
+    # key the model does not have, a key it lacks, and a file that holds no
+    # JSON object: ConfigurationError naming the file and the key
     written = json.load(open(path))
     without_b = {k: v for k, v in written.items() if k != "B"}
     for text, named in [(json.dumps({**written, "A": None, "D": None}), "'A'"),
+                        (json.dumps({**written, "source": "fit"}), "'source'"),
                         (json.dumps({**written, "E": 1.0}), "'E'"),
                         (json.dumps(without_b), "'B'"),
                         ("[1.73, -0.5]", "not a JSON object"),

@@ -32,14 +32,20 @@ def test_computation_error_exit_code(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     with open(model, "w") as fh:
         json.dump(dict(B=1.73, C=0.0, offset_mod_2pi=0.0, h=1e-3,
-                       residual=None, source="fit", warning=False, A=0.0), fh)
+                       residual=None, warning=False, A=0.0), fh)
     spec = str(tmp_path / "s.csv")
     with open(spec, "w") as fh:
         fh.write("h,n,k,E1,E2,x\n0.01,0,0,0.01,0,0.7071067811865476\n")
     with open(spec + ".meta.json", "w") as fh:
         fh.write("not json")
-    # each fails before it writes an output
-    for argv, named in ((("gaps", "--spectrum", missing), missing),
+    # a mesh of zero intervals, and a wall at zero, instead of the default
+    # mesh; each fails before it writes an output
+    out = str(tmp_path / "zero.csv")
+    for argv, named in ((("spectrum", "--grid-points", "0", "--out", out),
+                         "grid_points must be >= 64"),
+                        (("spectrum", "--r-max", "0", "--out", out),
+                         "enlarge r_max"),
+                        (("gaps", "--spectrum", missing), missing),
                         (("smallest-gap", "--h-list", "1e-2,zz"), "--h-list"),
                         (("actions", "--e-list", "0.1,abc"), "--e-list"),
                         (("smallest-gap", "--h-list", "1e-2"), "two distinct"),
@@ -52,6 +58,7 @@ def test_computation_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+    assert not list(tmp_path.glob("zero.csv*"))
 
 
 def test_json_values_of_the_wrong_type_are_configuration_errors(tmp_path,
@@ -59,7 +66,7 @@ def test_json_values_of_the_wrong_type_are_configuration_errors(tmp_path,
     # a string or a bool where the model or the sidecar has a number: one
     # error line naming the key, not a traceback
     good = dict(B=1.73, C=0.0, offset_mod_2pi=0.0, h=1e-3, residual=None,
-                source="fit", warning=False)
+                warning=False)
     models = []
     for i, (bad, named) in enumerate([
             (dict(B="1.73"), "B is '1.73', not a number"),

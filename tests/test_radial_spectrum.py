@@ -34,7 +34,7 @@ def test_harmonic_oracle_h01():
     e_hi = h * (2 * 10 + 5 + 1) + h
     config = default_config(h, e_hi, HARMONIC)
     for n in range(0, 6):
-        got = eigenvalues_in_window(n, config, HARMONIC, 0.0, e_hi)
+        got = eigenvalues_in_window(n, h, config, HARMONIC, 0.0, e_hi)
         exact = harmonic_levels(h, 10, n)
         assert len(got) >= 11
         for (k, e), ref in zip(got[:11], exact):
@@ -50,10 +50,10 @@ def mesh_levels(line, first, stop, a, b):
                      np.full(size, b), np.full(size, fb))[0]
 
 
-def mesh_level(n, config, potential, k, lo, hi):
+def mesh_level(n, h, config, potential, k, lo, hi):
     """Level k on the mesh of config alone."""
-    return float(mesh_levels(rs._Line(n, config, potential), k, k + 1, lo,
-                             hi)[0])
+    return float(mesh_levels(rs._Line(n, h, config, potential), k, k + 1,
+                             lo, hi)[0])
 
 
 def test_grid_doubling_second_order():
@@ -62,18 +62,19 @@ def test_grid_doubling_second_order():
     e_ref = h * 1.0  # ground state, n = 0
     errs = []
     for m in (512, 1024, 2048):
-        cfg = DiscretizationConfig(r_max=6.0, grid_points=m, h=h, e_max=1.0)
-        errs.append(abs(mesh_level(0, cfg, HARMONIC, 0, 0.05, 0.2) - e_ref))
+        cfg = DiscretizationConfig(r_max=6.0, grid_points=m)
+        errs.append(abs(mesh_level(0, h, cfg, HARMONIC, 0, 0.05, 0.2)
+                        - e_ref))
     for a, b in zip(errs[:-1], errs[1:]):
         assert 3.5 <= a / b <= 4.5
 
 
 def test_richardson_beats_plain():
     h = 0.1
-    config = DiscretizationConfig(r_max=6.0, grid_points=1024, h=h, e_max=1.0)
+    config = DiscretizationConfig(r_max=6.0, grid_points=1024)
     e_ref = h * 3.0  # k = 1, n = 0
-    ep = mesh_level(0, config, HARMONIC, 1, 0.2, 0.4)
-    er = eigenvalues_in_window(0, config, HARMONIC, 0.2, 0.4)[0][1]
+    ep = mesh_level(0, h, config, HARMONIC, 1, 0.2, 0.4)
+    er = eigenvalues_in_window(0, h, config, HARMONIC, 0.2, 0.4)[0][1]
     assert abs(er - e_ref) < 1e-2 * abs(ep - e_ref)
 
 
@@ -175,8 +176,8 @@ def oracle_window_levels(potential, n, e_top):
     first, ref = fd2.window_levels(n, config.r_max, 4 * config.grid_points,
                                    h, potential, -1.0, e_top + 0.05)
     assert first == 0
-    coarse, fine = (oracle_levels(rs._Line(n, config, potential, refine), ref)
-                    for refine in (1, 2))
+    coarse, fine = (oracle_levels(rs._Line(n, h, config, potential, refine),
+                                  ref) for refine in (1, 2))
     return config, ref[:-1], coarse, fine
 
 
@@ -201,7 +202,7 @@ def test_window_solve_matches_brute_force(potential, n):
     gap = float(np.min(np.diff(fine)))
     for lo, hi in windows:
         want = [(k, e) for k, e in enumerate(rich) if lo <= e < hi]
-        got = eigenvalues_in_window(n, config, potential, lo, hi)
+        got = eigenvalues_in_window(n, 1e-2, config, potential, lo, hi)
         assert [k for k, _ in want] == got.k.tolist(), (lo, hi)
         for (_, e), g in zip(want, got.E1):
             assert abs(e - g) <= 1e-9 * gap, (lo, hi)
@@ -216,9 +217,9 @@ def test_window_solve_is_additive(a, t, width, potential):
     c = a + width
     b = a + t * width
     config = default_config(h, 0.3, potential)
-    whole = eigenvalues_in_window(0, config, potential, a, c)
-    left = eigenvalues_in_window(0, config, potential, a, b)
-    right = eigenvalues_in_window(0, config, potential, b, c)
+    whole = eigenvalues_in_window(0, h, config, potential, a, c)
+    left = eigenvalues_in_window(0, h, config, potential, a, b)
+    right = eigenvalues_in_window(0, h, config, potential, b, c)
     parts = np.concatenate((left, right))
     assert whole.k.tolist() == parts["k"].tolist()
     # a level's value depends on the line and its index alone
@@ -232,9 +233,8 @@ def test_richardson_budget_rejects_a_coarse_grid():
     r_max = default_config(h, 0.02).r_max
 
     def window(grid_points):
-        config = DiscretizationConfig(r_max=r_max, grid_points=grid_points,
-                                      h=h, e_max=0.02)
-        return eigenvalues_in_window(0, config, CHAMPAGNE, -0.002, 0.002)
+        config = DiscretizationConfig(r_max=r_max, grid_points=grid_points)
+        return eigenvalues_in_window(0, h, config, CHAMPAGNE, -0.002, 0.002)
 
     assert RICHARDSON_GAP_BUDGET == 0.5
     assert len(window(512)) == 45
@@ -242,12 +242,12 @@ def test_richardson_budget_rejects_a_coarse_grid():
         window(80)
 
 
-def test_sturm_count_matches_eigensolver():
+def test_phase_counts_the_levels_the_window_solve_finds():
     # the phase counts the levels the solve finds below 1.0, and 2 below
     # the midpoint of levels 1 and 2
-    cfg = DiscretizationConfig(r_max=6.0, grid_points=512, h=0.1, e_max=1.0)
-    line = rs._Line(2, cfg, HARMONIC)
-    vals = eigenvalues_in_window(2, cfg, HARMONIC, -1.0, 1.0).E1
+    cfg = DiscretizationConfig(r_max=6.0, grid_points=512)
+    line = rs._Line(2, 0.1, cfg, HARMONIC)
+    vals = eigenvalues_in_window(2, 0.1, cfg, HARMONIC, -1.0, 1.0).E1
     mid = 0.5 * (vals[1] + vals[2])
     counts = np.floor(line.phase(np.array([1.0, mid])))
     assert counts.tolist() == [len(vals), 2]
@@ -259,12 +259,12 @@ REFERENCE_LINES = [(CHAMPAGNE, 0), (CHAMPAGNE, 3), (HARMONIC, 2)]
 
 @functools.cache
 def reference_line(potential, n, refine):
-    return rs._Line(n, default_config(1e-2, 0.3, potential), potential,
+    return rs._Line(n, 1e-2, default_config(1e-2, 0.3, potential), potential,
                     refine)
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
-def test_sturm_count_matches_the_python_loop(potential, n):
+def test_phase_count_matches_the_python_zero_count(potential, n):
     # the whole part of the phase is the number of zeros the solution
     # has, counted one interval at a time
     _, ref, _, _ = oracle_window_levels(potential, n, 0.3)
@@ -279,7 +279,7 @@ def test_sturm_count_matches_the_python_loop(potential, n):
 
 
 @pytest.mark.parametrize("potential,n", REFERENCE_LINES)
-def test_bisection_matches_scipy(potential, n):
+def test_secant_steps_on_the_dyadic_grid_match_scipy(potential, n):
     # on each mesh, the safeguarded secant and bisection steps on the
     # dyadic grid stop in the cell of scipy's brentq root of the oracle's
     # Wronskian: the level is that cell's midpoint, and a cell is at most
@@ -293,7 +293,7 @@ def test_bisection_matches_scipy(potential, n):
             assert np.all(np.abs(got - want[first:stop]) <= cell), first
 
 
-def test_chunked_bisection_is_bit_identical(monkeypatch):
+def test_block_size_leaves_the_levels_bit_identical(monkeypatch):
     # the interval maps are multiplied out in blocks of rows, scaled and
     # composed; blocks of 2^10 to 2^16 entries give the same levels, bit
     # for bit, since each is the midpoint of its cell on the dyadic grid
@@ -303,7 +303,7 @@ def test_chunked_bisection_is_bit_identical(monkeypatch):
     lines = []
     for size in (1 << 10, 1 << 12, 1 << 14, 1 << 16):
         monkeypatch.setattr(rs, "_BLOCK", size)
-        lines.append(eigenvalues_in_window(0, config, CHAMPAGNE, -e1, e1))
+        lines.append(eigenvalues_in_window(0, h, config, CHAMPAGNE, -e1, e1))
     assert len(lines[0]) >= 8
     for line in lines[1:]:
         assert line.tobytes() == lines[0].tobytes()
@@ -341,13 +341,13 @@ def test_window_solve_raises_when_a_level_goes_missing(monkeypatch):
         x[1:] for x in inner(*args, **kwargs)))
     config = default_config(1e-2, 0.3)
     with pytest.raises(ConfigurationError, match="the phase counts"):
-        eigenvalues_in_window(0, config, CHAMPAGNE, -0.05, 0.05)
+        eigenvalues_in_window(0, 1e-2, config, CHAMPAGNE, -0.05, 0.05)
 
 
-def test_non_monotone_count_raises(monkeypatch):
+def test_falling_phase_raises(monkeypatch):
     # a phase that falls where it should rise is an error, not a level
     # put between the two samples that show it
-    line = rs._Line(0, default_config(1e-2, 0.3), CHAMPAGNE)
+    line = rs._Line(0, 1e-2, default_config(1e-2, 0.3), CHAMPAGNE)
     monkeypatch.setattr(line, "phase",
                         lambda E: 11.5 - 100.0 * np.asarray(E))
     with pytest.raises(ConvergenceError, match="does not rise"):
@@ -356,10 +356,9 @@ def test_non_monotone_count_raises(monkeypatch):
 
 def test_too_coarse_grid_raises():
     # 64 intervals for h = 1e-4 are an error naming the mesh, not a table
-    config = DiscretizationConfig(r_max=1.1, grid_points=64, h=1e-4,
-                                  e_max=0.1)
+    config = DiscretizationConfig(r_max=1.1, grid_points=64)
     with pytest.raises(ConfigurationError, match="too coarse"):
-        eigenvalues_in_window(0, config, CHAMPAGNE, -0.003, 0.003)
+        eigenvalues_in_window(0, 1e-4, config, CHAMPAGNE, -0.003, 0.003)
 
 
 @pytest.mark.parametrize("n", [0, 8, 16, 24, 32])
@@ -381,11 +380,10 @@ def test_truncation_insensitivity():
     h = 0.05
     cfg1 = default_config(h, 0.02)
     cfg2 = DiscretizationConfig(r_max=cfg1.r_max * 1.5,
-                                grid_points=2 * cfg1.grid_points, h=h,
-                                e_max=0.02)
+                                grid_points=2 * cfg1.grid_points)
     pot = PotentialSpec.champagne_bottle()
-    a = eigenvalues_in_window(0, cfg1, pot, -0.01, 0.01)
-    b = eigenvalues_in_window(0, cfg2, pot, -0.01, 0.01)
+    a = eigenvalues_in_window(0, h, cfg1, pot, -0.01, 0.01)
+    b = eigenvalues_in_window(0, h, cfg2, pot, -0.01, 0.01)
     assert len(a) == len(b)
     for (_, ea), (_, eb) in zip(a, b):
         assert abs(ea - eb) <= 1e-10 * max(abs(ea), h)
@@ -429,11 +427,14 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
         assert np.array_equal(back.line_x(n), spec_h1em2.line_x(n))
 
     # a sidecar written when the config still had scheme and richardson,
-    # a config key the config does not have, a sidecar without potential,
-    # top-level values not of their types, and one that is not JSON are
-    # rejected, naming the file and the key
+    # or h and e_max, a config key the config does not have, a sidecar
+    # with the top-level h or empty_lines or the potential's coefficients
+    # of older tables, one without potential, top-level values not of
+    # their types, and one that is not JSON are rejected, naming the file
+    # and the key
     meta_path = path + ".meta.json"
     meta = json.load(open(meta_path))
+    assert sorted(meta) == ["config", "e_window", "n_range", "potential"]
     without_potential = {k: v for k, v in meta.items() if k != "potential"}
     cases = [(json.dumps({**meta, "config": {**meta["config"], **extra}}),
               repr(named))
@@ -442,28 +443,28 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
                                   ({"scheme": "fd2", "richardson": False},
                                    "richardson"),
                                   ({"scheme": "pruess"}, "scheme"),
-                                  ({"grid_spacing": 0.1}, "grid_spacing")]]
+                                  ({"grid_spacing": 0.1}, "grid_spacing"),
+                                  ({"h": 0.5}, "h"),
+                                  ({"e_max": 0.105}, "e_max")]]
+    cases += [(json.dumps({**meta, key: value}), repr(key))
+              for key, value in [("h", 0.01), ("empty_lines", [])]]
+    cases += [(json.dumps({**meta, "potential": {
+        **meta["potential"], "coefficients": [0.0, -1.0, 1.0]}}),
+               "'coefficients'")]
     cases += [(json.dumps({**meta, key: value}), key)
-              for key, value in [("n_range", "0,1"), ("empty_lines", "no"),
-                                 ("e_window", [1]), ("h", "x")]]
+              for key, value in [("n_range", "0,1"), ("e_window", [1])]]
     cases += [(json.dumps(without_potential), "'potential'"),
               ('{"h": 0.01,', "not JSON")]
-    # values of their types that do not hold for the rows: another h, a
-    # line or an energy outside the ranges (the window is half-open), and
-    # an empty line outside n_range or with rows
+    # values of their types that do not hold for the rows: a line or an
+    # energy outside the ranges (the window is half-open)
     e_top = float(np.max(spec_h1em2.points.E1))
     cases += [(json.dumps({**meta, key: value}), error)
               for key, value, error in [
-                  ("h", 0.5, r"h is 0.5, but data row 0 has \(h, n, E1\) "
-                             r"= \(0.01, -4, "),
                   ("n_range", [-3, 9], r"n_range is \[-3, 9\], but data row "
                                        r"0 has \(h, n, E1\) = \(0.01, -4, "),
                   ("e_window", [3.0, 4.0], r"e_window is \[3.0, 4.0\], but "),
                   ("e_window", [meta["e_window"][0], e_top],
-                   re.escape(f", {e_top!r})")),
-                  ("empty_lines", [5], r"lines \[5\] are outside n_range"),
-                  ("empty_lines", [-4, 5], r"lines \[-4, 5\] are outside "
-                                           "n_range or have rows")]]
+                   re.escape(f", {e_top!r})"))]]
     for text, error in cases:
         with open(meta_path, "w") as fh:
             fh.write(text)
@@ -484,6 +485,17 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     with pytest.raises(ConfigurationError,
                        match="k does not increase strictly with E1"):
         read_spectrum_csv(path)
+    # a row of another h, with the sidecar and without it, is named
+    third = rows_in_order[3].split(",")
+    third[0] = "0.02"
+    for name in (path, shuffled):
+        with open(name, "w") as fh:
+            fh.write("\n".join([header] + rows_in_order[:3] + [",".join(third)]
+                               + rows_in_order[4:]) + "\n")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{name}: data row 3 has h = 0.02, "
+                                           "but data row 0 has h = 0.01")):
+            read_spectrum_csv(name)
     with open(path, "w") as fh:
         fh.write("\n".join([header] + rows_in_order) + "\n")
     assert len(read_spectrum_csv(path).points) == len(spec_h1em2.points)
@@ -509,9 +521,17 @@ def test_csv_without_sidecar_warns(tmp_path):
     assert back.config == default_config(0.1, float(np.max(table.points.E1)))
 
 
+def test_a_potential_is_its_kind():
+    # the coefficients come with the kind, and cannot be given apart from it
+    assert PotentialSpec("harmonic_test").coefficients == (0.0, 0.5)
+    assert PotentialSpec("harmonic_test") == HARMONIC
+    with pytest.raises(TypeError):
+        PotentialSpec("harmonic_test", (0.0, -1.0, 1.0))
+
+
 def test_unknown_potential_kind_raises():
     with pytest.raises(ConfigurationError, match="custom_polynomial"):
-        PotentialSpec("custom_polynomial", (0.0, 0.5))
+        PotentialSpec("custom_polynomial")
 
 
 # where V is least, and its value there
@@ -536,12 +556,13 @@ def model_spacing(h, e_max, potential):
     return min(2.0 * math.pi * h / (3.0 * p_max), math.sqrt(h) / 16.0)
 
 
-def uniform_spacing(config, potential, m):
+def uniform_spacing(h, config, potential, m):
     """The widest interval of the uniform part, sqrt(h) to r_max, of the
     n = 0 mesh of m intervals."""
-    line = rs._Line(0, dataclasses.replace(config, grid_points=m), potential)
+    line = rs._Line(0, h, dataclasses.replace(config, grid_points=m),
+                    potential)
     left = line.r0 + np.concatenate(([0.0], np.cumsum(line.d)[:-1]))
-    return float(np.max(line.d[left >= math.sqrt(config.h) * (1 - 1e-9)]))
+    return float(np.max(line.d[left >= math.sqrt(h) * (1 - 1e-9)]))
 
 
 @pytest.mark.parametrize("potential,h,e_max", SIZED_LINES)
@@ -564,9 +585,9 @@ def test_default_config_is_the_smallest_grid_its_rules_allow(potential, h,
     # the mesh: the fewest intervals, at least 64, whose uniform part
     # meets the model spacing
     delta = model_spacing(h, e_max, potential)
-    assert uniform_spacing(config, potential, grid) <= delta * (1.0 + 1e-9)
+    assert uniform_spacing(h, config, potential, grid) <= delta * (1.0 + 1e-9)
     assert (grid == 64
-            or uniform_spacing(config, potential, grid - 1) > delta)
+            or uniform_spacing(h, config, potential, grid - 1) > delta)
 
 
 @pytest.mark.parametrize("n,x_half", [(0, 2.5), (10, 27.0)])
@@ -577,17 +598,16 @@ def test_default_grid_meets_the_error_target_at_h_1e_3(n, x_half):
     e = x_half * math.sqrt(2.0) * h
     config = default_config(h, e)
     finer = DiscretizationConfig(r_max=config.r_max,
-                                 grid_points=2 * config.grid_points, h=h,
-                                 e_max=e)
-    got = eigenvalues_in_window(n, config, CHAMPAGNE, -e, e)
-    ref = eigenvalues_in_window(n, finer, CHAMPAGNE, -e, e)
+                                 grid_points=2 * config.grid_points)
+    got = eigenvalues_in_window(n, h, config, CHAMPAGNE, -e, e)
+    ref = eigenvalues_in_window(n, h, finer, CHAMPAGNE, -e, e)
     assert got.k.tolist() == ref.k.tolist() and len(got) > 5
     three_mesh = (16.0 * ref.E1 - got.E1) / 15.0
     gap = float(np.min(np.diff(three_mesh)))
     assert np.max(np.abs(got.E1 - three_mesh)) <= 1e-5 * gap
 
 
-def test_grid_size_is_capped_loudly():
+def test_mesh_size_is_capped_loudly():
     # |x| <= 2.5: h = 1e-5 takes about 3.4e4 intervals, and h = 1e-7 would
     # take about 3.4e6, more than the 2^19 allowed
     assert default_config(1e-5, X_HALF * 1e-5).grid_points < 1 << 16
@@ -598,12 +618,33 @@ def test_grid_size_is_capped_loudly():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        DiscretizationConfig(r_max=1.0, grid_points=8, h=0.1, e_max=1.0)
+        DiscretizationConfig(r_max=1.0, grid_points=8)
     with pytest.raises(ConfigurationError):
         joint_spectrum(1e-2, (2, 1), (-0.1, 0.1))
+    # the wall must lie past sqrt(h), where the geometric mesh ends
+    cfg = DiscretizationConfig(r_max=math.sqrt(0.1), grid_points=64)
+    with pytest.raises(ConfigurationError, match=r"r_max > sqrt\(h\)"):
+        eigenvalues_in_window(0, 0.1, cfg, HARMONIC, -1.0, 0.0)
 
 
 def test_operator_requires_confining_window():
-    cfg = DiscretizationConfig(r_max=1.0, grid_points=256, h=0.1, e_max=5.0)
+    cfg = DiscretizationConfig(r_max=1.0, grid_points=256)
     with pytest.raises(ConfigurationError, match="enlarge r_max"):
-        eigenvalues_in_window(0, cfg, HARMONIC, 0.0, 1.0)  # V(1) < 2 * 5
+        eigenvalues_in_window(0, 0.1, cfg, HARMONIC, 0.0, 1.0)  # V(1) < 2 * 1
+    # the wall is checked against the window solved, not the one the mesh
+    # was sized for: V(r_max) = 0.642 is below 2 * 0.62
+    cfg = default_config(1e-2, 0.05)
+    with pytest.raises(ConfigurationError, match="enlarge r_max"):
+        eigenvalues_in_window(0, 1e-2, cfg, CHAMPAGNE, 0.55, 0.62)
+
+
+def test_a_mesh_is_solved_at_the_h_of_the_call():
+    # a mesh sized for h = 1e-2 carries no h: on it the table at h = 1e-3
+    # has the rows and labels of the default mesh, at h = 1e-3
+    table = joint_spectrum(1e-3, (0, 0), (-0.01, 0.01),
+                           config=default_config(1e-2, 0.01))
+    ref = joint_spectrum(1e-3, (0, 0), (-0.01, 0.01)).points
+    assert len(ref) == 18 and table.points.k.tolist() == ref.k.tolist()
+    assert set(table.points.h.tolist()) == {1e-3}
+    gap = float(np.min(np.diff(ref.E1)))
+    assert np.max(np.abs(table.points.E1 - ref.E1)) <= 0.05 * gap

@@ -170,8 +170,11 @@ def default_config(h: float, e_max: float,
     Mesh: the fewest intervals m >= 64 whose uniform part is spaced at most
     2 pi h / (INTERVALS_PER_WAVELENGTH p_max), at p_max^2 = 2 (e_max -
     min V) but at least 2e-3, and sqrt(h) / INTERVALS_PER_SQRT_H; raises
-    ConfigurationError when m would exceed MAX_GRID_POINTS.
+    ConfigurationError when m would exceed MAX_GRID_POINTS, and for h that
+    is not finite and positive.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigurationError(f"h must be finite and positive, got {h!r}")
     potential = potential or PotentialSpec.champagne_bottle()
     r_turn = potential.turning_point(e_max)
 
@@ -210,6 +213,7 @@ def default_config(h: float, e_max: float,
 _BLOCK = 1 << 14            # matrix entries multiplied out at once
 _GROWTH_MAX = 300.0         # log of the growth a block may reach unscaled
 _MAX_STEPS = 60             # phase evaluations per level
+_ANCHOR_STEP = 12           # levels per measured mesh shift on a line
 
 
 def _line_angle(y0, y1):
@@ -338,6 +342,11 @@ class _Line:
         return wl + right[4] + (phi + right[5]) / math.pi
 
 
+def _cell(h: float) -> float:
+    """The step 2^j in (5e-11 h, 1e-10 h] of the grid levels snap to."""
+    return math.ldexp(1.0, math.frexp(1e-10 * h)[1] - 1)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
     """The levels of index first, first + 1, ..., each from two samples of
@@ -353,7 +362,7 @@ def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
     error estimate is under a quarter cell, the ends of its cell.
     ConvergenceError after _MAX_STEPS steps, or where the phase falls.
     """
-    cell = math.ldexp(1.0, math.frexp(1e-10 * line.h)[1] - 1)
+    cell = _cell(line.h)
     x1, f1, x2, f2 = (np.array(v, dtype=np.float64) for v in (x1, f1, x2, f2))
     target = first + 1.0 + np.arange(len(x2))
     # grid indices below the level and at or above it
@@ -408,8 +417,18 @@ def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
 def _levels(coarse: _Line, fine: _Line, first: int, stop: int,
             a: float, b: float) -> tuple:
     """(E_2m, E_m): the levels of index first..stop-1 on the fine and the
-    coarse mesh, from the phases at a and b, then by a Newton step on the
-    coarse slope; ConfigurationError for any other number of levels."""
+    coarse mesh, from the phases at a and b; ConfigurationError for any
+    other number of levels.
+
+    The fine solve starts from the coarse levels moved by the mesh shift
+    E_2m - E_m, which varies slowly along a line.  The shift is measured
+    by a Newton step on the coarse slope at every _ANCHOR_STEP-th level
+    and the last (at every level of a shorter line), and interpolated in
+    between.  From the grid point nearest the moved level, a Newton step on
+    the coarse slope mostly lands in the level's cell, so that two more
+    evaluations close it; at the measured levels the first step is the
+    secant through the coarse level.
+    """
     if stop <= first:
         return np.empty(0), np.empty(0)
     size = stop - first
@@ -417,13 +436,29 @@ def _levels(coarse: _Line, fine: _Line, first: int, stop: int,
     coarse_levels, slope, span = _solve(
         coarse, first, np.full(size, a), np.full(size, fa), np.full(size, b),
         np.full(size, fb))
-    f = fine.phase(coarse_levels)
-    fine_levels = _solve(fine, first, coarse_levels - span, f - slope * span,
-                         coarse_levels, f, known=False)[0]
-    if not len(coarse_levels) == len(fine_levels) == size:
-        raise ConfigurationError(f"the solves returned {len(fine_levels)} "
-                                 f"levels where the phase counts {size}")
+    _counted(coarse_levels, size)
+    anchor = np.zeros(size, dtype=bool)
+    anchor[::_ANCHOR_STEP if size > _ANCHOR_STEP else 1] = anchor[-1] = True
+    at = coarse_levels[anchor]
+    f_at = fine.phase(at)
+    shift = (first + 1.0 + np.flatnonzero(anchor) - f_at) / slope[anchor]
+    cell = _cell(fine.h)
+    x2 = np.round((coarse_levels + np.interp(coarse_levels, at, shift))
+                  / cell) * cell
+    f2 = fine.phase(x2)
+    x1, f1 = x2 - span, f2 - slope * span
+    x1[anchor], f1[anchor] = at, f_at
+    fine_levels = _counted(
+        _solve(fine, first, x1, f1, x2, f2, known=False)[0], size)
     return fine_levels, coarse_levels
+
+
+def _counted(levels: np.ndarray, size: int) -> np.ndarray:
+    """levels, or ConfigurationError unless the phase counted size."""
+    if len(levels) != size:
+        raise ConfigurationError(f"the solves returned {len(levels)} "
+                                 f"levels where the phase counts {size}")
+    return levels
 
 
 # one radial level: index k from the bottom and eigenvalue E1
@@ -510,6 +545,7 @@ class SpectrumTable:
     E2 = h n and x = E1 / (sqrt 2 h), sorted by (n, E1) when the table is
     built, and read-only.  Columns read as points.E1, rows as
     points[i].E1; the rows of line n are the contiguous slice line(n).
+    A row whose h is not the table's raises ConfigurationError.
     """
 
     h: float
@@ -521,6 +557,11 @@ class SpectrumTable:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=POINT_DTYPE)
+        other = np.flatnonzero(pts["h"] != self.h)
+        if len(other):
+            raise ConfigurationError(
+                f"the table has h = {self.h!r}, but row {other[0]} has "
+                f"h = {float(pts['h'][other[0]])!r}")
         self.points = pts[np.lexsort((pts["E1"], pts["n"]))].view(np.recarray)
         # line(n) and line_x(n) are views: keep callers from editing the table
         self.points.flags.writeable = False

@@ -186,6 +186,20 @@ def test_dh_volume_subcommand(capsys):
     assert 0.85 <= payload["ratio"] <= 1.15
 
 
+@pytest.mark.parametrize("command", ["spectrum", "dh-volume"])
+def test_an_h_that_is_not_finite_and_positive_is_one_error_line(
+        command, tmp_path, monkeypatch, capsys):
+    # each fails before it sizes a mesh or draws a sample: exit 1, one
+    # error line and no traceback, and no file written
+    monkeypatch.chdir(tmp_path)
+    for h in ("0", "-1e-3", "nan", "inf"):
+        assert run(command, f"--h={h}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: h must be finite and positive")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_monodromy_subcommand(capsys):
     assert run("monodromy", "--radius", "0.2") == 0
     payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])

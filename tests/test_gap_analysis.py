@@ -1,6 +1,7 @@
 """Gap statistics, smallest-gap scaling, Weyl counts, volume estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,3 +148,39 @@ def test_volume_below_the_well_is_zero():
 def test_volume_sample_size_error():
     with pytest.raises(SampleSizeError):
         dh_volume(Window(18.0, 26.0, -0.001, 0.001), 1e-3, samples=24_000)
+
+
+def test_volume_memory_does_not_grow_with_the_samples():
+    # each stratum streams its draws in chunks and keeps two sums, so the
+    # peak is a few chunk-sized arrays at 10^6 and at 10^7 samples alike
+    K = Window(18.0, 26.0, -3.0, 3.0)
+    peaks = []
+    for samples in (1_000_000, 10_000_000):
+        tracemalloc.start()
+        try:
+            dh_volume(K, 1e-3, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 8e6
+    assert abs(peaks[1] - peaks[0]) <= 1e6
+
+
+def test_volume_is_a_function_of_its_inputs():
+    # the same (K, h, samples, seed) gives the same estimate; a stratum
+    # share that is not a multiple of the chunk ends in a shorter chunk,
+    # and the estimate reports the 24 (samples // 24) draws it used
+    K = Window(18.0, 26.0, -3.0, 3.0)
+    samples = 24 * (2 * gap_analysis._CHUNK + 5) + 7
+    assert (samples // 24) % gap_analysis._CHUNK != 0
+    est = dh_volume(K, 1e-3, samples=samples, seed=3)
+    assert est == dh_volume(K, 1e-3, samples=samples, seed=3)
+    assert est != dh_volume(K, 1e-3, samples=samples, seed=4)
+    assert est.samples == 24 * (samples // 24)
+    assert dh_volume(K, 1e-3).samples == 24 * (10_000_000 // 24)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_volume_rejects_an_h_that_is_not_finite_and_positive(h):
+    with pytest.raises(DomainError, match="h must be finite and positive"):
+        dh_volume(Window(18.0, 26.0, -3.0, 3.0), h)

@@ -309,6 +309,32 @@ def test_block_size_leaves_the_levels_bit_identical(monkeypatch):
         assert line.tobytes() == lines[0].tobytes()
 
 
+def test_anchor_step_leaves_the_levels_bit_identical(monkeypatch):
+    # the fine solve starts from the mesh shift measured every
+    # _ANCHOR_STEP levels and interpolated in between; measured at every
+    # level, the line |x| <= 27 at h = 1e-3 takes four fine-mesh
+    # evaluations a level, and interpolated, at most 200 in all
+    h = 1e-3
+    e1 = 27.0 * math.sqrt(2.0) * h
+    config = default_config(h, e1)
+    inner, fine = rs._Line.phase, []
+
+    def phase(line, E):
+        if len(line.d) == 2 * config.grid_points:
+            fine[-1] += np.size(E)
+        return inner(line, E)
+
+    monkeypatch.setattr(rs._Line, "phase", phase)
+    lines = []
+    for step in (1, rs._ANCHOR_STEP):
+        monkeypatch.setattr(rs, "_ANCHOR_STEP", step)
+        fine.append(0)
+        lines.append(eigenvalues_in_window(0, h, config, CHAMPAGNE, -e1, e1))
+    assert len(lines[0]) == 60
+    assert lines[1].tobytes() == lines[0].tobytes()
+    assert fine[1] <= 200 < fine[0]
+
+
 # guesses near the focus value, farther out, and 0
 GUESSES = st.one_of(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0),
                     st.just(0.0))
@@ -619,6 +645,14 @@ def test_mesh_size_is_capped_loudly():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         DiscretizationConfig(r_max=1.0, grid_points=8)
+    # h is checked before the wall is sized
+    for h in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ConfigurationError,
+                           match="h must be finite and positive"):
+            default_config(h, 0.1)
+        with pytest.raises(ConfigurationError,
+                           match="h must be finite and positive"):
+            joint_spectrum(h, (0, 0), (-0.1, 0.1))
     with pytest.raises(ConfigurationError):
         joint_spectrum(1e-2, (2, 1), (-0.1, 0.1))
     # the wall must lie past sqrt(h), where the geometric mesh ends
@@ -636,6 +670,17 @@ def test_operator_requires_confining_window():
     cfg = default_config(1e-2, 0.05)
     with pytest.raises(ConfigurationError, match="enlarge r_max"):
         eigenvalues_in_window(0, 1e-2, cfg, CHAMPAGNE, 0.55, 0.62)
+
+
+def test_a_table_holds_rows_of_its_h():
+    # the table's h is checked against its rows, not taken on trust
+    table = joint_spectrum(0.1, (0, 1), (0.1, 0.4), potential=HARMONIC)
+    assert len(table.points) and table.h == 0.1
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "the table has h = 1.0, but row 0 has h = 0.1")):
+        dataclasses.replace(table, h=1.0)
+    same = dataclasses.replace(table, h=0.1)
+    assert same.points.tobytes() == table.points.tobytes()
 
 
 def test_a_mesh_is_solved_at_the_h_of_the_call():

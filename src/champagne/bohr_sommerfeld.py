@@ -13,14 +13,13 @@ that differ by a ln 2 in the constant term.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import FitError, ModelRangeError, _read_json
+from .errors import FitError, ModelRangeError, _read_json, _write_json
 from .special_functions import LN2, psi_n, psi_n_prime
 
 TWO_PI = 2.0 * math.pi
@@ -54,9 +53,7 @@ class QuantizationModel:
     warning: bool = False
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
     @staticmethod
     def from_json(path: str) -> "QuantizationModel":

@@ -194,7 +194,12 @@ def radial_action(E: float, L: float) -> RadialAction:
     `degenerate` field.  At the critical value (0, 0) the period is
     infinite and S_r equals the homoclinic action 2 sqrt(2)/3.
     """
-    r_minus, r_plus = turning_points(E, L)
+    return _radial_action(E, L, *turning_points(E, L))
+
+
+def _radial_action(E: float, L: float, r_minus: float,
+                   r_plus: float) -> RadialAction:
+    """radial_action at the turning points of (E, L)."""
     sm, sp = r_minus * r_minus, r_plus * r_plus
     if sp - sm <= _DEGENERATE_REL * max(1.0, sp):
         r0 = math.sqrt(0.5 * (sm + sp))
@@ -226,7 +231,7 @@ def rotation_number(E: float, L: float) -> float:
     return L * integral(lambda s, q: 1.0 / q)
 
 
-# --- samples and CSV ----------------------------------------------------
+# --- samples -----------------------------------------------------------
 
 @dataclass
 class ActionSample:
@@ -261,34 +266,35 @@ def regularized_action(E: float, L: float) -> float:
     through the critical value, where it equals 2 sqrt(2)/3.
     """
     S_r = radial_action(E, L).S_r
-    lt = 0.0 if L == 0.0 else L * theta_tilde(E, L)
+    return _regularized(E, L, S_r,
+                        math.nan if L == 0.0 else rotation_number(E, L))
+
+
+def _regularized(E: float, L: float, S_r: float, Theta: float) -> float:
+    """regularized_action from the S_r and Theta of (E, L); Theta is not
+    read at L = 0, where L theta_tilde is 0."""
+    lt = 0.0 if L == 0.0 else L * (-Theta if L > 0.0
+                                   else -Theta - 2.0 * math.pi)
     e0 = complex(E / SQRT2, L)
     counter = 0.0 if e0 == 0 else (e0 * np.log(e0)).real - e0.real
     return S_r + lt + counter
 
 
 def action_sample(E: float, L: float) -> ActionSample:
-    """All classical quantities at one (E, L); Theta is NaN where undefined."""
+    """All classical quantities at one (E, L), each orbit integral done
+    once.  Theta is NaN where it is undefined on L = 0; anywhere else
+    rotation_number's DomainError is raised, as regularized_action
+    raises it."""
     r_minus, r_plus = turning_points(E, L)
-    act = radial_action(E, L)
+    act = _radial_action(E, L, r_minus, r_plus)
     try:
         Theta = rotation_number(E, L)
     except DomainError:
+        if L != 0.0:
+            raise
         Theta = math.nan
     return ActionSample(E, L, r_minus, r_plus, act.S_r, act.T, Theta,
-                        regularized_action(E, L))
-
-
-CSV_HEADER = "E,L,r_minus,r_plus,S_r,T,Theta,A_reg"
-
-
-def write_samples_csv(samples: Sequence[ActionSample], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for s in samples:
-            fh.write(",".join("%.17g" % v for v in
-                              (s.E, s.L, s.r_minus, s.r_plus,
-                               s.S_r, s.T, s.Theta, s.A_reg)) + "\n")
+                        _regularized(E, L, act.S_r, Theta))
 
 
 # --- monodromy of the classical torus bundle ----------------------------

@@ -8,8 +8,9 @@ command accepts exactly the flags it reads; argparse rejects any other,
 and no flag may be abbreviated.  Each command resolves its configuration
 from three layers (flags over a flat key=value config file over the
 defaults), echoes the resolved values, and writes deterministic outputs;
-file outputs get a JSON sidecar with the full resolved config.  Exit
-codes: 0 success, 1 computation error, 2 usage error.
+main writes <out>.config.json, the resolved config and the version, for
+every command that takes --out.  Exit codes: 0 success, 1 computation
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 import sys
 
 from . import __version__
-from .errors import ChampagneError, ConfigurationError
+from .errors import (ChampagneError, ConfigurationError, _write_csv,
+                     _write_json, write_plot_data)
 from . import special_functions as sf
 from . import classical_actions as ca
 from . import radial_spectrum as rs
@@ -91,13 +93,6 @@ def _float_list(cfg, key) -> list:
             "comma-separated numbers") from exc
 
 
-def _sidecar(path: str, cfg: dict) -> None:
-    with open(path + ".config.json", "w") as fh:
-        json.dump({"config": cfg, "version": __version__}, fh,
-                  indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_spectrum(cfg) -> int:
@@ -113,7 +108,6 @@ def _cmd_spectrum(cfg) -> int:
     table = rs.joint_spectrum(cfg["h"], (cfg["n_min"], cfg["n_max"]),
                               (cfg["e_min"], cfg["e_max"]), config=config)
     rs.write_spectrum_csv(table, cfg["out"])
-    _sidecar(cfg["out"], cfg)
     print(f"{len(table.points)} eigenvalues -> {cfg['out']}")
     return 0
 
@@ -122,7 +116,6 @@ def _cmd_bs_fit(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     model = bs.fit_model(table, x_window=(cfg["x_min"], cfg["x_max"]))
     model.to_json(cfg["out"])
-    _sidecar(cfg["out"], cfg)
     print(f"B={model.B:.6f} C={model.C:.6f} "
           f"offset={model.offset_mod_2pi:.6f} residual={model.residual:.2e}"
           + (" WARNING" if model.warning else ""))
@@ -132,11 +125,7 @@ def _cmd_bs_fit(cfg) -> int:
 def _cmd_bs_predict(cfg) -> int:
     model = bs.QuantizationModel.from_json(cfg["model"])
     pred = bs.predict_line(cfg["n"], model, (cfg["x_min"], cfg["x_max"]))
-    with open(cfg["out"], "w") as fh:
-        fh.write("k,x\n")
-        for k, x in pred:
-            fh.write("%d,%.17g\n" % (k, x))
-    _sidecar(cfg["out"], cfg)
+    _write_csv(cfg["out"], ("k", "x"), pred)
     print(f"{len(pred)} predicted eigenvalues -> {cfg['out']}")
     return 0
 
@@ -144,8 +133,7 @@ def _cmd_bs_predict(cfg) -> int:
 def _cmd_gaps(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     recs = ga.measure_gaps(table, cfg["n"], (cfg["x_min"], cfg["x_max"]))
-    ga.write_gaps_csv(cfg["out"], recs)
-    _sidecar(cfg["out"], cfg)
+    _write_csv(cfg["out"], ga.GapRecord, recs)
     if recs:
         eg = max(r.rel_err_general for r in recs)
         ec = max(r.rel_err_champagne for r in recs)
@@ -156,14 +144,7 @@ def _cmd_gaps(cfg) -> int:
 
 def _cmd_smallest_gap(cfg) -> int:
     scan = ga.smallest_gap_scan(_float_list(cfg, "h_list"))
-    with open(cfg["out"], "w") as fh:
-        fh.write("h,lnh_abs,gap_min_measured,gap_min_general,"
-                 "gap_min_champagne,x_at_min\n")
-        for r in scan.rows:
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (r.h, r.lnh_abs, r.gap_min_measured,
-                        r.gap_min_general, r.gap_min_champagne, r.x_at_min))
-    _sidecar(cfg["out"], cfg)
+    _write_csv(cfg["out"], ga.SmallestGapRow, scan.rows)
     print(f"slope={scan.slope:.6f} (1/(2 pi sqrt2)={1/(2*math.pi*math.sqrt(2)):.6f}) "
           f"R^2={scan.r_squared:.5f} -> {cfg['out']}")
     return 0
@@ -174,11 +155,17 @@ def _window(cfg) -> ga.Window:
                      cfg["t2_max"])
 
 
+def _weyl_csv(path: str, rows) -> None:
+    """The Weyl counts of (h, N, predicted) triples, one row each."""
+    _write_csv(path, ("h", "lnh_abs", "N", "predicted", "residual"),
+               [(h, abs(math.log(h)), n, pred, n - pred)
+                for h, n, pred in rows])
+
+
 def _cmd_weyl(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     n, pred = ga.weyl_count(table, _window(cfg))
-    ga.write_weyl_csv(cfg["out"], [(table.h, n, pred)])
-    _sidecar(cfg["out"], cfg)
+    _weyl_csv(cfg["out"], [(table.h, n, pred)])
     print(f"N={n} predicted={pred:.3f} residual={n - pred:+.3f} "
           f"-> {cfg['out']}")
     return 0
@@ -203,8 +190,7 @@ def _cmd_actions(cfg) -> int:
     if len(es) != len(ls):
         raise ConfigurationError("e_list and l_list lengths differ")
     samples = [ca.action_sample(e, l) for e, l in zip(es, ls)]
-    ca.write_samples_csv(samples, cfg["out"])
-    _sidecar(cfg["out"], cfg)
+    _write_csv(cfg["out"], ca.ActionSample, samples)
     print(f"{len(samples)} samples -> {cfg['out']}")
     return 0
 
@@ -243,11 +229,7 @@ def _cmd_unwind(cfg) -> int:
     poly = _make_polygon(cfg, table)
     res = ml.unwind(poly, table)
     counts = ml.count_in_polygon(table, poly, res)
-    with open(cfg["out"], "w") as fh:
-        json.dump(_unwind_json(poly, res, counts), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
-    _sidecar(cfg["out"], cfg)
+    _write_json(cfg["out"], _unwind_json(poly, res, counts))
     print(f"monodromy {res.monodromy.matrix.tolist()} "
           f"counts spec={counts[0]} pick={counts[1]} -> {cfg['out']}")
     return 0
@@ -294,32 +276,32 @@ def _reproduce_cusp(cfg) -> int:
     out = ex.gap_law([ex.gap_law_lines(h).solve()])
     winner, records = out.measured
     recs = records[h]
-    ga.write_plot_data(cfg["prefix"] + "cusp_measured.dat",
-                       [r.x_mid for r in recs],
-                       [r.gap_measured for r in recs])
+    write_plot_data(cfg["prefix"] + "cusp_measured.dat",
+                    [r.x_mid for r in recs],
+                    [r.gap_measured for r in recs])
     key = ("gap_pred_champagne" if winner == bs.VARIANT_CHAMPAGNE
            else "gap_pred_general")
-    ga.write_plot_data(cfg["prefix"] + "cusp_predicted.dat",
-                       [r.x_mid for r in recs],
-                       [getattr(r, key) for r in recs])
+    write_plot_data(cfg["prefix"] + "cusp_predicted.dat",
+                    [r.x_mid for r in recs],
+                    [getattr(r, key) for r in recs])
     return _verdict("cusp", out)
 
 
 def _reproduce_cusp_z(cfg) -> int:
     out = ex.gap_law([ex.gap_law_lines(h).solve() for h in ex.GAP_LAW_H])
     for h, recs in out.measured[1].items():
-        ga.write_plot_data(cfg["prefix"] + f"cusp_z_{h:g}.dat",
-                           [r.x_mid for r in recs],
-                           [r.gap_measured for r in recs])
+        write_plot_data(cfg["prefix"] + f"cusp_z_{h:g}.dat",
+                        [r.x_mid for r in recs],
+                        [r.gap_measured for r in recs])
     return _verdict("cusp-z", out)
 
 
 def _reproduce_gaps_formule(cfg) -> int:
     tables = [ex.smallest_gap_lines(h).solve() for h in ex.SMALLEST_GAP_H]
     out = ex.smallest_gap(tables)
-    ga.write_plot_data(cfg["prefix"] + "gaps_formule.dat",
-                       [r.lnh_abs for r in out.measured.rows],
-                       [1.0 / r.gap_min_measured for r in out.measured.rows])
+    write_plot_data(cfg["prefix"] + "gaps_formule.dat",
+                    [r.lnh_abs for r in out.measured.rows],
+                    [1.0 / r.gap_min_measured for r in out.measured.rows])
     rule = ex.bohr_sommerfeld([t for t in tables if t.h in ex.BS_RULE_H])
     return max(_verdict("gaps-formule", out),
                _verdict("gaps-formule Bohr-Sommerfeld rule", rule))
@@ -328,19 +310,18 @@ def _reproduce_gaps_formule(cfg) -> int:
 def _reproduce_weyl(cfg) -> int:
     out = ex.weyl([ex.weyl_lines(h).solve() for h in ex.WEYL_H])
     rows = out.measured
-    ga.write_weyl_csv(cfg["prefix"] + "weyl.csv", rows)
-    ga.write_plot_data(cfg["prefix"] + "weyl.dat",
-                       [abs(math.log(h)) for h, _, _ in rows],
-                       [n / abs(math.log(h)) for h, n, _ in rows])
+    _weyl_csv(cfg["prefix"] + "weyl.csv", rows)
+    write_plot_data(cfg["prefix"] + "weyl.dat",
+                    [abs(math.log(h)) for h, _, _ in rows],
+                    [n / abs(math.log(h)) for h, n, _ in rows])
     return _verdict("weyl", out)
 
 
 def _reproduce_unwinding(cfg) -> int:
     table = ex.UNWINDING_LINES.solve()
     out = ex.quantum_loop(table, ex.UNWINDING_RADIUS, cfg["seed"])
-    with open(cfg["prefix"] + "unwinding.json", "w") as fh:
-        json.dump(_unwind_json(*out.measured), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg["prefix"] + "unwinding.json",
+                _unwind_json(*out.measured))
     return _verdict("unwinding", out)
 
 
@@ -436,7 +417,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(_resolve(args))
+        cfg = _resolve(args)
+        code = args.func(cfg)
+        if "out" in args.flags:
+            _write_json(cfg["out"] + ".config.json",
+                        {"config": cfg, "version": __version__})
+        return code
     except (ChampagneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

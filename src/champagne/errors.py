@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all champagne modules, and the checks that
-turn a malformed JSON input file into a ConfigurationError."""
+"""Exception hierarchy shared by all champagne modules, and the package's
+file formats: the checks that turn a malformed JSON input file into a
+ConfigurationError, and the one writer of each kind of file the package
+writes (JSON, CSV and whitespace-separated plot data)."""
 
 import dataclasses
 import json
@@ -105,3 +107,32 @@ def _read_json(path: str, keys) -> dict:
         except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
             raise ConfigurationError(f"{path} is not JSON: {exc}") from None
     return _check_keys(path, obj, keys)
+
+
+def _write_json(path: str, obj) -> None:
+    """obj as JSON: sorted keys, indent 2, str() of any value JSON has no
+    type for, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _write_csv(path: str, names, rows) -> None:
+    """A header of the column names, then one line per row, each value by
+    %.17g: a float that reads back bit for bit, and an integer below 2^53
+    in magnitude as its digits.  names may be a dataclass: then the
+    columns are its fields, and the rows its instances."""
+    if dataclasses.is_dataclass(names):
+        rows = map(dataclasses.astuple, rows)
+        names = [f.name for f in dataclasses.fields(names)]
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def write_plot_data(path: str, xs, ys) -> None:
+    """Two-column whitespace-separated file for direct plotting."""
+    with open(path, "w") as fh:
+        for x, y in zip(xs, ys):
+            fh.write("%.17g %.17g\n" % (x, y))

@@ -24,10 +24,6 @@ from .radial_spectrum import joint_spectrum
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
-GAPS_CSV_HEADER = ("h,n,x_mid,gap_measured,gap_pred_general,"
-                   "gap_pred_champagne,rel_err_general,rel_err_champagne")
-WEYL_CSV_HEADER = "h,lnh_abs,N,predicted,residual"
-
 
 @dataclass(frozen=True)
 class GapRecord:
@@ -91,16 +87,6 @@ def gap_verdict(records_by_h: dict) -> tuple[str, dict]:
     if len(winners) != 1:
         raise DomainError(f"variant verdict inconsistent across h: {table}")
     return winners.pop(), table
-
-
-def write_gaps_csv(path: str, records: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(GAPS_CSV_HEADER + "\n")
-        for r in records:
-            fh.write("%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (r.h, r.n, r.x_mid, r.gap_measured,
-                        r.gap_pred_general, r.gap_pred_champagne,
-                        r.rel_err_general, r.rel_err_champagne))
 
 
 # --- smallest gap scaling --------------------------------------------------
@@ -236,22 +222,6 @@ def weyl_count(spectrum, K: Window) -> tuple[int, float]:
     return count, predicted
 
 
-def write_weyl_csv(path: str, rows: list) -> None:
-    """rows: (h, N, predicted) triples."""
-    with open(path, "w") as fh:
-        fh.write(WEYL_CSV_HEADER + "\n")
-        for h, n, pred in rows:
-            fh.write("%.17g,%.17g,%d,%.17g,%.17g\n"
-                     % (h, abs(math.log(h)), n, pred, n - pred))
-
-
-def write_plot_data(path: str, xs, ys) -> None:
-    """Two-column whitespace-separated file for direct plotting."""
-    with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write("%.17g %.17g\n" % (x, y))
-
-
 # --- symplectic volume ------------------------------------------------------
 
 # inner radius cutoff of dh_volume's r integral, and the largest standard
@@ -289,18 +259,24 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
     chunk draws its r, u and psi fractions as one (3, chunk) array from
     the one Generator of seed, stratum after stratum: the value depends
     on (K, h, samples, seed) alone.  Raises DomainError for h that is not
-    finite and positive, and SampleSizeError for fewer than 1000 samples
-    or a standard error above SE_MAX of the value.
+    finite and positive, and for a leading term (|ln h| / 2 pi) |K tilde|
+    of 0 (h = 1, or a window of zero area), which the value could not be
+    compared with; SampleSizeError for fewer than 1000 samples or a
+    standard error above SE_MAX of the value.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"h must be finite and positive, got {h!r}")
+    asym = abs(math.log(h)) / TWO_PI * K.area_tilde()
+    if asym == 0.0:
+        raise DomainError(
+            f"the leading term (|ln h| / 2 pi) |K tilde| is 0 at h={h!r}, "
+            f"|K tilde| = {K.area_tilde()!r}")
     if samples < 1000:
         raise SampleSizeError("need at least 1000 samples")
     e_lo, e_hi = h * K.t1_min, h * K.t1_max
     l_lo, l_hi = h * K.t2_min, h * K.t2_max
     if e_hi <= -0.25:
-        return VolumeEstimate(0.0, abs(math.log(h)) / TWO_PI * K.area_tilde(),
-                              0.0, 0)
+        return VolumeEstimate(0.0, asym, 0.0, 0)
     # outer turning radius of the highest energy in the window
     r_hi = math.sqrt((1.0 + math.sqrt(1.0 + 4.0 * max(e_hi, 0.0) + 1e-300))
                      / 2.0) * 1.0000001
@@ -348,6 +324,5 @@ def dh_volume(K: Window, h: float, samples: int = 10_000_000,
         raise SampleSizeError(
             f"Monte Carlo SE {se / mu:.1%} exceeds {SE_MAX:.0%}; "
             "increase samples")
-    asym = abs(math.log(h)) / TWO_PI * K.area_tilde()
     return VolumeEstimate(mu_over_norm=value, asymptotic=asym,
                           std_error=se / norm, samples=n_strata * per)

@@ -23,7 +23,6 @@ energy windows in the CSV's JSON sidecar.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (ConfigurationError, ConvergenceError, _check_keys,
-                     _read_json)
+                     _read_json, _write_csv, _write_json)
 
 SQRT2 = math.sqrt(2.0)
 # the largest mesh m; the finer mesh has 2m intervals
@@ -585,14 +584,16 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
 
     The radial operator depends on n only through n^2, so only |n| lines
     are solved, one after another, and negative lines are mirrored bit for
-    bit.
+    bit.  The config is resolved before the windows are checked, so that
+    an h that is not finite and positive is reported as such, and not as
+    the empty window it scales to in a caller.
     """
     n_min, n_max = int(n_range[0]), int(n_range[1])
     lo, hi = float(e_window[0]), float(e_window[1])
-    if n_min > n_max or lo >= hi:
-        raise ConfigurationError("empty n_range or e_window")
     potential = potential or PotentialSpec.champagne_bottle()
     config = config or default_config(h, hi, potential)
+    if n_min > n_max or lo >= hi:
+        raise ConfigurationError("empty n_range or e_window")
 
     results = {m: eigenvalues_in_window(m, h, config, potential, lo, hi)
                for m in sorted({abs(n) for n in range(n_min, n_max + 1)})}
@@ -610,23 +611,15 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
 
 # --- serialization ------------------------------------------------------
 
-CSV_HEADER = "h,n,k,E1,E2,x"
-CSV_FORMAT = "%.17g,%d,%d,%.17g,%.17g,%.17g"
-
-
 def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
-    """CSV with 17 significant digits plus a JSON sidecar <path>.meta.json."""
-    np.savetxt(path, table.points, fmt=CSV_FORMAT, header=CSV_HEADER,
-               comments="")
-    meta = {
+    """CSV of the POINT_DTYPE columns, plus a JSON sidecar <path>.meta.json."""
+    _write_csv(path, POINT_DTYPE.names, table.points.tolist())
+    _write_json(path + ".meta.json", {
         "n_range": list(table.n_range),
         "e_window": list(table.e_window),
         "config": asdict(table.config),
         "potential": asdict(table.potential),
-    }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _check_sidecar(meta_path: str, meta: dict, points: np.ndarray) -> None:
@@ -652,7 +645,7 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
     strictly with E1 on a line raise ConfigurationError naming them."""
     with open(path) as fh:
         header = fh.readline().strip()
-    if header != CSV_HEADER:
+    if header != ",".join(POINT_DTYPE.names):
         raise ConfigurationError(f"bad spectrum CSV header: {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # an empty file is raised below

@@ -11,8 +11,7 @@ from champagne.classical_actions import (HOMOCLINIC_ACTION, _gauss,
                                          classical_monodromy,
                                          radial_action, regularized_action,
                                          rotation_number, rotation_winding,
-                                         theta_tilde, turning_points,
-                                         write_samples_csv)
+                                         theta_tilde, turning_points)
 from champagne.errors import ConvergenceError, DomainError
 
 SQRT2 = math.sqrt(2.0)
@@ -172,11 +171,38 @@ def test_theta_tilde_branches():
         theta_tilde(-0.1, 0.0)
 
 
-def test_action_sample_csv(tmp_path):
-    s = action_sample(0.2, 0.1)
-    path = str(tmp_path / "actions.csv")
-    write_samples_csv([s], path)
-    header, row = open(path).read().strip().split("\n")
-    assert header == "E,L,r_minus,r_plus,S_r,T,Theta,A_reg"
-    vals = [float(v) for v in row.split(",")]
-    assert vals[0] == 0.2 and vals[5] == pytest.approx(s.T)
+def test_action_sample_does_each_orbit_integral_once(monkeypatch):
+    # at |(E, L)| = 1e-6, next to the critical value: one turning-point
+    # solve for the sample, one for S_r and T and one for Theta, and the
+    # A_reg of those integrals, equal to regularized_action's
+    calls = {"_cubic_roots": 0, "_gauss": 0, "_split_integrals": 0}
+    for name in calls:
+        real = getattr(classical_actions, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(classical_actions, name, counted)
+    for p in (0.3, 2.0, 4.0):
+        E, L = 1e-6 * math.cos(p), 1e-6 * math.sin(p)
+        for name in calls:
+            calls[name] = 0
+        s = action_sample(E, L)
+        assert calls == {"_cubic_roots": 3, "_gauss": 6,
+                         "_split_integrals": 2}
+        assert s.A_reg == regularized_action(E, L)
+
+
+def test_action_sample_raises_where_regularized_action_does():
+    # Theta is NaN on L = 0, E <= 0, where A_reg is still defined; outside
+    # the allowed region both raise, and A_reg is never NaN instead
+    for E in (0.0, -0.1):
+        s = action_sample(E, 0.0)
+        assert math.isnan(s.Theta)
+        assert s.A_reg == regularized_action(E, 0.0)
+        assert math.isfinite(s.A_reg)
+    for E, L in ((-0.3, 0.0), (-0.3, 0.01)):
+        with pytest.raises(DomainError):
+            regularized_action(E, L)
+        with pytest.raises(DomainError):
+            action_sample(E, L)

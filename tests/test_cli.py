@@ -1,12 +1,21 @@
-"""Command-line interface: dispatch, config precedence, determinism."""
+"""Command-line interface: dispatch, config precedence, determinism, and
+the file formats every command writes."""
 
+import ast
+import dataclasses
 import json
 import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import champagne
+from champagne import bohr_sommerfeld as bs
+from champagne import classical_actions as ca
+from champagne import gap_analysis as ga
+from champagne import radial_spectrum as rs
 from champagne.cli import _COMMANDS, build_parser, main
 from champagne.radial_spectrum import default_config
 
@@ -200,6 +209,29 @@ def test_an_h_that_is_not_finite_and_positive_is_one_error_line(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_dh_volume_with_no_leading_term_is_one_error_line(
+        tmp_path, monkeypatch, capsys):
+    # a window of zero area, and h = 1 where |ln h| = 0, leave no leading
+    # term to divide by: exit 1 and one error line, not a ZeroDivisionError
+    monkeypatch.chdir(tmp_path)
+    for argv in (("--t2-min", "1", "--t2-max", "1"), ("--h", "1")):
+        assert run("dh-volume", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the leading term")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_cusp_reports_the_h_it_cannot_take(tmp_path, capsys):
+    # h scales the gap window, but the error names h, not an empty window
+    prefix = str(tmp_path / "fig_")
+    for h, shown in (("0", "0.0"), ("-1e-4", "-0.0001")):
+        assert run("reproduce", "cusp", f"--h={h}", "--prefix", prefix) == 1
+        assert capsys.readouterr().err == (
+            f"error: h must be finite and positive, got {shown}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_monodromy_subcommand(capsys):
     assert run("monodromy", "--radius", "0.2") == 0
     payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
@@ -279,3 +311,121 @@ def test_readme_command_lines_parse():
         shown.add(names[args.func])
     assert shown == {name for name in _COMMANDS
                      if not name.startswith("reproduce ")}
+
+
+def _fields(record) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(record))
+
+
+def test_every_out_command_writes_its_config_and_field_named_csv(
+        tmp_path, spec_h5em3, capsys):
+    # every command with --out: main writes <out>.config.json holding the
+    # resolved config and the version alone, and a CSV's header is the
+    # field names of its record, its rows read back by np.loadtxt equal
+    # to the values computed in memory
+    spec = str(tmp_path / "table.csv")
+    rs.write_spectrum_csv(spec_h5em3, spec)
+    model = str(tmp_path / "model.json")
+    # command -> (flags, CSV columns or None for JSON, in-memory rows)
+    calls = {
+        "spectrum": (["--h", "1e-2", "--n-min", "0", "--n-max", "1",
+                      "--e-min", "-0.05", "--e-max", "0.05"],
+                     rs.POINT_DTYPE.names,
+                     lambda: rs.joint_spectrum(
+                         1e-2, (0, 1), (-0.05, 0.05)).points.tolist()),
+        "bs fit": (["--spectrum", spec, "--out", model], None, None),
+        "bs predict": (["--model", model, "--n", "2", "--x-min", "-5",
+                        "--x-max", "5"], ("k", "x"),
+                       lambda: bs.predict_line(
+                           2, bs.QuantizationModel.from_json(model),
+                           (-5.0, 5.0))),
+        "gaps": (["--spectrum", spec, "--x-min", "-5", "--x-max", "5"],
+                 _fields(ga.GapRecord),
+                 lambda: ga.measure_gaps(spec_h5em3, 0, (-5.0, 5.0))),
+        "smallest-gap": (["--h-list", "1e-2,5e-3"],
+                         _fields(ga.SmallestGapRow),
+                         lambda: ga.smallest_gap_scan([1e-2, 5e-3]).rows),
+        "weyl": (["--spectrum", spec], ("h", "lnh_abs", "N", "predicted",
+                                        "residual"),
+                 lambda: [(spec_h5em3.h, abs(math.log(spec_h5em3.h)), n,
+                           pred, n - pred) for n, pred in [ga.weyl_count(
+                               spec_h5em3, ga.Window(-10, 10, -3, 3))]]),
+        "actions": (["--e-list", "0.2,0", "--l-list", "0.1,0"],
+                    _fields(ca.ActionSample),
+                    lambda: [ca.action_sample(0.2, 0.1),
+                             ca.action_sample(0.0, 0.0)]),
+        "unwind": (["--spectrum", spec], None, None),
+    }
+    assert list(calls) == [name for name, (_, _, flags) in _COMMANDS.items()
+                           if "out" in flags]
+    sidecars = []
+    for name, (flags, columns, rows) in calls.items():
+        out = str(tmp_path / (name.replace(" ", "-") + ".out"))
+        if "--out" in flags:
+            out = flags[flags.index("--out") + 1]
+        else:
+            flags = flags + ["--out", out]
+        assert run(*name.split(), *flags) == 0, name
+        echoed = capsys.readouterr().out.split("\n")[0]
+        side = json.load(open(out + ".config.json"))
+        assert side == {"config": json.loads(echoed.split(": ", 1)[1]),
+                        "version": champagne.__version__}, name
+        assert side["config"]["out"] == out
+        sidecars.append(out + ".config.json")
+        if columns is None:
+            json.load(open(out))
+            continue
+        rows = [dataclasses.astuple(r) if dataclasses.is_dataclass(r)
+                else tuple(r) for r in rows()]
+        lines = open(out).read().strip().split("\n")
+        assert lines[0] == ",".join(columns), name
+        assert len(lines) == len(rows) + 1, name
+        back = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(back, np.array(rows, dtype=float))
+        if name == "gaps":
+            assert lines[0] == ("h,n,x_mid,gap_measured,gap_pred_general,"
+                                "gap_pred_champagne,rel_err_general,"
+                                "rel_err_champagne")
+        if name == "actions":
+            assert lines[0] == "E,L,r_minus,r_plus,S_r,T,Theta,A_reg"
+            vals = [float(v) for v in lines[1].split(",")]
+            assert vals[0] == 0.2
+            assert vals[5] == pytest.approx(ca.action_sample(0.2, 0.1).T)
+            # the critical value: infinite period, undefined Theta
+            assert math.isinf(back[1, 5]) and math.isnan(back[1, 6])
+    assert sorted(map(str, tmp_path.glob("*.config.json"))) == \
+        sorted(sidecars)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """True if the call may write a file: open() or x.open() in a mode
+    that is not a constant read mode, or a dump, savetxt-like or
+    write_text-like call."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr",
+                                                              None)
+    if name in ("dump", "savetxt", "savez", "save", "tofile", "write_text",
+                "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    at = 1 if isinstance(func, ast.Name) else 0  # open(path, m), p.open(m)
+    if mode is None and len(call.args) > at:
+        mode = call.args[at]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_the_errors_module_writes_files():
+    # one writer per file format: an open() for writing, json.dump or
+    # np.savetxt anywhere but errors.py would decide a format a second time
+    src = Path(champagne.__file__).parent
+    writers = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                writers.setdefault(path.name, []).append(node.lineno)
+    assert sorted(writers) == ["errors.py"], writers

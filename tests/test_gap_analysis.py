@@ -11,7 +11,7 @@ from champagne.bohr_sommerfeld import VARIANT_CHAMPAGNE
 from champagne.errors import DomainError, SampleSizeError
 from champagne.gap_analysis import (Window, dh_volume, gap_verdict,
                                     measure_gaps, smallest_gap_scan,
-                                    weyl_count, write_gaps_csv)
+                                    weyl_count)
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -54,16 +54,6 @@ def test_verdict_consistent_across_h(spec_h1em3, spec_h1em4):
     # the O(1/ln h) correction scale bounds the winner's max error
     for h, (eg, ec) in table.items():
         assert min(eg, ec) <= TWO_PI / abs(math.log(h))
-
-
-def test_gaps_csv_format(tmp_path, spec_h1em4):
-    recs = measure_gaps(spec_h1em4, 0, (-5, 5))
-    path = str(tmp_path / "gaps.csv")
-    write_gaps_csv(path, recs)
-    lines = open(path).read().strip().split("\n")
-    assert lines[0] == ("h,n,x_mid,gap_measured,gap_pred_general,"
-                       "gap_pred_champagne,rel_err_general,rel_err_champagne")
-    assert len(lines) == len(recs) + 1
 
 
 def test_smallest_gap_scan_two_points():
@@ -184,3 +174,16 @@ def test_volume_is_a_function_of_its_inputs():
 def test_volume_rejects_an_h_that_is_not_finite_and_positive(h):
     with pytest.raises(DomainError, match="h must be finite and positive"):
         dh_volume(Window(18.0, 26.0, -3.0, 3.0), h)
+
+
+def test_volume_rejects_a_leading_term_of_zero(monkeypatch):
+    # a window of zero area, or h = 1 where |ln h| = 0: the ratio to the
+    # leading term is undefined, and the error comes before any draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("dh_volume drew samples")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for K, h in ((Window(18.0, 26.0, 1.0, 1.0), 1e-3),
+                 (Window(18.0, 18.0, -3.0, 3.0), 1e-3),
+                 (Window(18.0, 26.0, -3.0, 3.0), 1.0)):
+        with pytest.raises(DomainError, match="leading term"):
+            dh_volume(K, h)

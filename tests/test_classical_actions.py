@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from champagne import classical_actions
-from champagne.classical_actions import (HOMOCLINIC_ACTION, _gauss,
-                                         action_sample, circle_loop,
+from champagne.classical_actions import (HOMOCLINIC_ACTION, ActionSample,
+                                         _gauss, action_sample, circle_loop,
                                          classical_monodromy,
                                          radial_action, regularized_action,
                                          rotation_number, rotation_winding,
                                          theta_tilde, turning_points)
-from champagne.errors import ConvergenceError, DomainError
+from champagne.errors import ConvergenceError, DomainError, _write_csv
 
 SQRT2 = math.sqrt(2.0)
 
@@ -169,6 +169,16 @@ def test_theta_tilde_branches():
         -rotation_number(E, -0.2) - 2 * math.pi)
     with pytest.raises(DomainError):
         theta_tilde(-0.1, 0.0)
+
+
+def test_action_sample_csv(tmp_path):
+    s = action_sample(0.2, 0.1)
+    path = str(tmp_path / "actions.csv")
+    _write_csv(path, ActionSample, [s])
+    header, row = open(path).read().strip().split("\n")
+    assert header == "E,L,r_minus,r_plus,S_r,T,Theta,A_reg"
+    vals = [float(v) for v in row.split(",")]
+    assert vals[0] == 0.2 and vals[5] == pytest.approx(s.T)
 
 
 def test_action_sample_does_each_orbit_integral_once(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from champagne import gap_analysis
 from champagne.bohr_sommerfeld import VARIANT_CHAMPAGNE
-from champagne.errors import DomainError, SampleSizeError
-from champagne.gap_analysis import (Window, dh_volume, gap_verdict,
+from champagne.errors import DomainError, SampleSizeError, _write_csv
+from champagne.gap_analysis import (GapRecord, Window, dh_volume, gap_verdict,
                                     measure_gaps, smallest_gap_scan,
                                     weyl_count)
 
@@ -54,6 +54,16 @@ def test_verdict_consistent_across_h(spec_h1em3, spec_h1em4):
     # the O(1/ln h) correction scale bounds the winner's max error
     for h, (eg, ec) in table.items():
         assert min(eg, ec) <= TWO_PI / abs(math.log(h))
+
+
+def test_gaps_csv_format(tmp_path, spec_h1em4):
+    recs = measure_gaps(spec_h1em4, 0, (-5, 5))
+    path = str(tmp_path / "gaps.csv")
+    _write_csv(path, GapRecord, recs)
+    lines = open(path).read().strip().split("\n")
+    assert lines[0] == ("h,n,x_mid,gap_measured,gap_pred_general,"
+                       "gap_pred_champagne,rel_err_general,rel_err_champagne")
+    assert len(lines) == len(recs) + 1
 
 
 def test_smallest_gap_scan_two_points():

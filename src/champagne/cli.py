@@ -22,8 +22,8 @@ import math
 import sys
 
 from . import __version__
-from .errors import (ChampagneError, ConfigurationError, _write_csv,
-                     _write_json, write_plot_data)
+from .errors import (ChampagneError, ConfigurationError, DomainError,
+                     _write_csv, _write_json, write_plot_data)
 from . import special_functions as sf
 from . import classical_actions as ca
 from . import radial_spectrum as rs
@@ -133,12 +133,14 @@ def _cmd_bs_predict(cfg) -> int:
 def _cmd_gaps(cfg) -> int:
     table = rs.read_spectrum_csv(cfg["spectrum"])
     recs = ga.measure_gaps(table, cfg["n"], (cfg["x_min"], cfg["x_max"]))
+    if not recs:
+        raise DomainError(f"no eigenvalues on line n={cfg['n']} in the x "
+                          f"window [{cfg['x_min']:g}, {cfg['x_max']:g}]")
     _write_csv(cfg["out"], ga.GapRecord, recs)
-    if recs:
-        eg = max(r.rel_err_general for r in recs)
-        ec = max(r.rel_err_champagne for r in recs)
-        print(f"{len(recs)} gaps; max rel err general={eg:.3%} "
-              f"champagne={ec:.3%} -> {cfg['out']}")
+    eg = max(r.rel_err_general for r in recs)
+    ec = max(r.rel_err_champagne for r in recs)
+    print(f"{len(recs)} gaps; max rel err general={eg:.3%} "
+          f"champagne={ec:.3%} -> {cfg['out']}")
     return 0
 
 

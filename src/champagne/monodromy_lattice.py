@@ -39,10 +39,18 @@ MAX_STEP_HALVINGS = 4
 
 
 def _points_array(spectrum) -> np.ndarray:
-    """(E1, E2) rows of a SpectrumTable, or an (m, 2) array as given."""
-    if isinstance(spectrum, np.ndarray):
-        return np.asarray(spectrum, dtype=float)
-    return _plane(spectrum.points)
+    """(E1, E2) rows of a SpectrumTable, in table order, or of an (m, 2)
+    array, sorted by (E2, E1) unless its E2 column is already
+    non-decreasing.  Either way E2 does not decrease down the rows, which
+    the private chart helpers assume: the rows of a disc then lie in one
+    slice, its _band."""
+    if not isinstance(spectrum, np.ndarray):
+        # sorted by (n, E1) with E2 = h n
+        return _plane(spectrum.points)
+    pts = np.asarray(spectrum, dtype=float)
+    if np.any(pts[1:, 1] < pts[:-1, 1]):
+        pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    return pts
 
 
 def _plane(records) -> np.ndarray:
@@ -72,6 +80,25 @@ class LatticeChart:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - np.asarray(self.center, dtype=float)
         return np.hypot(d[:, 0], d[:, 1]) <= self.radius
+
+
+def _band(pts: np.ndarray, center, radius: float) -> slice:
+    """Rows of pts, sorted by E2, whose E2 lies within radius of the
+    center's: a superset of the rows within radius of the center.  The
+    bounds are widened by far more than rounding, so that no row a disc
+    test accepts is left out."""
+    pad = 1e-12 * (abs(center[1]) + radius)
+    lo, hi = np.searchsorted(pts[:, 1], (center[1] - radius - pad,
+                                         center[1] + radius + pad))
+    return slice(lo, hi)
+
+
+def _disc(pts: np.ndarray, center, radius: float) -> np.ndarray:
+    """The rows of pts, sorted by E2, within radius of center, in order;
+    only the disc's _band is scanned."""
+    band = pts[_band(pts, center, radius)]
+    return band[np.hypot(band[:, 0] - center[0],
+                         band[:, 1] - center[1]) <= radius]
 
 
 def _det(m) -> int:
@@ -123,8 +150,10 @@ def fit_local_chart(points, center, h: float) -> LatticeChart:
     Basis candidates are the two shortest linearly independent
     nearest-neighbor difference vectors; the affine map is then refined by
     least squares against rounded integer labels until the labels are
-    stable.  The disc starts at 3.5 local spacings and shrinks until the
-    residual budget is met.  Raises ChartError when fewer than 6 points
+    stable.  The disc starts at 3.5 local spacings (local_spacing near
+    center; a disc transported by transport_chart takes its spacing from
+    the old frame's lattice instead) and shrinks until the residual
+    budget is met.  Raises ChartError when fewer than 6 points
     fall in the disc, the neighbor geometry is degenerate, the
     infinity-norm rounding residual exceeds CHART_RESIDUAL_MAX,
     or the linear part is ill conditioned.
@@ -132,12 +161,23 @@ def fit_local_chart(points, center, h: float) -> LatticeChart:
     return _fit_chart(_points_array(points), center, h)
 
 
+def _frame_spacing(frame: LatticeChart) -> float:
+    """Length of the shortest of c1, c2 and c1 +- c2, where c1 and c2,
+    the columns of h inv(frame.linear), span the lattice of points the
+    frame labels by Z^2."""
+    c1, c2 = (frame.h * np.linalg.inv(frame.linear)).T
+    return min(math.hypot(*c) for c in (c1, c2, c1 + c2, c1 - c2))
+
+
 def _fit_chart(pts_all: np.ndarray, center, h: float,
                frame: LatticeChart | None = None) -> LatticeChart:
     """fit_local_chart, refined from frame's (linear, offset) when given
-    instead of from a nearest-neighbor basis."""
+    instead of from a nearest-neighbor basis.  The disc then starts at
+    3.5 spacings of the frame's lattice, not of the points near center.
+    pts_all is sorted as _points_array returns it."""
     center = (float(center[0]), float(center[1]))
-    r = 3.5 * local_spacing(pts_all, center)
+    r = 3.5 * (local_spacing(pts_all, center) if frame is None
+               else _frame_spacing(frame))
     last = None
     for _ in range(4):
         try:
@@ -180,8 +220,7 @@ def _neighbor_frame(pts: np.ndarray, center, h: float) -> tuple:
 
 def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
                      frame: LatticeChart | None = None) -> LatticeChart:
-    d = np.hypot(pts_all[:, 0] - center[0], pts_all[:, 1] - center[1])
-    pts = pts_all[d <= radius]
+    pts = _disc(pts_all, center, radius)
     if len(pts) < MIN_CHART_POINTS:
         raise ChartError(
             f"only {len(pts)} points in the disc at {center}, radius {radius:g}")
@@ -221,13 +260,15 @@ def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
     """Integer-affine map k_to = T k_from + s between two chart frames.
 
     T is the rounded chart_to.linear inv(chart_from.linear) and s is read
-    off one overlap point, the overlap being the points in both discs.
+    off one overlap point, the overlap being the points of pts, sorted as
+    _points_array returns them, in both discs.
     Raises TransportError unless the overlap holds MIN_CHART_POINTS
     points whose labels do not all lie on one lattice line, and
     k_to = T k_from + s holds exactly on every one of them;
     ChartTransition rejects |det| != 1.
     """
-    overlap = pts[chart_from.contains(pts) & chart_to.contains(pts)]
+    disc = _disc(pts, chart_from.center, chart_from.radius)
+    overlap = disc[chart_to.contains(disc)]
     if len(overlap) < MIN_CHART_POINTS:
         raise TransportError(
             f"only {len(overlap)} points in the chart overlap {where}")
@@ -373,14 +414,16 @@ def l0_line(spectrum, charts, monodromy: ChartTransition):
         return spectrum.points[:0]
     # fixed points solve N k = -shift; N is rank one for unipotent monodromy
     N = monodromy.matrix - np.eye(2, dtype=int)
-    # each point takes the labels of the first chart whose disc holds it
+    # each point takes the labels of the first chart whose disc holds it;
+    # only the rows of the disc's band can lie in it
     pts = _points_array(spectrum)
     labels = np.zeros((len(pts), 2), dtype=int)
     covered = np.zeros(len(pts), dtype=bool)
     for ch in charts:
-        new = ch.contains(pts) & ~covered
-        labels[new] = ch.labels(pts[new])
-        covered |= new
+        band = _band(pts, ch.center, ch.radius)
+        new = ch.contains(pts[band]) & ~covered[band]
+        labels[band][new] = ch.labels(pts[band][new])
+        covered[band] |= new
     fixed = covered & np.all(labels @ N.T == -monodromy.shift, axis=1)
     if not fixed.any():
         warnings.warn("no eigenvalue is fixed by the monodromy")
@@ -547,8 +590,9 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
     exactly one vertex on each side, so the polygon meets each line in a
     segment with vertex extremities.  Returns the vertices as rows of
     spectrum.points in loop order.  Enclosing loops start on the n = 0
-    line at x > 0 and contain exactly two n = 0 vertices.  The radial
-    jitter is seeded for reproducibility.
+    line at x > 0 and contain exactly two n = 0 vertices; a non-enclosing
+    loop must not wind around the critical value (DomainError otherwise).
+    The radial jitter is seeded for reproducibility.
     """
     rng = np.random.default_rng(seed)
     cx, cn = float(center[0]), float(center[1])
@@ -583,6 +627,10 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
             raise DomainError(
                 f"loop construction produced {zero_count} anchor-line "
                 "vertices; adjust radius")
+    elif winding_around_origin(_plane(vertices)) != 0:
+        raise DomainError(
+            f"enclosing=False, but the loop of radius {radius_x:g} around "
+            f"the center ({cx:g}, {cn:g}) winds around the critical value")
     if len(dedup) < 3:
         raise DomainError("loop construction found too few vertices")
     return vertices

@@ -15,6 +15,7 @@ import champagne
 from champagne import bohr_sommerfeld as bs
 from champagne import classical_actions as ca
 from champagne import gap_analysis as ga
+from champagne import monodromy_lattice as ml
 from champagne import radial_spectrum as rs
 from champagne.cli import _COMMANDS, build_parser, main
 from champagne.radial_spectrum import default_config
@@ -230,6 +231,39 @@ def test_reproduce_cusp_reports_the_h_it_cannot_take(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: h must be finite and positive, got {shown}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gaps_on_an_empty_window_is_one_error_line(tmp_path, spec_h5em3,
+                                                  capsys):
+    spec = str(tmp_path / "table.csv")
+    rs.write_spectrum_csv(spec_h5em3, spec)
+    out = tmp_path / "g.csv"
+    with pytest.warns(UserWarning):
+        assert run("gaps", "--spectrum", spec, "--x-min", "100",
+                   "--x-max", "101", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: no eigenvalues on line n=0 in the x window "
+                   "[100, 101]\n")
+    assert not list(tmp_path.glob("g.csv*"))
+
+
+def test_unwind_non_enclosing_around_the_critical_value_is_refused(
+        tmp_path, spec_h5em3, capsys, monkeypatch):
+    # the loop is checked when it is built, before any chart is fitted
+    spec = str(tmp_path / "table.csv")
+    rs.write_spectrum_csv(spec_h5em3, spec)
+
+    def never(*args):
+        raise AssertionError("unwind called")
+
+    monkeypatch.setattr(ml, "unwind", never)
+    out = tmp_path / "u.json"
+    assert run("unwind", "--spectrum", spec, "--loop-radius", "14",
+               "--seed", "3", "--non-enclosing", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: enclosing=False, but the loop of radius 14 around the "
+        "center (0, 0) winds around the critical value\n")
+    assert not list(tmp_path.glob("u.json*"))
 
 
 def test_monodromy_subcommand(capsys):

@@ -26,9 +26,15 @@ def square_lattice(m=10):
     return ij, H * ij
 
 
+def fit_fixed(pts, center, radius):
+    """_fit_chart_fixed on pts in the E2 order _points_array gives them,
+    which the private chart helpers assume."""
+    return ml._fit_chart_fixed(ml._points_array(pts), center, H, radius)
+
+
 def test_chart_on_exact_lattice():
     ij, pts = square_lattice()
-    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    chart = fit_fixed(pts, (0, 0), 4 * H)
     assert chart.residual < 1e-12
     # the fitted linear part is h * (an integer unimodular matrix)
     m = chart.linear
@@ -40,7 +46,7 @@ def test_chart_on_sheared_lattice():
     ij, _ = square_lattice()
     M = np.array([[1.0, 0.3], [0.0, 1.0]])
     pts = (H * ij) @ M.T
-    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    chart = fit_fixed(pts, (0, 0), 4 * H)
     assert chart.residual < 1e-10
     # linear inverts the shear up to a left GL(2, Z) factor
     g = chart.linear @ M
@@ -52,21 +58,21 @@ def test_chart_tolerates_bounded_noise():
     ij, pts = square_lattice()
     rng = np.random.default_rng(1)
     noisy = pts + 0.02 * H * rng.uniform(-1, 1, pts.shape)
-    chart = ml._fit_chart_fixed(noisy, (0, 0), H, 4 * H)
+    chart = fit_fixed(noisy, (0, 0), 4 * H)
     assert chart.residual <= 0.05
 
 
 def test_chart_needs_enough_points():
     _, pts = square_lattice(1)
     with pytest.raises(ChartError):
-        ml._fit_chart_fixed(pts[:4], (0, 0), H, 10 * H)
+        fit_fixed(pts[:4], (0, 0), 10 * H)
 
 
 def test_chart_rejects_large_distortion():
     ij, pts = square_lattice()
     warped = pts + 0.2 * H * np.sin(ij[:, :1] * 2.0)
     with pytest.raises(ChartError):
-        ml._fit_chart_fixed(warped, (0, 0), H, 8 * H)
+        fit_fixed(warped, (0, 0), 8 * H)
 
 
 def test_chart_raises_when_labels_do_not_settle(monkeypatch):
@@ -80,12 +86,12 @@ def test_chart_raises_when_labels_do_not_settle(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", drifting)
     with pytest.raises(ChartError, match="still changing"):
-        ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+        fit_fixed(pts, (0, 0), 4 * H)
 
 
 def test_transport_keeps_the_frame():
     _, pts = square_lattice()
-    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    chart = fit_fixed(pts, (0, 0), 4 * H)
     moved = transport_chart(chart, (3 * H, H), pts)
     overlap = pts[chart.contains(pts) & moved.contains(pts)]
     assert len(overlap) >= 6
@@ -94,7 +100,7 @@ def test_transport_keeps_the_frame():
 
 def test_transport_needs_overlap():
     _, pts = square_lattice()
-    chart = ml._fit_chart_fixed(pts, (-8 * H, -8 * H), H, 3 * H)
+    chart = fit_fixed(pts, (-8 * H, -8 * H), 3 * H)
     with pytest.raises(TransportError):
         transport_chart(chart, (8 * H, 8 * H), pts)
 
@@ -102,7 +108,7 @@ def test_transport_needs_overlap():
 def test_transport_rejects_a_frame_that_moved(monkeypatch):
     # a refit whose labels moved by one on the overlap is not the old frame
     _, pts = square_lattice()
-    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    chart = fit_fixed(pts, (0, 0), 4 * H)
     fit = ml._fit_chart
 
     def shifted(*args, **kwargs):
@@ -148,12 +154,13 @@ def test_continuation_halves_a_step_that_fails(monkeypatch):
 def test_transition_rejects_a_collinear_overlap():
     # labels on one lattice row fix the transition only along that row
     _, pts = square_lattice()
-    chart = ml._fit_chart_fixed(pts, (0, 0), H, 4 * H)
+    chart = fit_fixed(pts, (0, 0), 4 * H)
     row = pts[(pts[:, 1] == 0) & (np.abs(pts[:, 0]) <= 3 * H)]
     assert len(row) == 7
     with pytest.raises(TransportError, match="one lattice line"):
         _fit_transition(chart, chart, row, "on the row")
-    assert _fit_transition(chart, chart, pts, "on the disc").is_identity()
+    assert _fit_transition(chart, chart, ml._points_array(pts),
+                           "on the disc").is_identity()
 
 
 def test_transition_rejects_non_integral_entries():
@@ -527,6 +534,143 @@ def test_transition_rejects_a_non_integral_monodromy(spec_h5em3):
     with pytest.raises(TransportError, match="does not hold"):
         _fit_transition(first, last, ml._points_array(spec_h5em3),
                         "of the start and end charts")
+
+
+def test_disc_and_overlap_rows_are_those_of_a_scan_of_every_row(
+        spec_h5em3, monkeypatch):
+    # a disc's rows are found in its E2 band, an overlap's in the band of
+    # the first disc; a scan of every row finds the same rows in the same
+    # order
+    pts = ml._points_array(spec_h5em3)
+    h = spec_h5em3.h
+    seen = []
+    labels = LatticeChart.labels
+
+    def recording(chart, p):
+        seen.append(p)
+        return labels(chart, p)
+
+    monkeypatch.setattr(LatticeChart, "labels", recording)
+    frame = fit_local_chart(spec_h5em3, (20 * math.sqrt(2) * h, 5 * h), h)
+    rng = np.random.default_rng(2110)
+    overlaps = 0
+    for _ in range(40):
+        center = pts[rng.integers(len(pts))] + h * rng.uniform(-1, 1, 2)
+        radius = h * rng.uniform(0.5, 6.0)
+        every = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        assert np.array_equal(ml._disc(pts, center, radius),
+                              pts[every <= radius])
+        # the same frame on two discs: the identity on the overlap
+        one, two = (dataclasses.replace(frame, center=tuple(c), radius=radius)
+                    for c in (center, center + radius * rng.uniform(-1, 1, 2)))
+        want = pts[one.contains(pts) & two.contains(pts)]
+        seen.clear()
+        try:
+            assert _fit_transition(one, two, pts, "here").is_identity()
+        except TransportError:
+            assert not seen
+            continue
+        overlaps += 1
+        assert np.array_equal(seen[0], want)
+    assert overlaps >= 20
+
+
+def chart_or_error(points, center, h):
+    try:
+        chart = fit_local_chart(points, center, h)
+    except ChartError as exc:
+        return str(exc)
+    return (chart.center, chart.linear.tolist(), chart.offset.tolist(),
+            chart.radius, chart.residual)
+
+
+def test_a_chart_does_not_depend_on_the_order_of_the_rows(spec_h5em3):
+    # an array's rows are sorted on entry as a table's are, so every fit,
+    # and every error, is that of the table
+    h = spec_h5em3.h
+    pts = ml._plane(spec_h5em3.points)
+    shuffled = pts[np.random.default_rng(7).permutation(len(pts))]
+    centers = pts[np.random.default_rng(8).integers(len(pts), size=20)]
+    outcomes = [chart_or_error(spec_h5em3, c, h) for c in centers]
+    assert [chart_or_error(shuffled, c, h) for c in centers] == outcomes
+    assert sum(isinstance(o, tuple) for o in outcomes) >= 10
+    chart = fit_local_chart(spec_h5em3, centers[0], h)
+    step = (centers[0][0] + chart.radius / 3, centers[0][1])
+    moved = transport_chart(chart, step, spec_h5em3)
+    again = transport_chart(chart, step, shuffled)
+    assert again.radius == moved.radius
+    assert np.array_equal(again.linear, moved.linear)
+    assert np.array_equal(again.offset, moved.offset)
+
+
+def test_unwind_measures_the_local_spacing_once(spec_h5em3, monkeypatch):
+    # the first chart measures the spacing of the points; every transported
+    # disc takes it from the frame it continues
+    calls = []
+    spacing = ml.local_spacing
+    transport = ml.transport_chart
+
+    def counting(*args):
+        calls.append(args)
+        return spacing(*args)
+
+    def moved(*args):
+        calls.append(None)
+        return transport(*args)
+
+    monkeypatch.setattr(ml, "local_spacing", counting)
+    monkeypatch.setattr(ml, "transport_chart", moved)
+    res = unwind(make_loop_polygon(spec_h5em3, 19.0, seed=3), spec_h5em3)
+    assert res.closed
+    assert calls.count(None) > 50
+    assert len(calls) - calls.count(None) == 1
+
+
+def test_frame_spacing_is_the_shortest_lattice_vector():
+    # columns (2, 0) h and (1, 1) h: |c1 - c2| = sqrt(2) h is the shortest
+    basis = H * np.array([[2.0, 1.0], [0.0, 1.0]])
+    frame = LatticeChart(center=(0.0, 0.0), linear=H * np.linalg.inv(basis),
+                         offset=np.zeros(2), radius=H, h=H)
+    assert ml._frame_spacing(frame) == pytest.approx(math.sqrt(2) * H,
+                                                     rel=1e-12)
+
+
+def first_chart_fixed(spectrum, charts, monodromy):
+    """The rows the monodromy fixes, each labelled by the first chart
+    whose disc holds it, every row tested against every chart."""
+    pts = ml._plane(spectrum.points)
+    labels = np.zeros((len(pts), 2), dtype=int)
+    covered = np.zeros(len(pts), dtype=bool)
+    for ch in charts:
+        new = ch.contains(pts) & ~covered
+        labels[new] = ch.labels(pts[new])
+        covered |= new
+    N = monodromy.matrix - np.eye(2, dtype=int)
+    return spectrum.points[covered & np.all(labels @ N.T == -monodromy.shift,
+                                            axis=1)]
+
+
+def test_l0_line_labels_each_point_by_the_first_chart_that_holds_it(
+        spec_h5em3):
+    # the disc bands give the fixed rows of a scan of every row per chart,
+    # also when each chart labels the rows of its disc its own way
+    poly = make_loop_polygon(spec_h5em3, 20.0, seed=0)
+    res = unwind(poly, spec_h5em3)
+    h = spec_h5em3.h
+    moved = [dataclasses.replace(ch, offset=ch.offset + h * (i % 5))
+             for i, ch in enumerate(res.charts)]
+    for charts in (res.charts, moved):
+        want = first_chart_fixed(spec_h5em3, charts, res.monodromy)
+        assert len(want) > 0
+        assert np.array_equal(l0_line(spec_h5em3, charts, res.monodromy),
+                              want)
+
+
+def test_a_non_enclosing_loop_must_not_wind_around_the_critical_value(
+        spec_h5em3):
+    with pytest.raises(DomainError, match=r"enclosing=False.*radius 14 "
+                       r"around the center \(0, 0\)"):
+        make_loop_polygon(spec_h5em3, 14.0, seed=3, enclosing=False)
 
 
 def test_chain_failure_names_the_segment(spec_h5em3):

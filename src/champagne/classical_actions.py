@@ -265,26 +265,14 @@ def regularized_action(E: float, L: float) -> float:
     e0 = E/sqrt(2) + iL and the principal log.  Extends continuously
     through the critical value, where it equals 2 sqrt(2)/3.
     """
-    S_r = radial_action(E, L).S_r
-    return _regularized(E, L, S_r,
-                        math.nan if L == 0.0 else rotation_number(E, L))
-
-
-def _regularized(E: float, L: float, S_r: float, Theta: float) -> float:
-    """regularized_action from the S_r and Theta of (E, L); Theta is not
-    read at L = 0, where L theta_tilde is 0."""
-    lt = 0.0 if L == 0.0 else L * (-Theta if L > 0.0
-                                   else -Theta - 2.0 * math.pi)
-    e0 = complex(E / SQRT2, L)
-    counter = 0.0 if e0 == 0 else (e0 * np.log(e0)).real - e0.real
-    return S_r + lt + counter
+    return action_sample(E, L).A_reg
 
 
 def action_sample(E: float, L: float) -> ActionSample:
     """All classical quantities at one (E, L), each orbit integral done
     once.  Theta is NaN where it is undefined on L = 0; anywhere else
-    rotation_number's DomainError is raised, as regularized_action
-    raises it."""
+    rotation_number's DomainError is raised.  A_reg is regularized_action,
+    and reads Theta only off L = 0, where L theta_tilde is 0."""
     r_minus, r_plus = turning_points(E, L)
     act = _radial_action(E, L, r_minus, r_plus)
     try:
@@ -293,8 +281,12 @@ def action_sample(E: float, L: float) -> ActionSample:
         if L != 0.0:
             raise
         Theta = math.nan
+    lt = 0.0 if L == 0.0 else L * (-Theta if L > 0.0
+                                   else -Theta - 2.0 * math.pi)
+    e0 = complex(E / SQRT2, L)
+    counter = 0.0 if e0 == 0 else (e0 * np.log(e0)).real - e0.real
     return ActionSample(E, L, r_minus, r_plus, act.S_r, act.T, Theta,
-                        _regularized(E, L, act.S_r, Theta))
+                        act.S_r + lt + counter)
 
 
 # --- monodromy of the classical torus bundle ----------------------------

@@ -249,6 +249,9 @@ def _cmd_count(cfg) -> int:
 
 def _cmd_special(cfg) -> int:
     op, eps, n = cfg["op"], cfg["eps"], cfg["n"]
+    if not math.isfinite(eps):
+        raise ConfigurationError(f"bad --eps value {eps!r}: expected a "
+                                 "finite number")
     if op == "C":
         c = sf.fourier_constant(eps, n)
         print("C = %.12g%+.12gi  modulus %.12f" % (c.real, c.imag, abs(c)))

@@ -75,11 +75,14 @@ def gap_verdict(records_by_h: dict) -> tuple[str, dict]:
     records_by_h maps h -> list of GapRecord.  Returns (winner, table)
     where table[h] = (max_rel_err_general, max_rel_err_champagne); the
     winner must be the same for every h, otherwise DomainError (the
-    discrepancy would then be unresolved by this data).
+    discrepancy would then be unresolved by this data), as is an h
+    without records.
     """
     table = {}
     winners = set()
     for h, recs in records_by_h.items():
+        if not recs:
+            raise DomainError(f"no gap records at h={h!r} for the verdict")
         eg = max(r.rel_err_general for r in recs)
         ec = max(r.rel_err_champagne for r in recs)
         table[h] = (eg, ec)

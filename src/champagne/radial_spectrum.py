@@ -542,9 +542,12 @@ class SpectrumTable:
 
     points is a numpy record array of POINT_DTYPE with fields h, n, k, E1,
     E2 = h n and x = E1 / (sqrt 2 h), sorted by (n, E1) when the table is
-    built, and read-only.  Columns read as points.E1, rows as
+    made, and read-only.  Columns read as points.E1, rows as
     points[i].E1; the rows of line n are the contiguous slice line(n).
-    A row whose h is not the table's raises ConfigurationError.
+    Each row must have the table's h, an n in n_range and an E1 in the
+    half-open [e_window), and k and E1 rise strictly on each line; a row
+    that does not raises ConfigurationError naming the key, its value,
+    and the row's index in the points given and its (h, n, k, E1).
     """
 
     h: float
@@ -556,12 +559,29 @@ class SpectrumTable:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=POINT_DTYPE)
-        other = np.flatnonzero(pts["h"] != self.h)
-        if len(other):
+        (n_lo, n_hi), (e_lo, e_hi) = self.n_range, self.e_window
+        n, e1 = pts["n"], pts["E1"]
+        named = pts[["h", "n", "k", "E1"]]      # how an error names a row
+        for key, ok in [("h", pts["h"] == self.h),
+                        ("n_range", (n >= n_lo) & (n <= n_hi)),
+                        ("e_window", (e1 >= e_lo) & (e1 < e_hi))]:
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ConfigurationError(
+                    f"{key} is {getattr(self, key)!r}, but row {i} has "
+                    f"(h, n, k, E1) = {named[i].item()}")
+        order = np.lexsort((e1, n))
+        srt = pts[order]
+        bad = np.flatnonzero((np.diff(srt["n"]) == 0)
+                             & ((np.diff(srt["k"]) <= 0)
+                                | (np.diff(srt["E1"]) <= 0)))
+        if len(bad):
+            i, j = order[bad[0]], order[bad[0] + 1]
             raise ConfigurationError(
-                f"the table has h = {self.h!r}, but row {other[0]} has "
-                f"h = {float(pts['h'][other[0]])!r}")
-        self.points = pts[np.lexsort((pts["E1"], pts["n"]))].view(np.recarray)
+                f"k does not increase strictly with E1 on line n={n[i]}: "
+                f"row {i} has (h, n, k, E1) = {named[i].item()} and row {j} "
+                f"has {named[j].item()}")
+        self.points = srt.view(np.recarray)
         # line(n) and line_x(n) are views: keep callers from editing the table
         self.points.flags.writeable = False
 
@@ -612,7 +632,10 @@ def joint_spectrum(h: float, n_range: tuple, e_window: tuple,
 # --- serialization ------------------------------------------------------
 
 def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
-    """CSV of the POINT_DTYPE columns, plus a JSON sidecar <path>.meta.json."""
+    """CSV of the POINT_DTYPE columns, plus a JSON sidecar <path>.meta.json;
+    a table without rows, whose h the CSV could not hold, raises."""
+    if not len(table.points):
+        raise ConfigurationError(f"{path}: a table without rows has no h")
     _write_csv(path, POINT_DTYPE.names, table.points.tolist())
     _write_json(path + ".meta.json", {
         "n_range": list(table.n_range),
@@ -622,27 +645,13 @@ def write_spectrum_csv(table: SpectrumTable, path: str) -> None:
     })
 
 
-def _check_sidecar(meta_path: str, meta: dict, points: np.ndarray) -> None:
-    """ConfigurationError naming the sidecar and the key unless every row
-    has an n in n_range and an E1 in [e_window)."""
-    (n_lo, n_hi), (e_lo, e_hi) = meta["n_range"], meta["e_window"]
-    n, e1 = points["n"], points["E1"]
-    for key, bad in [("n_range", (n < n_lo) | (n > n_hi)),
-                     ("e_window", (e1 < e_lo) | (e1 >= e_hi))]:
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigurationError(
-                f"{meta_path}: {key} is {meta[key]!r}, but data row {i} has "
-                f"(h, n, E1) = {points[['h', 'n', 'E1']][i].item()}")
-
-
 def read_spectrum_csv(path: str) -> SpectrumTable:
-    """Table written by write_spectrum_csv, at the h of its rows.  Without
-    its .meta.json sidecar it warns, and assumes the champagne potential
-    and default_config.  Rows of more than one h, a sidecar that is not
-    JSON, has other keys than write_spectrum_csv writes, or values not of
-    their types or not true of the rows, and rows whose k does not rise
-    strictly with E1 on a line raise ConfigurationError naming them."""
+    """Table written by write_spectrum_csv, at the h of its first row and
+    with its sidecar <path>.meta.json.  A bad header, no rows, and a
+    sidecar missing, not JSON, or with other keys than write_spectrum_csv
+    writes or values not of their types raise ConfigurationError naming
+    the file; SpectrumTable checks the rows, and its error gains the CSV
+    and sidecar paths (row i is the file's data row i)."""
     with open(path) as fh:
         header = fh.readline().strip()
     if header != ",".join(POINT_DTYPE.names):
@@ -653,38 +662,21 @@ def read_spectrum_csv(path: str) -> SpectrumTable:
                             skiprows=1, ndmin=1)
     if not len(points):
         raise ConfigurationError(f"no rows in {path}")
-    h = float(points["h"][0])
-    other = np.flatnonzero(points["h"] != h)
-    if len(other):
-        raise ConfigurationError(
-            f"{path}: data row {other[0]} has h = "
-            f"{float(points['h'][other[0]])!r}, but data row 0 has h = {h!r}")
     meta_path = path + ".meta.json"
-    n_range = (int(points["n"].min()), int(points["n"].max()))
-    e_window = (float(points["E1"].min()), float(points["E1"].max()))
-    if os.path.exists(meta_path):
-        meta = _read_json(meta_path, {
-            "n_range": tuple[int, int], "e_window": tuple[float, float],
-            "config": dict, "potential": dict})
-        config, potential = (
-            cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
-            for key, cls in [("config", DiscretizationConfig),
-                             ("potential", PotentialSpec)])
-        _check_sidecar(meta_path, meta, points)
-        n_range = tuple(meta["n_range"])
-        e_window = tuple(meta["e_window"])
-    else:
-        warnings.warn(f"{meta_path} not found: assuming the champagne "
-                      "potential and default_config for the table")
-        potential = PotentialSpec.champagne_bottle()
-        config = default_config(h, e_window[1], potential)
-    table = SpectrumTable(h=h, n_range=n_range, e_window=e_window,
-                          points=points, config=config, potential=potential)
-    # rows are sorted by (n, E1): k must rise with them on each line
-    pts = table.points
-    bad = np.flatnonzero((np.diff(pts.n) == 0) & ((np.diff(pts.k) <= 0)
-                                                  | (np.diff(pts.E1) <= 0)))
-    if len(bad):
-        raise ConfigurationError(f"{path}: k does not increase strictly with "
-                                 f"E1 on line n={pts.n[bad[0]]}")
-    return table
+    if not os.path.exists(meta_path):
+        raise ConfigurationError(f"{meta_path} not found: a spectrum CSV is "
+                                 "read with the sidecar written beside it")
+    meta = _read_json(meta_path, {
+        "n_range": tuple[int, int], "e_window": tuple[float, float],
+        "config": dict, "potential": dict})
+    config, potential = (
+        cls(**_check_keys(f"{meta_path} {key}", meta[key], cls))
+        for key, cls in [("config", DiscretizationConfig),
+                         ("potential", PotentialSpec)])
+    try:
+        return SpectrumTable(h=float(points["h"][0]),
+                             n_range=tuple(meta["n_range"]),
+                             e_window=tuple(meta["e_window"]), points=points,
+                             config=config, potential=potential)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path} with {meta_path}: {exc}") from None

@@ -126,6 +126,30 @@ def test_special_subcommand(capsys):
     assert "modulus 1.000000000000" in capsys.readouterr().out
 
 
+def test_special_rejects_an_eps_that_is_not_finite(capsys):
+    for eps in ("nan", "inf", "-inf"):
+        for op in ("C", "psi", "psi-prime", "hankel"):
+            assert run("special", "--op", op, f"--eps={eps}") == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: bad --eps value {float(eps)!r}: expected "
+                           "a finite number\n")
+
+
+def test_gaps_on_a_csv_without_its_sidecar_is_one_error_line(tmp_path,
+                                                            capsys):
+    spec = str(tmp_path / "bare.csv")
+    assert run("spectrum", "--h", "1e-2", "--n-min", "0", "--n-max", "0",
+               "--e-min", "-0.05", "--e-max", "0.05", "--out", spec) == 0
+    Path(spec + ".meta.json").unlink()
+    capsys.readouterr()
+    assert run("gaps", "--spectrum", spec,
+               "--out", str(tmp_path / "g.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}.meta.json not found")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("g.csv*"))
+
+
 def test_spectrum_bs_gaps_pipeline(tmp_path, capsys):
     spec = str(tmp_path / "s.csv")
     assert run("spectrum", "--h", "1e-2", "--n-min", "-2", "--n-max", "2",

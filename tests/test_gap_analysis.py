@@ -1,6 +1,7 @@
 """Gap statistics, smallest-gap scaling, Weyl counts, volume estimate."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,14 @@ def test_verdict_consistent_across_h(spec_h1em3, spec_h1em4):
     # the O(1/ln h) correction scale bounds the winner's max error
     for h, (eg, ec) in table.items():
         assert min(eg, ec) <= TWO_PI / abs(math.log(h))
+
+
+def test_verdict_names_an_h_without_records(spec_h1em3):
+    # an empty line at one h is a DomainError naming that h, not a bare
+    # ValueError of max()
+    with pytest.raises(DomainError, match=re.escape("h=0.0001")):
+        gap_verdict({1e-3: measure_gaps(spec_h1em3, 0, (-10, 10)),
+                     1e-4: []})
 
 
 def test_gaps_csv_format(tmp_path, spec_h1em4):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from scipy.optimize import brentq
 
 import fd2
 from champagne import radial_spectrum as rs
-from champagne.errors import ConfigurationError, ConvergenceError
+from champagne.errors import (ConfigurationError, ConvergenceError,
+                             _write_csv)
 from champagne.radial_spectrum import (MAX_GRID_POINTS, RICHARDSON_GAP_BUDGET,
                                        DiscretizationConfig, PotentialSpec,
                                        default_config, eigenvalues_in_window,
@@ -438,15 +440,16 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     for a, b in zip(back.points, spec_h1em2.points):
         assert (a.n, a.k, a.E1) == (b.n, b.k, b.E1)
 
-    # rows in any order read back into the same (n, E1)-sorted lines
+    # rows in any order, with the sidecar, read back into the same
+    # (n, E1)-sorted lines
     header, *rows = open(path).read().splitlines()
     rows_in_order = list(rows)
     np.random.default_rng(0).shuffle(rows)
     shuffled = str(tmp_path / "shuffled.csv")
     with open(shuffled, "w") as fh:
         fh.write("\n".join([header] + rows) + "\n")
-    with pytest.warns(UserWarning, match="meta.json"):
-        back = read_spectrum_csv(shuffled)
+    shutil.copy(path + ".meta.json", shuffled + ".meta.json")
+    back = read_spectrum_csv(shuffled)
     assert back.n_values() == spec_h1em2.n_values()
     for n in spec_h1em2.n_values():
         assert np.array_equal(back.line(n), spec_h1em2.line(n))
@@ -486,9 +489,9 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     e_top = float(np.max(spec_h1em2.points.E1))
     cases += [(json.dumps({**meta, key: value}), error)
               for key, value, error in [
-                  ("n_range", [-3, 9], r"n_range is \[-3, 9\], but data row "
-                                       r"0 has \(h, n, E1\) = \(0.01, -4, "),
-                  ("e_window", [3.0, 4.0], r"e_window is \[3.0, 4.0\], but "),
+                  ("n_range", [-3, 9], r"n_range is \(-3, 9\), but row 0 "
+                                       r"has \(h, n, k, E1\) = \(0.01, -4, "),
+                  ("e_window", [3.0, 4.0], r"e_window is \(3.0, 4.0\), but "),
                   ("e_window", [meta["e_window"][0], e_top],
                    re.escape(f", {e_top!r})"))]]
     for text, error in cases:
@@ -511,7 +514,7 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
     with pytest.raises(ConfigurationError,
                        match="k does not increase strictly with E1"):
         read_spectrum_csv(path)
-    # a row of another h, with the sidecar and without it, is named
+    # a row of another h is named, in the file and in any order of its rows
     third = rows_in_order[3].split(",")
     third[0] = "0.02"
     for name in (path, shuffled):
@@ -519,8 +522,9 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
             fh.write("\n".join([header] + rows_in_order[:3] + [",".join(third)]
                                + rows_in_order[4:]) + "\n")
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"{name}: data row 3 has h = 0.02, "
-                                           "but data row 0 has h = 0.01")):
+                           match=re.escape(f"{name} with {name}.meta.json: "
+                                           "h is 0.01, but row 3 has (h, n, "
+                                           "k, E1) = (0.02, ")):
             read_spectrum_csv(name)
     with open(path, "w") as fh:
         fh.write("\n".join([header] + rows_in_order) + "\n")
@@ -534,17 +538,40 @@ def test_csv_roundtrip(tmp_path, spec_h1em2):
             read_spectrum_csv(path)
 
 
-def test_csv_without_sidecar_warns(tmp_path):
+def test_csv_without_sidecar_raises(tmp_path):
+    # the sidecar holds the potential and the mesh: without it a harmonic
+    # table is not read as a champagne one
     table = joint_spectrum(0.1, (0, 1), (0.0, 0.5), potential=HARMONIC)
     path = str(tmp_path / "spec.csv")
     write_spectrum_csv(table, path)
     assert read_spectrum_csv(path).potential == HARMONIC
     os.remove(path + ".meta.json")
-    with pytest.warns(UserWarning, match="meta.json not found"):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}.meta.json not found")):
+        read_spectrum_csv(path)
+
+
+def test_every_written_table_reads_back_equal(tmp_path, spec_h1em2):
+    harmonic = joint_spectrum(0.1, (-1, 2), (0.05, 0.65), potential=HARMONIC)
+    tables = [spec_h1em2, harmonic,
+              dataclasses.replace(harmonic, n_range=(-3, 3),
+                                  e_window=(0.0, 1.0),
+                                  points=harmonic.points[::2])]
+    for i, table in enumerate(tables):
+        path = str(tmp_path / f"spec{i}.csv")
+        write_spectrum_csv(table, path)
         back = read_spectrum_csv(path)
-    # what the warning says is assumed
-    assert back.potential == PotentialSpec.champagne_bottle()
-    assert back.config == default_config(0.1, float(np.max(table.points.E1)))
+        assert back.points.tobytes() == table.points.tobytes()
+        assert (back.h, back.n_range, back.e_window, back.config,
+                back.potential) == (table.h, table.n_range, table.e_window,
+                                    table.config, table.potential)
+    # a table without rows has no h to write: no file is left to be read
+    empty = str(tmp_path / "empty.csv")
+    with pytest.raises(ConfigurationError, match="without rows"):
+        write_spectrum_csv(dataclasses.replace(harmonic,
+                                               points=harmonic.points[:0]),
+                           empty)
+    assert not os.path.exists(empty)
 
 
 def test_a_potential_is_its_kind():
@@ -677,10 +704,51 @@ def test_a_table_holds_rows_of_its_h():
     table = joint_spectrum(0.1, (0, 1), (0.1, 0.4), potential=HARMONIC)
     assert len(table.points) and table.h == 0.1
     with pytest.raises(ConfigurationError, match=re.escape(
-            "the table has h = 1.0, but row 0 has h = 0.1")):
+            "h is 1.0, but row 0 has (h, n, k, E1) = (0.1, 0, ")):
         dataclasses.replace(table, h=1.0)
     same = dataclasses.replace(table, h=0.1)
     assert same.points.tobytes() == table.points.tobytes()
+
+
+def test_a_row_fault_raises_the_same_error_however_the_table_is_made(
+        tmp_path):
+    # a row of another h, an n outside n_range, an E1 at the open top of
+    # e_window, and k falling on a line, in a table built, replaced or read
+    table = joint_spectrum(0.1, (0, 1), (0.05, 0.65), potential=HARMONIC)
+    pts = table.points
+    assert pts.n[:2].tolist() == [0, 0] and pts.k[:2].tolist() == [0, 1]
+    faults = [
+        ("h", 0.2, "h is 0.1, but row 1 has (h, n, k, E1) = (0.2, 0, 1, "),
+        ("n", 2, "n_range is (0, 1), but row 1 has (h, n, k, E1) = "
+                 "(0.1, 2, 1, "),
+        ("E1", 0.65, "e_window is (0.05, 0.65), but row 1 has (h, n, k, "
+                     "E1) = (0.1, 0, 1, 0.65)"),
+        ("k", 0, "k does not increase strictly with E1 on line n=0: row 0 "
+                 "has (h, n, k, E1) = (0.1, 0, 0, "),
+    ]
+    path = str(tmp_path / "spec.csv")
+    write_spectrum_csv(table, path)
+    for key, value, error in faults:
+        bad = pts.copy()
+        bad[key][1] = value
+        messages = []
+        for make in (lambda: rs.SpectrumTable(
+                         h=table.h, n_range=table.n_range,
+                         e_window=table.e_window, points=bad,
+                         config=table.config, potential=table.potential),
+                     lambda: dataclasses.replace(table, points=bad)):
+            with pytest.raises(ConfigurationError) as exc:
+                make()
+            messages.append(str(exc.value))
+        _write_csv(path, rs.POINT_DTYPE.names, bad.tolist())
+        with pytest.raises(ConfigurationError) as exc:
+            read_spectrum_csv(path)
+        assert messages[0] == messages[1] and messages[0].startswith(error)
+        assert str(exc.value) == f"{path} with {path}.meta.json: " \
+            + messages[0]
+    # the k fault names both rows of the line
+    assert messages[0].endswith(
+        f"and row 1 has {bad[['h', 'n', 'k', 'E1']][1].item()}")
 
 
 def test_a_mesh_is_solved_at_the_h_of_the_call():

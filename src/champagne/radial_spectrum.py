@@ -23,7 +23,11 @@ energy windows in the CSV's JSON sidecar.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import numbers
+import operator
 import os
 import warnings
 from dataclasses import dataclass, asdict
@@ -205,11 +209,16 @@ def default_config(h: float, e_max: float,
 # W = V + h^2 (n^2 - 1/4) / (2 r^2) is held at its value at each interval's
 # geometric midpoint, and u'' = q u, q = 2 (W - E) / h^2, solved exactly:
 # y = (S u, u') maps by [[c, S s], [q s / S, c]], c = cos t or cosh t, t =
-# sqrt(|q|) d, s = sin t or sinh t over sqrt(|q|).  A product of maps is
-# carried as (m00, m01, m10, m11, w, phi): w pi + phi is the lifted Pruefer
-# angle of y for the solution from u = 0, phi in [0, pi] that of its line.
+# sqrt(|q|) d, s = sin t or sinh t over sqrt(|q|).  Maps are carried as the
+# six rows (m00, m01, m10, m11, w, phi) of one stacked array, each row flat
+# over intervals by energies: w pi + phi is the lifted Pruefer angle of y
+# for the solution from u = 0, phi in [0, pi] that of its line.  Each step
+# writes into buffers that _product allocates once per call, and works on
+# contiguous rows, where numpy's cost per call is least.
 
-_BLOCK = 1 << 14            # matrix entries multiplied out at once
+_BLOCK = 1 << 14            # matrix entries multiplied out before a rescale
+_BATCH = 1 << 15            # matrix entries whose blocks are paired at once
+_MERGE = 1 << 9             # entries of a batch left to pair with others
 _GROWTH_MAX = 300.0         # log of the growth a block may reach unscaled
 _MAX_STEPS = 60             # phase evaluations per level
 _ANCHOR_STEP = 12           # levels per measured mesh shift on a line
@@ -226,71 +235,276 @@ def _lift(phi, w, phi_b, dot):
     return w + ((phi - phi_b + np.copysign(0.25 * math.pi, dot)) < 0.0)
 
 
-def _leaves(q0, d, e2, scale):
-    """The maps of the intervals (q0, d) at q = q0 - e2, rows by energies,
-    and the log of how far their product can grow."""
-    q = np.subtract.outer(q0, e2)
-    t = q * (d * d)[:, None]
-    osc = t < 0.0
-    t = np.sqrt(np.abs(t))
-    growth = float(np.max(np.sum(t, axis=0, where=~osc)))
+def _leaves(q0, d, e2, scale, out, osc, phi_from) -> bool:
+    """Write into out the maps of the intervals (q0, d) at q = q0 - e2, one
+    entry for each interval and energy, energies innermost: e2 and scale
+    are given for each entry.  m11, which is m00, is left out, phi is
+    written from entry phi_from on, and w only where one is not 0, which
+    is returned; the rows left serve as scratch, and osc as one of bools."""
+    energies = len(e2) // len(q0)
+    q, s, t, inv = out[3], out[1], out[4], out[5]
+    dd = d * d
+    np.subtract(q0.repeat(energies), e2, out=q)
+    np.multiply(q, dd.repeat(energies), out=t)
+    # on each interval t is largest at the least energy, and -t at the most
+    least, most = e2[:energies].min(), e2[:energies].max()
+    grows = ((q0 - least) * dd).max() >= 0.0
+    widest = ((most - q0) * dd).max()       # the largest oscillating t^2
+    if grows:
+        np.less(t, 0.0, out=osc)
+    np.abs(t, out=t)
+    np.sqrt(t, out=t)
     # cos t and sin t from tau = tan(t / 2), at a tenth of their cost
-    tau = np.tan(0.5 * t)
-    inv = 2.0 / (1.0 + tau * tau)
-    c = np.where(osc, inv - 1.0, np.cosh(t))
-    s = np.where(osc, tau * inv, np.sinh(t)) * (d[:, None]
-                                                / np.maximum(t, 1e-300))
-    m01 = s * scale
+    np.multiply(t, 0.5, out=s)
+    np.tan(s, out=s)
+    np.multiply(s, s, out=inv)
+    np.add(inv, 1.0, out=inv)
+    np.divide(2.0, inv, out=inv)
+    c = out[0]
+    np.subtract(inv, 1.0, out=c)
+    np.multiply(s, inv, out=s)
+    if grows:
+        # cosh and sinh only where they are used
+        at = np.flatnonzero(~osc)
+        c[at], s[at] = np.cosh(t[at]), np.sinh(t[at])
+    np.maximum(t, 1e-300, out=inv)
+    np.divide(d.repeat(energies), inv, out=inv)
+    np.multiply(s, inv, out=s)
+    np.multiply(q, s, out=out[2])
+    np.divide(out[2], scale, out=out[2])
+    np.multiply(s, scale, out=out[1])
     # j = round(t / pi) half turns on an oscillating interval, less one
-    # where m01 and (-1)^j differ in sign
-    j = np.round(t * (1.0 / math.pi)) * osc
-    w = j - ((m01 < 0.0) != (np.floor(0.5 * j) != 0.5 * j))
-    return [c, m01, q * s / scale, c, w, _line_angle(m01, c)], growth
+    # where m01 and (-1)^j differ in sign: where every oscillating t is
+    # below pi, j <= 1 and m01 > 0, so that w = 0
+    turns = math.sqrt(max(widest, 0.0)) >= math.pi
+    if turns:
+        j = np.round(t * (1.0 / math.pi))
+        if grows:
+            j *= osc
+        np.subtract(j, (out[1] < 0.0) != (np.floor(0.5 * j) != 0.5 * j),
+                    out=out[4])
+    y0, y1 = q[phi_from:], inv[phi_from:]
+    np.abs(out[1, phi_from:], out=y0)
+    np.copysign(1.0, out[1, phi_from:], out=y1)
+    np.multiply(y1, c[phi_from:], out=y1)
+    np.arctan2(y0, y1, out=out[5, phi_from:])
+    return turns
 
 
-def _compose(a, b):
-    """The map b after a, with its lift: the solution from u = 0 leaves a
-    on the line of (a01, a11), at phi_a, and b turns it by a delta in
-    [0, pi) from b e0, so that the lift is (w_a + w_b) pi + phi_b + delta."""
-    a00, a01, a10, a11, wa, _ = a
-    b00, b01, b10, b11, wb, phib = b
-    p01, p11 = b00 * a01 + b01 * a11, b10 * a01 + b11 * a11
-    phi = _line_angle(p01, p11)
-    dot = (b01 * p01 + b11 * p11) * np.copysign(1.0, a01)
-    return [b00 * a00 + b01 * a10, p01, b10 * a00 + b11 * a10, p11,
-            _lift(phi, wa + wb, phib, dot), phi]
+def _compose(a, b, out, work, lifted):
+    """Write into out the maps b after a, all but their w, and into lifted
+    where the lift passes pi: the solution from u = 0 leaves a on the line
+    of (a01, a11), at phi_a, and b turns it by a delta in [0, pi) from
+    b e0, so that the lift is (w_a + w_b + lifted) pi + phi_b + delta.
+    work is two scratch rows, which may be the w rows of a, b or out."""
+    a00, a01, a10, a11 = a[:4]
+    b00, b01, b10, b11, phib = b[0], b[1], b[2], b[3], b[5]
+    m00, p01, m10, p11, phi = out[0], out[1], out[2], out[3], out[5]
+    s0, s1 = work
+    np.multiply(b00, a00, m00)
+    np.multiply(b01, a10, s0)
+    np.add(m00, s0, m00)
+    np.multiply(b00, a01, p01)
+    np.multiply(b01, a11, s0)
+    np.add(p01, s0, p01)
+    np.multiply(b10, a00, m10)
+    np.multiply(b11, a10, s0)
+    np.add(m10, s0, m10)
+    np.multiply(b10, a01, p11)
+    np.multiply(b11, a11, s0)
+    np.add(p11, s0, p11)
+    np.abs(p01, s0)
+    np.copysign(1.0, p01, s1)
+    np.multiply(s1, p11, s1)
+    np.arctan2(s0, s1, phi)
+    # dot = (b01 p01 + b11 p11) sign(a01): only its sign is used, and
+    # that is the sign of the product with a01
+    np.multiply(b01, p01, s0)
+    np.multiply(b11, p11, s1)
+    np.add(s0, s1, s0)
+    np.multiply(s0, a01, s0)
+    np.copysign(0.25 * math.pi, s0, s0)
+    np.subtract(phi, phib, s1)
+    np.add(s1, s0, s1)
+    np.less(s1, 0.0, lifted)
 
 
-def _product(q0, d, e2, scale):
-    """The maps of the intervals (q0, d) at e2, multiplied out in order:
-    blocks of 2^k rows, bit-reversed and padded with the identity, pair
-    their contiguous halves, then are composed and scaled.  A block whose
-    growth passes _GROWTH_MAX is halved, down to one interval."""
-    rows = 1 << (max(2, _BLOCK // len(e2)).bit_length() - 1)
-    rows = min(rows, 1 << (len(q0) - 1).bit_length())
-    total, i = None, 0
+def _blocks(q0, d, e2, rows) -> tuple:
+    """The first interval and the width of each block that _product
+    multiplies out unscaled: 2^k intervals, rows at first, the last block
+    cut to the next power of two of the intervals left.  A block whose
+    growth passes _GROWTH_MAX is halved, down to one interval, and so are
+    the blocks after it.  The growth, the sum of t over the intervals that
+    do not oscillate, is largest at the least energy, so it is measured
+    there alone."""
+    t = (q0 - e2.min()) * (d * d)
+    grown = np.concatenate(([0.0], np.sqrt(np.maximum(t, 0.0)).cumsum()))
+    starts, widths, i = [], [], 0
     while i < len(q0):
-        block = np.zeros((2, rows))
-        block[0, :len(q0[i:i + rows])] = q0[i:i + rows]
-        block[1, :len(d[i:i + rows])] = d[i:i + rows]
-        # bit-reversed order: the transpose reverses the bits of an index
-        order = np.arange(rows).reshape((2,) * (rows.bit_length() - 1)).T
-        maps, growth = _leaves(*block[:, order.ravel()], e2, scale)
+        left = len(q0) - i
+        width = rows if left >= rows else 1 << (left - 1).bit_length()
+        growth = grown[i + min(width, left)] - grown[i]
         if growth > _GROWTH_MAX:
-            if rows == 1:
+            if width == 1:
                 raise ConfigurationError(
                     f"an interval grows by exp({growth:.3g}): E is below V")
-            rows //= 2
+            rows = width // 2
             continue
-        while len(maps[0]) > 1:
-            half = len(maps[0]) // 2
-            maps = _compose([x[:half] for x in maps], [x[half:] for x in maps])
-        maps = [x[0] for x in maps]
-        total = maps if total is None else _compose(total, maps)
-        top = np.max(np.abs(total[:4]), axis=0)    # directions alone count
-        total = [x / top for x in total[:4]] + total[4:]
-        i += rows
-    return total
+        starts.append(i)
+        widths.append(width)
+        i += width
+    return np.array(starts), np.array(widths)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_reversed(width: int) -> np.ndarray:
+    """0, ..., width - 1 in bit-reversed order, width a power of two."""
+    order = np.arange(width).reshape((2,) * (width.bit_length() - 1)).T
+    order = order.ravel()
+    order.flags.writeable = False
+    return order
+
+
+def _product(q0, d, match, e2, scale) -> list:
+    """The maps of the two shots over the intervals (q0, d) at e2, each
+    multiplied out in its order: one stacked array, an entry per energy,
+    for the intervals before match, in order, and one for the rest, from
+    the last.
+
+    Each shot is cut into _blocks, each multiplied out pairwise,
+    unscaled, as the balanced tree of its intervals padded with the
+    identity; the blocks are then composed in order and scaled.  A block
+    cut short is its first half, a whole tree, then the rest, so that
+    only the rest is padded.  The pairings of every block run together:
+    the maps are laid out by position in the tree, block and energy,
+    positions bit-reversed, so that a pairing composes two contiguous
+    halves.  Blocks are paired the widest first, up to _BATCH entries at
+    a time, until _MERGE entries are left; those wait for the others of
+    their width, and from there on they are paired together.  A block's
+    w is the sum of its leaves' and of the lifts of its pairings, so that
+    pairings leave w out."""
+    energies = len(e2)
+    first = 1 << (max(2, _BLOCK // energies).bit_length() - 1)
+    length = np.array([match, len(q0) - match])
+    plan = []
+    for shot in (slice(match), slice(len(q0) - 1, match - 1, -1)):
+        n = len(q0[shot])
+        starts, widths = _blocks(q0[shot], d[shot], e2,
+                                 min(first, 1 << (n - 1).bit_length()))
+        rest, last = np.zeros(len(starts), dtype=bool), n - int(starts[-1])
+        if last < widths[-1]:       # and so more than half of it
+            half = int(widths[-1]) // 2
+            starts = np.append(starts, starts[-1] + half)
+            widths = np.append(widths[:-1],
+                               [half, 1 << (last - half - 1).bit_length()])
+            rest = np.append(rest, True)
+        plan.append((starts, widths, rest))
+    part = np.repeat(np.arange(len(length)), [len(p[0]) for p in plan])
+    starts, widths, rest = (np.concatenate(x) for x in zip(*plan))
+    size = energies * min(max(_BATCH // energies, int(widths.max())),
+                          int(widths.sum()))
+    half = (size + 1) // 2
+    flat = np.empty(8 * size + 6 * half + size // 8 + 1)
+    leaves = flat[:6 * size].reshape(6, size)
+    tiles = flat[6 * size:8 * size].reshape(2, size)
+    pairs = flat[8 * size:8 * size + 6 * half].reshape(6, half)
+    bools = flat[8 * size + 6 * half:].view(bool)[:size]
+    tiles[:, :energies] = e2, scale
+    filled = energies
+    while filled < size:        # e2 and scale once for each interval
+        tiles[:, filled:2 * filled] = tiles[:, :min(filled, size - filled)]
+        filled *= 2
+    fresh = collections.defaultdict(list)
+    for k, width in enumerate(widths.tolist()):
+        fresh[width].append(k)
+    # maps at each width waiting to be paired: (maps, w, blocks)
+    waiting = collections.defaultdict(list)
+    width = max(fresh)
+    while width:
+        step = max(1, size // (energies * width))
+        for k in range(0, len(fresh[width]), step):
+            batch = np.array(fresh[width][k:k + step])
+            # the interval at each position and block, or the identity's
+            # (0, 0) past the end of a shot
+            at = _bit_reversed(width)[:, None] + starts[batch]
+            pad = (at >= length[part[batch]]).ravel()
+            at = np.where(part[batch], len(q0) - 1 - at, at).ravel()
+            at[pad] = 0
+            rows = q0[at], d[at]
+            for x in rows:
+                x[pad] = 0.0
+            n, top = len(at) * energies, len(batch) * energies
+            if _leaves(*rows, tiles[0, :n], tiles[1, :n],
+                       leaves[:, :n], bools[:n],
+                       n // 2 if width > 1 else 0):
+                w = np.add.reduce(leaves[4, :n].reshape(width, top))
+            else:
+                w = np.zeros(top)
+            # a leaf's m11 is its m00, and pairings need no w, so their
+            # w rows are scratch; the lifts of each pairing are kept one
+            # after the other and counted at the end
+            src, dst = [leaves[k, :n] for k in (0, 1, 2, 0, 4, 5)], pairs
+            lifts = 0
+            while n > max(top, _MERGE):
+                n //= 2
+                _compose([x[:n] for x in src], [x[n:2 * n] for x in src],
+                         dst[:, :n], (src[4][:n], dst[4, :n]),
+                         bools[lifts:lifts + n])
+                src, dst = dst, (leaves if dst is pairs else pairs)
+                lifts += n
+            if lifts:
+                w += np.add.reduce(bools[:lifts].reshape(-1, top))
+            waiting[n // top].append(
+                (np.array([x[:n] for x in src]), w, batch))
+        group = waiting.pop(width, [])
+        if len(group) > 1:
+            # side by side: the blocks of each, at each position
+            blocks = np.concatenate([g[2] for g in group])
+            maps = np.empty((6, width, len(blocks), energies))
+            k = 0
+            for m, _, batch in group:
+                maps[:, :, k:k + len(batch)] = m.reshape(6, width, -1,
+                                                         energies)
+                k += len(batch)
+            group = [(maps.reshape(6, -1),
+                      np.concatenate([g[1] for g in group]), blocks)]
+        if group and width > 1:
+            maps, w, blocks = group[0]
+            n = maps.shape[1] // 2
+            out, lifted = np.empty((6, n)), np.empty(n, dtype=bool)
+            _compose(maps[:, :n], maps[:, n:], out, (maps[4, :n], out[4]),
+                     lifted)
+            w += np.add.reduce(lifted.reshape(-1, len(w)))
+            waiting[width // 2].append((out, w, blocks))
+        width //= 2
+    # each block's product, a cut one's from its two pieces, then each
+    # part's, its blocks in order
+    maps, w, blocks = group[0]
+    products = np.empty((6, len(blocks), energies))
+    products[:, blocks] = maps.reshape(6, -1, energies)
+    products[4, blocks] = w.reshape(-1, energies)
+    cut = np.flatnonzero(rest) - 1
+    if len(cut):
+        a, b = (products[:, k].reshape(6, -1) for k in (cut, cut + 1))
+        out, lifted = np.empty_like(a), bools[:a.shape[1]]
+        np.add(a[4], b[4], out[4])
+        _compose(a, b, out, (a[4], b[4]), lifted)
+        np.add(out[4], lifted, out[4])
+        products[:, cut] = out.reshape(6, -1, energies)
+    totals = []
+    for k in range(len(length)):
+        mine = np.flatnonzero((part == k) & ~rest)
+        total, other = products[:, mine[0]].copy(), np.empty((6, energies))
+        for i in mine:
+            if i != mine[0]:
+                block, lifted = products[:, i], bools[:energies]
+                np.add(total[4], block[4], other[4])
+                _compose(total, block, other, (total[4], block[4]), lifted)
+                np.add(other[4], lifted, other[4])
+                total, other = other, total
+            np.divide(total[:4], np.abs(total[:4]).max(axis=0), out=total[:4])
+        totals.append(total)
+    return totals
 
 
 class _Line:
@@ -324,8 +538,8 @@ class _Line:
         counts the levels at or below E, and level k is where it is k + 1."""
         s = np.sqrt(2.0 * np.maximum(E - self.w_match, 5e-4)) / self.h
         e2, j = 2.0 / self.h**2 * E, self.match
-        l00, l01, l10, l11, wl, phil = _product(self.q0[:j], self.d[:j], e2, s)
-        right = _product(self.q0[:j - 1:-1], self.d[:j - 1:-1], e2, s)
+        (l00, l01, l10, l11, wl, phil), right = _product(
+            self.q0, self.d, j, e2, s)
         # y = (S u, u') of r^(|n| + 1/2) (1 + a1 r^2 + a2 r^4) at r0, at an
         # angle in (0, pi): the left map turns it by [0, pi) from e0's lift
         c0, c1 = (self.potential.coefficients + (0.0,))[:2]
@@ -358,7 +572,10 @@ def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
     the line and its index alone.  Each step evaluates, for the levels not
     yet solved, the grid point nearest the secant step of the last two
     samples, or outside the bracket known, its midpoint; once the step's
-    error estimate is under a quarter cell, the ends of its cell.
+    error estimate is under a quarter cell, the ends of its cell.  When
+    both samples given are known, the second step takes as its other
+    sample the nearest one beyond the level of those given and the first
+    evaluations of every level, in place of a sample given.
     ConvergenceError after _MAX_STEPS steps, or where the phase falls.
     """
     cell = _cell(line.h)
@@ -371,7 +588,7 @@ def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
         jb = np.where(f < target, jb, np.minimum(jb, np.ceil(x / cell)))
     slope, span = (f2 - f1) / (x2 - x1), np.abs(x2 - x1)
     live = np.arange(len(x2))
-    for _ in range(_MAX_STEPS):
+    for step in range(_MAX_STEPS):
         if np.any(ja >= jb):
             i = int(np.argmax(ja >= jb))
             raise ConvergenceError(
@@ -394,18 +611,29 @@ def _solve(line: _Line, first: int, x1, f1, x2, f2, known=True) -> tuple:
         snap = (error < 0.25 * cell) | (np.abs(g * cell - a2) < 2.0 * cell)
         pts = np.clip(np.where(snap, j, np.round(g)), jl, jr)
         two = snap & (j >= jl) & (j + 1.0 <= jr)
-        idx = np.concatenate((live, live[two]))
-        jj = np.concatenate((pts, j[two] + 1.0))
-        for i, ji, fi in zip(idx.tolist(), jj.tolist(),
-                             line.phase(jj * cell).tolist()):
-            if fi < target[i]:
-                ja[i] = max(ja[i], ji)
-            else:
-                jb[i] = min(jb[i], ji)
+        f = line.phase(np.concatenate((pts, j[two] + 1.0)) * cell)
+        # the evaluations in order: each level's first, then the second
+        for i, ji, fi in [(live, pts, f[:len(live)]),
+                          (live[two], j[two] + 1.0, f[len(live):])]:
+            below = fi < target[i]
+            ja[i] = np.where(below, np.maximum(ja[i], ji), ja[i])
+            jb[i] = np.where(below, jb[i], np.minimum(jb[i], ji))
             x1[i], f1[i], x2[i], f2[i] = x2[i], f2[i], ji * cell, fi
-            if abs(x2[i] - x1[i]) >= 1024.0 * cell:
-                slope[i] = (f2[i] - f1[i]) / (x2[i] - x1[i])
-                span[i] = abs(x2[i] - x1[i])
+            far = np.abs(x2[i] - x1[i]) >= 1024.0 * cell
+            slope[i[far]] = ((f2[i] - f1[i]) / (x2[i] - x1[i]))[far]
+            span[i[far]] = np.abs(x2[i] - x1[i])[far]
+        if known and not step:
+            # the second step's other point: of the two samples given and
+            # the first evaluations, the nearest beyond the level
+            xs, fs = (np.concatenate(v) for v in ((a1, a2, x2[live]),
+                                                  (b1, b2, f2[live])))
+            order = np.argsort(xs)
+            xs, fs = xs[order], fs[order]
+            below = f2[live] < t
+            k = np.searchsorted(fs, t)
+            k = np.clip(np.where(below, k, k - 1), 0, len(xs) - 1)
+            other = (fs[k] < t) != below
+            x1[live[other]], f1[live[other]] = xs[k[other]], fs[k[other]]
     else:
         raise ConvergenceError(
             f"line n={line.nu}: levels of index {first + live} not "
@@ -548,6 +776,9 @@ class SpectrumTable:
     half-open [e_window), and k and E1 rise strictly on each line; a row
     that does not raises ConfigurationError naming the key, its value,
     and the row's index in the points given and its (h, n, k, E1).
+    n_range is kept as two Python ints and e_window as two floats, so
+    that a table written is read back equal; other values raise
+    ConfigurationError.
     """
 
     h: float
@@ -558,6 +789,19 @@ class SpectrumTable:
     potential: PotentialSpec
 
     def __post_init__(self):
+        n_range, e_window = self.n_range, self.e_window
+        try:
+            self.n_range = tuple(map(operator.index, n_range))
+            self.e_window = tuple(float(e) for e in e_window
+                                  if isinstance(e, numbers.Real))
+            valid = len(self.n_range) == 2 == len(self.e_window) == len(
+                e_window)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                f"n_range is {n_range!r} and e_window {e_window!r}: they "
+                "must be two integers and two numbers")
         pts = np.asarray(self.points, dtype=POINT_DTYPE)
         (n_lo, n_hi), (e_lo, e_hi) = self.n_range, self.e_window
         n, e1 = pts["n"], pts["E1"]

@@ -487,3 +487,29 @@ def test_only_the_errors_module_writes_files():
             if isinstance(node, ast.Call) and _writes_a_file(node):
                 writers.setdefault(path.name, []).append(node.lineno)
     assert sorted(writers) == ["errors.py"], writers
+
+
+def test_no_module_starts_threads_or_reads_the_environment():
+    # the program runs on one thread, set by its arguments alone: no module
+    # imports threading, concurrent.futures or multiprocessing, or reads
+    # os.environ or os.getenv
+    src = Path(champagne.__file__).parent
+    pools, environment = {"threading", "concurrent", "multiprocessing"}, {
+        "environ", "getenv"}
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(a.name.split(".")[0] in pools for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")[0]
+                bad = module in pools or (module == "os" and any(
+                    a.name in environment for a in node.names))
+            else:
+                bad = (isinstance(node, ast.Attribute)
+                       and node.attr in environment
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "os")
+            if bad:
+                found.setdefault(path.name, []).append(node.lineno)
+    assert not found, found

@@ -337,6 +337,107 @@ def test_anchor_step_leaves_the_levels_bit_identical(monkeypatch):
     assert fine[1] <= 200 < fine[0]
 
 
+def test_the_mesh_m_solve_starts_from_the_neighbouring_levels(monkeypatch):
+    # the second secant step of a level takes its other sample from the
+    # first evaluations of every level: joint-table's n = 0 line (h = 1e-3,
+    # |x| <= 27, 60 levels) takes 346 mesh-m evaluations, and 375 when
+    # each level's steps started from the window ends alone
+    h = 1e-3
+    e1 = 27.0 * math.sqrt(2.0) * h
+    config = default_config(h, e1)
+    inner, coarse = rs._Line.phase, [0]
+
+    def phase(line, E):
+        if len(line.d) == config.grid_points:
+            coarse[0] += np.size(E)
+        return inner(line, E)
+
+    monkeypatch.setattr(rs._Line, "phase", phase)
+    assert len(eigenvalues_in_window(0, h, config, CHAMPAGNE, -e1, e1)) == 60
+    assert coarse[0] <= 350
+
+
+def test_leaves_are_computed_for_the_intervals_alone(monkeypatch):
+    # a block cut short is its first half and the rest, and only the rest
+    # is padded with the identity: one joint-table solve (h = 1e-3,
+    # |n| <= 10, |x| <= 27) computes 1.027 leaf maps for each interval and
+    # energy evaluated, and 1.126 when a cut block was padded whole
+    inner_leaves, inner_phase = rs._leaves, rs._Line.phase
+    leaves, real = [0], [0]
+
+    def count_leaves(q0, d, e2, *args):
+        leaves[0] += len(e2)
+        return inner_leaves(q0, d, e2, *args)
+
+    def count_phase(line, E):
+        real[0] += len(line.d) * np.size(E)
+        return inner_phase(line, E)
+
+    monkeypatch.setattr(rs, "_leaves", count_leaves)
+    monkeypatch.setattr(rs._Line, "phase", count_phase)
+    e1 = 27.0 * math.sqrt(2.0) * 1e-3
+    joint_spectrum(1e-3, (-10, 10), (-e1, e1))
+    assert 0 < real[0] <= leaves[0] <= 1.05 * real[0]
+
+
+@pytest.mark.parametrize("h,x_half", [(1e-5, 2.5), (1e-3, 27.0)])
+def test_a_phase_alone_equals_its_value_in_a_batch(monkeypatch, h, x_half):
+    # an energy alone is multiplied out in other blocks than in a batch of
+    # 40 (a block holds about _BLOCK / energies intervals), so its phase
+    # may differ by rounding, but never by a lift that slips by 1; on the
+    # fine mesh, for every _BLOCK from 2^10 to 2^16
+    e1 = x_half * math.sqrt(2.0) * h
+    line = rs._Line(0, h, default_config(h, e1), CHAMPAGNE, 2)
+    energies = np.linspace(-e1, e1, 40)
+    for size in [1 << k for k in range(10, 17)]:
+        monkeypatch.setattr(rs, "_BLOCK", size)
+        batch = line.phase(energies)
+        alone = np.array([line.phase(energies[i:i + 1])[0]
+                          for i in range(len(energies))])
+        assert np.max(np.abs(alone - batch)) <= 1e-9, size
+
+
+def test_batches_leave_the_phase_bit_identical(monkeypatch):
+    # which blocks are paired together, and from which width on they wait
+    # for one another, changes no block's tree: the phase is the same to
+    # the bit, down to batches of one block that pair alone to the end
+    h = 1e-4
+    e1 = 10.0 * math.sqrt(2.0) * h
+    line = rs._Line(3, h, default_config(h, e1), CHAMPAGNE, 2)
+    energies = np.linspace(-e1, e1, 12)
+    want = line.phase(energies).tobytes()
+    for batch, merge in [(1 << 12, 1 << 6), (1 << 18, 1 << 14), (1, 1)]:
+        monkeypatch.setattr(rs, "_BATCH", batch)
+        monkeypatch.setattr(rs, "_MERGE", merge)
+        assert line.phase(energies).tobytes() == want, (batch, merge)
+
+
+def test_blocks_that_grow_too_far_are_halved(monkeypatch):
+    # a block whose product could overflow is halved, down to one
+    # interval: under a small growth bound many blocks near the wall are
+    # halved and the phase moves by rounding alone; an interval that alone
+    # grows past the bound raises
+    h = 1e-3
+    e1 = 27.0 * math.sqrt(2.0) * h
+    line = rs._Line(0, h, default_config(h, e1), CHAMPAGNE)
+    energies = np.linspace(-e1, e1, 9)
+    want = line.phase(energies)
+    inner, halved = rs._blocks, []
+
+    def blocks(q0, d, e2, rows):
+        starts, widths = inner(q0, d, e2, rows)
+        halved.append(bool(np.any(widths[:-1] < rows)))
+        return starts, widths
+
+    monkeypatch.setattr(rs, "_blocks", blocks)
+    monkeypatch.setattr(rs, "_GROWTH_MAX", 3.0)
+    assert np.max(np.abs(line.phase(energies) - want)) <= 1e-9
+    assert any(halved)
+    monkeypatch.setattr(rs, "_GROWTH_MAX", 1e-3)
+    with pytest.raises(ConfigurationError, match="E is below V"):
+        line.phase(energies)
+
+
 # guesses near the focus value, farther out, and 0
 GUESSES = st.one_of(st.floats(-0.3, 0.3), st.floats(-1.0, 1.0),
                     st.just(0.0))
@@ -572,6 +673,27 @@ def test_every_written_table_reads_back_equal(tmp_path, spec_h1em2):
                                                points=harmonic.points[:0]),
                            empty)
     assert not os.path.exists(empty)
+
+
+def test_a_table_of_numpy_numbers_reads_back_equal(tmp_path):
+    # numpy integers in n_range and numpy floats in e_window are kept as
+    # Python numbers, so that the sidecar holds numbers and the table reads
+    # back equal; an n_range of other than two integers raises
+    harmonic = joint_spectrum(0.1, (-1, 2), (0.05, 0.65), potential=HARMONIC)
+    table = dataclasses.replace(harmonic, n_range=tuple(np.array([-1, 2])),
+                                e_window=(np.float32(0.05), np.float64(0.65)))
+    assert [type(v) for v in table.n_range + table.e_window] == [
+        int, int, float, float]
+    path = str(tmp_path / "spec.csv")
+    write_spectrum_csv(table, path)
+    back = read_spectrum_csv(path)
+    assert (back.n_range, back.e_window) == (table.n_range, table.e_window)
+    assert back.points.tobytes() == table.points.tobytes()
+    for key, value in [("n_range", (0.5, 2)), ("n_range", (1,)),
+                       ("e_window", ("0.05", 0.65))]:
+        with pytest.raises(ConfigurationError,
+                           match="two integers and two numbers"):
+            dataclasses.replace(harmonic, **{key: value})
 
 
 def test_a_potential_is_its_kind():

@@ -35,82 +35,135 @@ _DEGENERATE_REL = 1e-8
 
 # --- quadrature --------------------------------------------------------
 
+# point x node entries of one evaluation of an integrand
+_BATCH = 1 << 16
+
+
 @functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gauss(f, a: float, b: float, n0: int = 64, tol: float = 1e-9,
-           max_n: int = 1 << 11) -> float:
-    """Gauss-Legendre with node doubling until the relative change < tol.
+def _gauss(f, a, b, *args, n0: int = 64, tol: float = 1e-9,
+           max_n: int = 1 << 11):
+    """Gauss-Legendre of f on [a, b] at every point of a batch, the nodes
+    of each point doubled until its relative change is at most tol.
 
-    Raises ConvergenceError if max_n nodes do not get there.  The actions
-    converge by 512 nodes; leggauss builds a dense n x n matrix, so the
-    nodes cost O(n^2) memory and O(n^3) time (4096 nodes take about 30 s
-    on 2 CPUs).
+    a, b and the per-point parameters args broadcast to one shape; f
+    takes the (k, n) nodes of k points and those points' parameters, each
+    a (k, 1) column, and returns the (k, n) values.  At most about _BATCH
+    point x node values are evaluated at once.  A point with b <= a gives
+    0.  Returns an array of the broadcast shape, a float when it is a
+    scalar.  Raises ConvergenceError, naming the first such point, if
+    max_n nodes do not get there.  The actions converge by 512 nodes;
+    leggauss builds a dense n x n matrix, so the nodes cost O(n^2) memory
+    and O(n^3) time (4096 nodes take about 30 s on 2 CPUs).
     """
-    if b <= a:
-        return 0.0
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    n = n0
-    xs, ws = _leggauss(n)
-    prev = half * float(np.dot(ws, f(mid + half * xs)))
-    change = math.inf
-    while n < max_n:
-        n *= 2
+    a, b, *args = np.broadcast_arrays(a, b, *args)
+    shape = a.shape
+    a, b = a.astype(float).ravel(), b.astype(float).ravel()
+    args = [np.ravel(x)[:, None] for x in args]
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    out = np.zeros(len(a))
+
+    def quad(rows, n):
         xs, ws = _leggauss(n)
-        cur = half * float(np.dot(ws, f(mid + half * xs)))
-        change = abs(cur - prev)
-        if change <= tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"Gauss-Legendre on [{a:g}, {b:g}] still changed by {change:.3g} "
-        f"at {n} nodes, above the relative tolerance {tol:g}")
+        res = np.empty(len(rows))
+        step = max(1, _BATCH // n)
+        for i in range(0, len(rows), step):
+            r = rows[i:i + step]
+            x = mid[r, None] + half[r, None] * xs
+            res[i:i + step] = half[r] * (f(x, *(c[r] for c in args)) @ ws)
+        return res
+
+    live = np.flatnonzero(b > a)
+    n = n0
+    prev = quad(live, n)
+    change = np.full(len(live), math.inf)
+    while len(live) and n < max_n:
+        n *= 2
+        cur = quad(live, n)
+        change = np.abs(cur - prev)
+        done = change <= tol * np.maximum(np.abs(cur), 1e-300)
+        out[live[done]] = cur[done]
+        live, prev, change = live[~done], cur[~done], change[~done]
+    if len(live):
+        i = live[0]
+        raise ConvergenceError(
+            f"Gauss-Legendre on [{a[i]:g}, {b[i]:g}] still changed by "
+            f"{change[0]:.3g} at {n} nodes, above the relative tolerance "
+            f"{tol:g}")
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # --- turning points ----------------------------------------------------
 
-def _cubic(s, E: float, L: float):
+def _cubic(s, E, L):
     return -2.0 * s**3 + 2.0 * s**2 + 2.0 * E * s - L * L
 
 
-def _cubic_roots(E: float, L: float) -> tuple[float, float, float]:
-    """Roots s0 <= s_minus <= s_plus of the radial cubic, Newton polished."""
-    roots = np.roots([-2.0, 2.0, 2.0 * E, -L * L])
-    scale = max(1.0, abs(E), L * L)
-    real = [r.real for r in roots if abs(r.imag) <= 1e-8 * scale]
-    if len(real) != 3:
+def _finite(E, L) -> tuple[np.ndarray, np.ndarray]:
+    """E and L, scalars or arrays of one shape, as flat float arrays;
+    DomainError naming the first point where either is not finite."""
+    E, L = (np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+            for x in np.broadcast_arrays(E, L))
+    bad = np.flatnonzero(~(np.isfinite(E) & np.isfinite(L)))
+    if len(bad):
+        i = bad[0]
+        raise DomainError(f"E={E[i]} and L={L[i]} must both be finite")
+    return E, L
+
+
+def _cubic_roots(E, L) -> np.ndarray:
+    """(m, 3) roots s0 <= s_minus <= s_plus of the radial cubic at each of
+    the m points of E and L, scalars or arrays of one shape.
+
+    This is the entry of every orbit integral: DomainError names the first
+    point where E or L is not finite, or where the cubic has complex
+    roots.  Each point's companion matrix is that of np.roots, and all of
+    them go to one stacked eigvals; each root is then Newton polished.
+    """
+    E, L = _finite(E, L)
+    # np.roots' companion matrix of the coefficients p: first row
+    # -p[1:] / p[0], ones below the diagonal
+    p = np.column_stack([np.full_like(E, -2.0), np.full_like(E, 2.0),
+                         2.0 * E, -L * L])
+    companion = np.zeros((len(E), 3, 3))
+    companion[:, 0] = -p[:, 1:] / p[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    scale = np.maximum(np.maximum(1.0, np.abs(E)), L * L)
+    complex_ = np.flatnonzero(np.any(np.abs(roots.imag)
+                                     > 1e-8 * scale[:, None], axis=1))
+    if len(complex_):
+        i = complex_[0]
         raise DomainError(
-            f"empty classically allowed region at E={E}, L={L} "
+            f"empty classically allowed region at E={E[i]}, L={L[i]} "
             "(radial cubic has complex roots)")
-    real.sort()
-    polished = []
-    for s in real:
-        for _ in range(3):
-            d = (-6.0 * s * s + 4.0 * s + 2.0 * E)
-            if abs(d) < 1e-12 * scale:
-                break
-            s -= _cubic(s, E, L) / d
-        polished.append(s)
-    polished.sort()
-    return polished[0], polished[1], polished[2]
+    s = np.sort(roots.real, axis=1)
+    E, L, scale = E[:, None], L[:, None], scale[:, None]
+    live = np.ones(s.shape, dtype=bool)
+    for _ in range(3):
+        d = -6.0 * s * s + 4.0 * s + 2.0 * E
+        live &= np.abs(d) >= 1e-12 * scale
+        s = np.where(live, s - _cubic(s, E, L) / np.where(live, d, 1.0), s)
+    return np.sort(s, axis=1)
 
 
 def turning_points(E: float, L: float) -> tuple[float, float]:
     """Radial turning points (r_minus, r_plus) of the reduced motion.
 
     For L = 0 with E >= 0 the orbit reaches the axis and r_minus = 0.
-    Raises DomainError when the classically allowed region is empty.
+    Raises DomainError when the classically allowed region is empty, or
+    when E or L is not finite.
     """
     if L == 0.0:
         if E < -0.25:
             raise DomainError(f"empty region at E={E}, L=0 (E < -1/4)")
-        if E >= 0.0:
+        if 0.0 <= E < math.inf:
             sp = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * E))
             return 0.0, math.sqrt(sp)
-    s0, sm, sp = _cubic_roots(E, L)
+    (s0, sm, sp), = _cubic_roots(E, L)
     if sp < 0.0 or sm < -1e-12:
         raise DomainError(f"empty region at E={E}, L={L}")
     sm = max(sm, 0.0)
@@ -119,43 +172,44 @@ def turning_points(E: float, L: float) -> tuple[float, float]:
 
 # --- the three basic integrals -----------------------------------------
 
-def _split_integrals(E: float, L: float):
-    """Turning roots s_minus, s_plus of the radial cubic, for s_minus > 0,
-    and the map g -> int g(s, Q(s)) ds / (s sqrt((s - sm)(sp - s))) over
-    s in [s_minus, s_plus], with Q(s) = sqrt(2 (s - s0)).
+def _split_integrals(E, L):
+    """Turning roots s_minus, s_plus of the radial cubic at each point of
+    E and L, all with s_minus > 0, and the map g -> int g(s, Q(s), sm, sp)
+    ds / (s sqrt((s - sm)(sp - s))) over s in [s_minus, s_plus] at every
+    point, with Q(s) = sqrt(2 (s - s0)).  g takes (k, n) values of s and
+    Q and the (k, 1) columns of s_minus and s_plus of k points.
 
     Substitutions: s = sm cosh^2(tau) on [sm, (sm+sp)/2] (resolves both
     the sqrt(s - sm) turning point and the 1/s weight, uniformly in the
     root ratio sp/sm) and s = m + a cos(phi) on [(sm+sp)/2, sp], phi from
-    0 at s_plus to pi at the midpoint.
+    0 at s_plus to pi at the midpoint.  Each half is one batched _gauss.
     """
-    s0, sm, sp = _cubic_roots(E, L)
-    if sm <= 0.0:
-        raise DomainError("interior turning point at the axis; use the r-space path")
-
-    def Q(s):
-        return np.sqrt(2.0 * (s - s0))
-
-    smid = 0.5 * (sm + sp)
-    tau_mid = math.acosh(math.sqrt(smid / sm))
-    root_sm = math.sqrt(sm)
-    m2 = 0.5 * (smid + sp)
-    a2 = 0.5 * (sp - smid)
-    sq2a = math.sqrt(2.0 * a2)
+    s0, sm, sp = _cubic_roots(E, L).T
+    axis = np.flatnonzero(sm <= 0.0)
+    if len(axis):
+        E, L = np.broadcast_arrays(E, L)
+        raise DomainError(
+            f"interior turning point at the axis at E={E.flat[axis[0]]}, "
+            f"L={L.flat[axis[0]]}; use the r-space path")
+    tau_mid = np.arccosh(np.sqrt(0.5 * (sm + sp) / sm))
 
     def integral(g):
-        def f1(tau):
+        def f1(tau, s0, sm, sp):
             ch = np.cosh(tau)
             s = sm * ch * ch
-            return g(s, Q(s)) / (ch * np.sqrt(sp - s))
+            return (g(s, np.sqrt(2.0 * (s - s0)), sm, sp)
+                    / (ch * np.sqrt(sp - s)))
 
-        def f2(phi):
-            s = m2 + a2 * np.cos(phi)
-            return (g(s, Q(s)) * sq2a * np.cos(0.5 * phi)
+        def f2(phi, s0, sm, sp):
+            smid = 0.5 * (sm + sp)
+            a2 = 0.5 * (sp - smid)
+            s = 0.5 * (smid + sp) + a2 * np.cos(phi)
+            return (g(s, np.sqrt(2.0 * (s - s0)), sm, sp)
+                    * np.sqrt(2.0 * a2) * np.cos(0.5 * phi)
                     / (s * np.sqrt(s - sm)))
 
-        return ((2.0 / root_sm) * _gauss(f1, 0.0, tau_mid)
-                + _gauss(f2, 0.0, math.pi))
+        return ((2.0 / np.sqrt(sm)) * _gauss(f1, 0.0, tau_mid, s0, sm, sp)
+                + _gauss(f2, 0.0, math.pi, s0, sm, sp))
 
     return sm, sp, integral
 
@@ -210,9 +264,17 @@ def _radial_action(E: float, L: float, r_minus: float,
     if L == 0.0 and E >= 0.0:
         S_r, T = _axis_integrals(E)
         return RadialAction(S_r, T, False)
-    sm, sp, integral = _split_integrals(E, L)
-    return RadialAction(integral(lambda s, q: q * (s - sm) * (sp - s)),
-                        integral(lambda s, q: s / q), False)
+    _, _, integral = _split_integrals(E, L)
+    (S_r,), (T,) = (integral(lambda s, q, sm, sp: q * (s - sm) * (sp - s)),
+                    integral(lambda s, q, sm, sp: s / q))
+    return RadialAction(float(S_r), float(T), False)
+
+
+def _rotation_numbers(E, L) -> np.ndarray:
+    """rotation_number at each point of the arrays E and L, none of them
+    on L = 0: one batched quadrature for all of them."""
+    _, _, integral = _split_integrals(E, L)
+    return np.asarray(L, dtype=float) * integral(lambda s, q, sm, sp: 1.0 / q)
 
 
 def rotation_number(E: float, L: float) -> float:
@@ -224,11 +286,11 @@ def rotation_number(E: float, L: float) -> float:
     branch is ambiguous.
     """
     if L == 0.0:
-        if E > 0.0:
+        if 0.0 < E < math.inf:
             return math.pi
         raise DomainError(f"rotation number undefined at E={E}, L=0")
-    _, _, integral = _split_integrals(E, L)
-    return L * integral(lambda s, q: 1.0 / q)
+    (theta,) = _rotation_numbers(E, L)
+    return float(theta)
 
 
 # --- samples -----------------------------------------------------------
@@ -291,61 +353,70 @@ def action_sample(E: float, L: float) -> ActionSample:
 
 # --- monodromy of the classical torus bundle ----------------------------
 
-def _segment_point_distance(a, b, p=(0.0, 0.0)) -> float:
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    p = np.asarray(p, float)
-    d = b - a
-    den = float(d @ d)
-    t = 0.0 if den == 0.0 else float(np.clip((p - a) @ d / den, 0.0, 1.0))
-    return float(np.hypot(*(a + t * d - p)))
-
-
-def _theta_continuous(pt, scale: float) -> float:
-    E, L = pt
-    if L == 0.0:
-        L = 1e-12 * scale  # nudge off the axis; Theta is continuous across it
-    return rotation_number(E, L)
-
-
 def rotation_winding(loop: Sequence[tuple[float, float]]) -> float:
     """Total continuous variation of Theta along a closed (E, L) loop.
 
     Equals -2 pi (+2 pi) for a simple loop around the critical value
     traversed counterclockwise (clockwise) and 0 for a non-enclosing loop.
     A segment is bisected while Theta jumps by more than 0.5 along it;
-    a jump left after 40 bisections raises ConvergenceError.
+    a jump left after 40 bisections raises ConvergenceError.  Theta is
+    evaluated at every vertex in one batched call, then at the midpoints
+    of each bisection level in one more; a vertex on L = 0 is nudged off
+    the axis, across which Theta is continuous.
     """
-    pts = [tuple(map(float, p)) for p in loop]
-    if pts[0] != pts[-1]:
-        pts.append(pts[0])
-    scale = max(max(abs(E), abs(L)) for E, L in pts)
+    pts = np.column_stack(_finite(*np.array(loop, dtype=float).T))
+    if not np.array_equal(pts[0], pts[-1]):
+        pts = np.vstack([pts, pts[:1]])
+    scale = float(np.max(np.abs(pts)))
     if scale <= 0.0:
         raise DomainError("degenerate loop")
-    for a, b in zip(pts[:-1], pts[1:]):
-        if _segment_point_distance(a, b) < 1e-4:
-            raise DomainError("loop passes within 1e-4 of the critical value")
+    # distance from the critical value (0, 0) to each segment
+    a, d = pts[:-1], np.diff(pts, axis=0)
+    den = np.einsum("ij,ij->i", d, d)
+    t = np.clip(-np.einsum("ij,ij->i", a, d) / np.where(den == 0.0, 1.0, den),
+                0.0, 1.0)
+    near = a + t[:, None] * d
+    if np.any(np.hypot(near[:, 0], near[:, 1]) < 1e-4):
+        raise DomainError("loop passes within 1e-4 of the critical value")
 
+    def theta(p):
+        return _rotation_numbers(p[:, 0], np.where(p[:, 1] == 0.0,
+                                                   1e-12 * scale, p[:, 1]))
+
+    th = theta(pts)
+    # the sub-segments p -> q of one bisection level, with Theta at their
+    # ends and their places along the loop: segment and start fraction
+    p, q, th_p, th_q = pts[:-1], pts[1:], th[:-1], th[1:]
+    seg, frac = np.arange(len(p)), np.zeros(len(p))
+    steps = []
+    for depth in range(41):
+        dth = np.array([math.remainder(x, 2.0 * math.pi)
+                        for x in (th_q - th_p).tolist()])
+        jump = np.abs(dth) > 0.5
+        keep = ~jump
+        steps += zip(seg[keep].tolist(), frac[keep].tolist(),
+                     dth[keep].tolist())
+        if not jump.any():
+            break
+        if depth == 40:
+            i = np.flatnonzero(jump)[0]
+            raise ConvergenceError(
+                f"Theta jumps by {dth[i]:.3g} between {tuple(p[i].tolist())}"
+                f" and {tuple(q[i].tolist())} after 40 bisections of the "
+                "segment")
+        p, q, th_p, th_q = p[jump], q[jump], th_p[jump], th_q[jump]
+        seg, frac = seg[jump], frac[jump]
+        mid = 0.5 * (p + q)
+        th_mid = theta(mid)
+        p, q = np.vstack([p, mid]), np.vstack([mid, q])
+        th_p, th_q = (np.concatenate([th_p, th_mid]),
+                      np.concatenate([th_mid, th_q]))
+        seg = np.concatenate([seg, seg])
+        frac = np.concatenate([frac, frac + 0.5 ** (depth + 1)])
+    # summed in loop order, as a walk along the loop would
     total = 0.0
-    th_prev = _theta_continuous(pts[0], scale)
-    stack: list[tuple[tuple, tuple, int]] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        stack.append((a, b, 0))
-        while stack:
-            p, q, depth = stack.pop()
-            th_q = _theta_continuous(q, scale)
-            dth = math.remainder(th_q - th_prev, 2.0 * math.pi)
-            if abs(dth) > 0.5:
-                if depth == 40:
-                    raise ConvergenceError(
-                        f"Theta jumps by {dth:.3g} between {p} and {q} "
-                        "after 40 bisections of the segment")
-                mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-                stack.append((mid, q, depth + 1))
-                stack.append((p, mid, depth + 1))
-                continue
-            total += dth
-            th_prev = th_q
+    for *_, step in sorted(steps):
+        total += step
     return total
 
 

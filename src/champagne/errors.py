@@ -111,10 +111,10 @@ def _read_json(path: str, keys) -> dict:
 
 def _write_json(path: str, obj) -> None:
     """obj as JSON: sorted keys, indent 2, str() of any value JSON has no
-    type for, and a final newline."""
+    type for, and a final newline, in one write."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, names, rows) -> None:

@@ -107,6 +107,35 @@ def _det(m) -> int:
     return a * d - b * c
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of an invertible 2x2 matrix, by its adjugate."""
+    (a, b), (c, d) = m.tolist()
+    det = a * d - b * c
+    return np.array([[d / det, -b / det], [-c / det, a / det]])
+
+
+def _condition(m: np.ndarray) -> float:
+    """2-norm condition number of a 2x2 matrix, s_max / s_min from the
+    closed-form singular values s_max = (|(a + d, b - c)| + |(a - d, b +
+    c)|) / 2 and s_min = |det| / s_max; inf when it is singular."""
+    (a, b), (c, d) = m.tolist()
+    s_max = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    det = abs(a * d - b * c)
+    return s_max * s_max / det if det else math.inf
+
+
+def _affine_fit(pts: np.ndarray, targets: np.ndarray) -> tuple:
+    """(linear, offset) of the least-squares affine map pts -> targets,
+    both (m, 2): the 2x2 normal equations of the rows minus their mean,
+    solved by the adjugate, then the offset that maps the mean of pts to
+    that of targets."""
+    mean = pts.mean(axis=0)
+    p = pts - mean
+    # linear^T solves (p^T p) linear^T = p^T targets
+    linear = (p.T @ targets).T @ _inverse(p.T @ p)
+    return linear, targets.mean(axis=0) - linear @ mean
+
+
 @dataclass(frozen=True)
 class ChartTransition:
     """Integer-affine map k -> matrix k + shift between chart label frames."""
@@ -165,7 +194,7 @@ def _frame_spacing(frame: LatticeChart) -> float:
     """Length of the shortest of c1, c2 and c1 +- c2, where c1 and c2,
     the columns of h inv(frame.linear), span the lattice of points the
     frame labels by Z^2."""
-    c1, c2 = (frame.h * np.linalg.inv(frame.linear)).T
+    c1, c2 = (frame.h * _inverse(frame.linear)).T
     return min(math.hypot(*c) for c in (c1, c2, c1 + c2, c1 - c2))
 
 
@@ -173,15 +202,26 @@ def _fit_chart(pts_all: np.ndarray, center, h: float,
                frame: LatticeChart | None = None) -> LatticeChart:
     """fit_local_chart, refined from frame's (linear, offset) when given
     instead of from a nearest-neighbor basis.  The disc then starts at
-    3.5 spacings of the frame's lattice, not of the points near center.
-    pts_all is sorted as _points_array returns it."""
+    3.5 spacings of the frame's lattice, not of the points near center,
+    shrunk by the same steps of 0.75 while frame's residual, scaled by
+    the square of the radius ratio as a curved lattice's is, would
+    exceed CHART_RESIDUAL_MAX; the smallest of the four radii is always
+    tried.  pts_all is sorted as _points_array returns it."""
     center = (float(center[0]), float(center[1]))
     r = 3.5 * (local_spacing(pts_all, center) if frame is None
                else _frame_spacing(frame))
+    tries = 4
+    while (frame is not None and tries > 1 and frame.residual
+           * (r / frame.radius) ** 2 > CHART_RESIDUAL_MAX):
+        r *= 0.75
+        tries -= 1
     last = None
-    for _ in range(4):
+    for _ in range(tries):
         try:
             return _fit_chart_fixed(pts_all, center, h, r, frame)
+        except TransportError:
+            # the fit passed at this radius: the frame was not kept
+            raise
         except ChartError as exc:
             last = exc
             r *= 0.75
@@ -210,7 +250,7 @@ def _neighbor_frame(pts: np.ndarray, center, h: float) -> tuple:
         raise ChartError(f"degenerate neighbor geometry at {center}")
 
     basis = np.column_stack([d1, d2])
-    linear = h * np.linalg.inv(basis)
+    linear = h * _inverse(basis)
     # anchor on the point nearest the center: the center itself need not
     # be a lattice point, and a half-integer anchor stalls the rounding
     anchor = pts[np.argmin(np.hypot(pts[:, 0] - center[0],
@@ -220,6 +260,11 @@ def _neighbor_frame(pts: np.ndarray, center, h: float) -> tuple:
 
 def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
                      frame: LatticeChart | None = None) -> LatticeChart:
+    """The chart of the disc of the given radius around center, its labels
+    refitted until they settle, in at most 8 rounds.  When frame is given
+    the refit starts from its (linear, offset): the first round labels
+    the disc as frame does and the last as the new chart does, and
+    _check_kept requires the two to agree on frame's disc."""
     pts = _disc(pts_all, center, radius)
     if len(pts) < MIN_CHART_POINTS:
         raise ChartError(
@@ -229,30 +274,61 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
     else:
         linear, offset = frame.linear, frame.offset
 
-    prev = None
-    for _ in range(8):
+    k = first = np.rint((pts @ linear.T + offset) / h)
+    for _ in range(7):
+        # (linear, offset) maps the rows of the disc to h k
+        linear, offset = _affine_fit(pts, h * k)
         real = (pts @ linear.T + offset) / h
-        k = np.rint(real)
-        if prev is not None and np.array_equal(k, prev):
+        k, prev = np.rint(real), k
+        if np.array_equal(k, prev):
             break
-        prev = k
-        # rows of [P | 1] map to h k under (linear, offset)
-        A = np.column_stack([pts, np.ones(len(pts))])
-        sol, _, _, _ = np.linalg.lstsq(A, h * k, rcond=None)
-        linear = sol[:2].T
-        offset = sol[2]
     else:
         raise ChartError(f"chart labels still changing after 8 rounds "
                          f"at {center}")
-    real = (pts @ linear.T + offset) / h
-    resid = float(np.max(np.abs(real - np.rint(real))))
+    resid = float(np.max(np.abs(real - k)))
     if resid > CHART_RESIDUAL_MAX:
         raise ChartError(
             f"chart residual {resid:.4f} > {CHART_RESIDUAL_MAX} at {center}")
-    if np.linalg.cond(linear) >= CHART_CONDITION_MAX:
+    if _condition(linear) >= CHART_CONDITION_MAX:
         raise ChartError(f"ill-conditioned chart at {center}")
+    if frame is not None:
+        _check_kept(frame, pts, first, k, f"at {center}")
     return LatticeChart(center=center, linear=linear, offset=offset,
                         radius=float(radius), h=float(h), residual=resid)
+
+
+def _check_kept(frame: LatticeChart, pts: np.ndarray, old: np.ndarray,
+                new: np.ndarray, where: str) -> None:
+    """TransportError unless the rows of pts in frame's disc, the chart
+    overlap, number at least MIN_CHART_POINTS, their labels new do not all
+    lie on one lattice line, and new equals frame's labels old on every
+    one of them.  That is _fit_transition's test of the identity: an
+    integer-affine map that fixes three labels off one line is the
+    identity."""
+    inside = frame.contains(pts)
+    k_old, k_new = old[inside], new[inside]
+    if len(k_new) < MIN_CHART_POINTS:
+        raise TransportError(
+            f"only {len(k_new)} points in the chart overlap {where}")
+    if _collinear(k_new):
+        raise TransportError(
+            f"the {len(k_new)} overlap labels lie on one lattice line "
+            f"{where}")
+    moved = np.flatnonzero(np.any(k_new != k_old, axis=1))
+    if len(moved):
+        raise TransportError(
+            f"the continued frame {where} differs from the old one on "
+            f"{len(moved)} of the {len(k_new)} overlap points, first "
+            f"{k_old[moved[0]].astype(int).tolist()} -> "
+            f"{k_new[moved[0]].astype(int).tolist()}")
+
+
+def _collinear(k: np.ndarray) -> bool:
+    """Whether the (m, 2) labels k all lie on one lattice line: every two
+    differences from the first are parallel, zero cross products."""
+    d = k - k[0]
+    return bool(np.array_equal(np.outer(d[:, 0], d[:, 1]),
+                               np.outer(d[:, 1], d[:, 0])))
 
 
 def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
@@ -273,13 +349,11 @@ def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
         raise TransportError(
             f"only {len(overlap)} points in the chart overlap {where}")
     k_from, k_to = chart_from.labels(overlap), chart_to.labels(overlap)
-    # every two label differences are parallel: zero cross products
-    d = k_from - k_from[0]
-    if np.array_equal(np.outer(d[:, 0], d[:, 1]), np.outer(d[:, 1], d[:, 0])):
+    if _collinear(k_from):
         raise TransportError(
             f"the {len(overlap)} overlap labels lie on one lattice line "
             f"{where}")
-    T = np.rint(chart_to.linear @ np.linalg.inv(chart_from.linear))
+    T = np.rint(chart_to.linear @ _inverse(chart_from.linear))
     T = T.astype(int)
     s = k_to[0] - T @ k_from[0]
     if not np.array_equal(k_from @ T.T + s, k_to):
@@ -295,17 +369,12 @@ def transport_chart(chart: LatticeChart, new_center, points) -> LatticeChart:
     Refits the chart at new_center starting from the old frame's
     (linear, offset), so the new chart keeps the old labels, and checks
     that the transition between the two frames is exactly the identity
-    on every overlap point (TransportError otherwise).
+    on every overlap point (TransportError otherwise): the refit's first
+    round labels its disc in the old frame and its last round in the new
+    one, and the two must agree on the rows in the old disc.
     """
-    pts_all = _points_array(points)
-    moved = _fit_chart(pts_all, new_center, chart.h, frame=chart)
-    where = f"at {new_center}"
-    trans = _fit_transition(moved, chart, pts_all, where)
-    if not trans.is_identity():
-        raise TransportError(
-            f"the continued frame {where} differs from the old one by "
-            f"{trans.matrix.tolist()}, {trans.shift.tolist()}")
-    return moved
+    return _fit_chart(_points_array(points), new_center, chart.h,
+                      frame=chart)
 
 
 # --- polygons and unwinding ----------------------------------------------
@@ -592,10 +661,17 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
     spectrum.points in loop order.  Enclosing loops start on the n = 0
     line at x > 0 and contain exactly two n = 0 vertices; a non-enclosing
     loop must not wind around the critical value (DomainError otherwise).
-    The radial jitter is seeded for reproducibility.
+    The radial jitter is seeded for reproducibility.  A radius that is
+    not finite and positive, or a center that is not finite, raises
+    DomainError.
     """
-    rng = np.random.default_rng(seed)
     cx, cn = float(center[0]), float(center[1])
+    if not (math.isfinite(radius_x) and radius_x > 0.0):
+        raise DomainError(f"loop radius {radius_x:g} is not finite and "
+                          "positive")
+    if not (math.isfinite(cx) and math.isfinite(cn)):
+        raise DomainError(f"loop center ({cx:g}, {cn:g}) is not finite")
+    rng = np.random.default_rng(seed)
     if n_top is None:
         n_top = max(1, int(round(0.75 * radius_x)))
     n0 = int(round(cn))

@@ -14,6 +14,8 @@ from champagne.classical_actions import (HOMOCLINIC_ACTION, ActionSample,
                                          theta_tilde, turning_points)
 from champagne.errors import ConvergenceError, DomainError, _write_csv
 
+import orbit_oracle
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -93,8 +95,8 @@ def test_winding_encircling_and_not():
 
 def test_winding_raises_on_a_jump_bisection_cannot_resolve(monkeypatch):
     # a step in Theta stays a step however finely the segment is cut
-    monkeypatch.setattr(classical_actions, "rotation_number",
-                        lambda E, L: 0.0 if E < 0.5 else 2.0)
+    monkeypatch.setattr(classical_actions, "_rotation_numbers",
+                        lambda E, L: np.where(E < 0.5, 0.0, 2.0))
     away = circle_loop(center_E=0.5, center_L=0.0, radius=0.05)
     with pytest.raises(ConvergenceError, match="40 bisections"):
         rotation_winding(away)
@@ -216,3 +218,73 @@ def test_action_sample_raises_where_regularized_action_does():
             regularized_action(E, L)
         with pytest.raises(DomainError):
             action_sample(E, L)
+
+
+def oracle_grid():
+    """E in [-0.24, 0.6] and |L| from 1e-12 to 0.5, both signs: 264
+    points, some of them outside the allowed region."""
+    E, L = np.meshgrid(np.linspace(-0.24, 0.6, 22), np.geomspace(1e-12, 0.5, 6))
+    E, L = E.ravel(), L.ravel()
+    return np.concatenate([E, E]), np.concatenate([L, -L])
+
+
+def test_the_batched_kernel_matches_the_scalar_oracle():
+    # roots, Theta, S_r and T of the batched kernel against the scalar
+    # code of tests/orbit_oracle.py: the same points raise DomainError,
+    # one at a time, and on the rest one batch agrees within 1e-12
+    fine, want = [], []
+    raised = 0
+    for E, L in zip(*oracle_grid()):
+        try:
+            want.append([*orbit_oracle.cubic_roots(E, L),
+                         orbit_oracle.rotation_number(E, L),
+                         *orbit_oracle.radial_action(E, L)])
+        except DomainError as exc:
+            raised += 1
+            cause = "complex roots" if "complex" in str(exc) else "axis"
+            with pytest.raises(DomainError, match=cause):
+                classical_actions._rotation_numbers(E, L)
+            continue
+        fine.append((E, L))
+    assert len(fine) >= 200 and raised >= 10
+    E, L = np.array(fine).T
+    _, _, integral = classical_actions._split_integrals(E, L)
+    got = np.column_stack([
+        classical_actions._cubic_roots(E, L),
+        classical_actions._rotation_numbers(E, L),
+        integral(lambda s, q, sm, sp: q * (s - sm) * (sp - s)),
+        integral(lambda s, q, sm, sp: s / q)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_a_circle_is_one_kernel_call(monkeypatch):
+    # every vertex of a 64-segment circle in one batched call, and no
+    # bisection where Theta moves by less than 0.5 a segment
+    calls = []
+    kernel = classical_actions._rotation_numbers
+
+    def counted(E, L):
+        calls.append(len(E))
+        return kernel(E, L)
+
+    monkeypatch.setattr(classical_actions, "_rotation_numbers", counted)
+    for loop in (circle_loop(radius=0.2), circle_loop(0.5, 0.0, 0.05)):
+        calls.clear()
+        rotation_winding(loop)
+        # the 65 points of the circle and its first point again: the
+        # last point is the first only up to rounding
+        assert calls == [66]
+
+
+@pytest.mark.parametrize("E, L", [(math.nan, 0.1), (0.1, math.inf),
+                                  (-math.inf, 0.1), (math.inf, 0.0),
+                                  (math.nan, 0.0)])
+def test_orbit_integrals_refuse_input_that_is_not_finite(E, L):
+    for f in (turning_points, radial_action, action_sample):
+        with pytest.raises(DomainError, match=f"E={E} and L={L} must both "
+                           "be finite|empty region"):
+            f(E, L)
+    with pytest.raises(DomainError):
+        rotation_number(E, L)
+    with pytest.raises(DomainError, match="must both be finite"):
+        rotation_winding([(0.1, 0.1), (E, L), (0.2, -0.1)])

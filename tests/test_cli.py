@@ -290,6 +290,46 @@ def test_unwind_non_enclosing_around_the_critical_value_is_refused(
     assert not list(tmp_path.glob("u.json*"))
 
 
+@pytest.mark.parametrize("argv, point", [
+    (("monodromy", "--radius", "nan"), "E=nan and L=nan"),
+    (("monodromy", "--radius", "inf"), "E=inf and L=nan"),
+    (("monodromy", "--center-e", "nan"), "E=nan and L=0.0"),
+    (("actions", "--e-list", "nan", "--l-list", "0.1"), "E=nan and L=0.1"),
+    (("actions", "--e-list", "0.1", "--l-list", "inf"), "E=0.1 and L=inf"),
+])
+def test_classical_input_that_is_not_finite_is_one_error_line(
+        argv, point, tmp_path, monkeypatch, capsys):
+    # the first point that is not finite, named once: no traceback from
+    # the root finder, and no file written
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {point} must both be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--loop-radius", "nan", "loop radius nan is not finite and positive"),
+    ("--loop-radius", "inf", "loop radius inf is not finite and positive"),
+    ("--loop-radius", "0", "loop radius 0 is not finite and positive"),
+    ("--loop-radius", "-5", "loop radius -5 is not finite and positive"),
+    ("--center-x", "nan", "loop center (nan, 0) is not finite"),
+])
+def test_loop_parameters_are_checked_before_a_vertex_is_snapped(
+        flag, value, message, tmp_path, spec_h5em3, capsys, monkeypatch):
+    spec = str(tmp_path / "table.csv")
+    rs.write_spectrum_csv(spec_h5em3, spec)
+
+    def never(*args):
+        raise AssertionError("a vertex snapped")
+
+    monkeypatch.setattr(ml, "_snap", never)
+    out = str(tmp_path / "u.json")
+    for argv in (("unwind", "--out", out), ("count",)):
+        assert run(*argv, "--spectrum", spec, f"{flag}={value}") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("u.json*"))
+
+
 def test_monodromy_subcommand(capsys):
     assert run("monodromy", "--radius", "0.2") == 0
     payload = json.loads(capsys.readouterr().out.strip().split("\n")[-1])

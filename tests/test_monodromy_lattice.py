@@ -77,14 +77,14 @@ def test_chart_rejects_large_distortion():
 
 def test_chart_raises_when_labels_do_not_settle(monkeypatch):
     _, pts = square_lattice()
-    solve = np.linalg.lstsq
+    solve = ml._affine_fit
 
-    def drifting(a, b, rcond=None):
+    def drifting(p, targets):
         # every refit moves the offset by h, so every label moves by one
-        sol, *rest = solve(a, b, rcond=rcond)
-        return (sol + [[0.0, 0.0], [0.0, 0.0], [H, H]], *rest)
+        linear, offset = solve(p, targets)
+        return linear, offset + [H, H]
 
-    monkeypatch.setattr(np.linalg, "lstsq", drifting)
+    monkeypatch.setattr(ml, "_affine_fit", drifting)
     with pytest.raises(ChartError, match="still changing"):
         fit_fixed(pts, (0, 0), 4 * H)
 
@@ -109,13 +109,17 @@ def test_transport_rejects_a_frame_that_moved(monkeypatch):
     # a refit whose labels moved by one on the overlap is not the old frame
     _, pts = square_lattice()
     chart = fit_fixed(pts, (0, 0), 4 * H)
-    fit = ml._fit_chart
+    solve = ml._affine_fit
+    solves = []
 
-    def shifted(*args, **kwargs):
-        moved = fit(*args, **kwargs)
-        return dataclasses.replace(moved, offset=moved.offset + [H, 0.0])
+    def shifted(p, targets):
+        # the first solve of the refit moves the offset by h; the labels
+        # then settle one lattice step away from the old ones
+        linear, offset = solve(p, targets)
+        solves.append(offset)
+        return linear, offset + ([H, 0.0] if len(solves) == 1 else 0.0)
 
-    monkeypatch.setattr(ml, "_fit_chart", shifted)
+    monkeypatch.setattr(ml, "_affine_fit", shifted)
     with pytest.raises(TransportError, match="differs from the old one"):
         transport_chart(chart, (3 * H, H), pts)
 
@@ -753,3 +757,60 @@ def sweep_loops(count=24, seed=20261018):
                          ids=lambda loop: f"seed{loop['seed']}")
 def test_seeded_loop_sweep(spec_h5em3, loop):
     check_loop(spec_h5em3, loop)
+
+
+def test_an_unwind_makes_no_linalg_call(spec_h5em3, monkeypatch):
+    # the chart algebra is 2x2 and in closed form: no np.linalg call in
+    # the fits, transports, transitions and counts of a whole unwind
+    calls = []
+    for name in dir(np.linalg):
+        func = getattr(np.linalg, name)
+        if callable(func) and not isinstance(func, type):
+            def counted(*args, _func=func, _name=name, **kwargs):
+                calls.append(_name)
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    steps = []
+    transport = ml.transport_chart
+
+    def counting(*args):
+        steps.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(ml, "transport_chart", counting)
+    poly = make_loop_polygon(spec_h5em3, 17.0, seed=2)
+    res = unwind(poly, spec_h5em3)
+    assert count_in_polygon(spec_h5em3, poly, res) == (
+        exact_line_count(spec_h5em3, poly),) * 2
+    assert len(steps) > 50
+    assert calls == []
+
+
+def test_the_closed_form_algebra_matches_linalg(spec_h5em3):
+    # on 200 seeded discs: the centred normal equations against lstsq on
+    # [P | 1], the condition number against cond, and the inverse
+    # against inv, each within 1e-12 of the largest entry
+    pts = ml._points_array(spec_h5em3)
+    h = spec_h5em3.h
+    rng = np.random.default_rng(2025)
+    discs = 0
+    while discs < 200:
+        center = pts[rng.integers(len(pts))] + h * rng.uniform(-1, 1, 2)
+        try:
+            chart = fit_local_chart(spec_h5em3, center, h)
+        except ChartError:
+            continue
+        discs += 1
+        disc = ml._disc(pts, chart.center, chart.radius)
+        targets = h * chart.labels(disc)
+        linear, offset = ml._affine_fit(disc, targets)
+        sol = np.linalg.lstsq(np.column_stack([disc, np.ones(len(disc))]),
+                              targets, rcond=None)[0]
+        for got, want in ((linear, sol[:2].T), (offset, sol[2])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        m = chart.linear
+        assert ml._condition(m) == pytest.approx(np.linalg.cond(m),
+                                                 rel=1e-12)
+        want = np.linalg.inv(m)
+        assert np.max(np.abs(ml._inverse(m) - want)) <= \
+            1e-12 * np.max(np.abs(want))

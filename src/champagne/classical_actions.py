@@ -37,6 +37,11 @@ _DEGENERATE_REL = 1e-8
 
 # point x node entries of one evaluation of an integrand
 _BATCH = 1 << 16
+# _gauss's nodes per point: the first count, the relative change that
+# stops the doubling, and the cap
+_GAUSS_N0 = 64
+_GAUSS_TOL = 1e-9
+_GAUSS_MAX_N = 1 << 11
 
 
 @functools.cache
@@ -44,10 +49,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gauss(f, a, b, *args, n0: int = 64, tol: float = 1e-9,
-           max_n: int = 1 << 11):
+def _gauss(f, a, b, *args):
     """Gauss-Legendre of f on [a, b] at every point of a batch, the nodes
-    of each point doubled until its relative change is at most tol.
+    of each point doubled from _GAUSS_N0 until its relative change is at
+    most _GAUSS_TOL.
 
     a, b and the per-point parameters args broadcast to one shape; f
     takes the (k, n) nodes of k points and those points' parameters, each
@@ -55,7 +60,7 @@ def _gauss(f, a, b, *args, n0: int = 64, tol: float = 1e-9,
     point x node values are evaluated at once.  A point with b <= a gives
     0.  Returns an array of the broadcast shape, a float when it is a
     scalar.  Raises ConvergenceError, naming the first such point, if
-    max_n nodes do not get there.  The actions converge by 512 nodes;
+    _GAUSS_MAX_N nodes do not get there.  The actions converge by 512 nodes;
     leggauss builds a dense n x n matrix, so the nodes cost O(n^2) memory
     and O(n^3) time (4096 nodes take about 30 s on 2 CPUs).
     """
@@ -77,14 +82,14 @@ def _gauss(f, a, b, *args, n0: int = 64, tol: float = 1e-9,
         return res
 
     live = np.flatnonzero(b > a)
-    n = n0
+    n = _GAUSS_N0
     prev = quad(live, n)
     change = np.full(len(live), math.inf)
-    while len(live) and n < max_n:
+    while len(live) and n < _GAUSS_MAX_N:
         n *= 2
         cur = quad(live, n)
         change = np.abs(cur - prev)
-        done = change <= tol * np.maximum(np.abs(cur), 1e-300)
+        done = change <= _GAUSS_TOL * np.maximum(np.abs(cur), 1e-300)
         out[live[done]] = cur[done]
         live, prev, change = live[~done], cur[~done], change[~done]
     if len(live):
@@ -92,7 +97,7 @@ def _gauss(f, a, b, *args, n0: int = 64, tol: float = 1e-9,
         raise ConvergenceError(
             f"Gauss-Legendre on [{a[i]:g}, {b[i]:g}] still changed by "
             f"{change[0]:.3g} at {n} nodes, above the relative tolerance "
-            f"{tol:g}")
+            f"{_GAUSS_TOL:g}")
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -173,11 +178,11 @@ def turning_points(E: float, L: float) -> tuple[float, float]:
 # --- the three basic integrals -----------------------------------------
 
 def _split_integrals(E, L):
-    """Turning roots s_minus, s_plus of the radial cubic at each point of
-    E and L, all with s_minus > 0, and the map g -> int g(s, Q(s), sm, sp)
-    ds / (s sqrt((s - sm)(sp - s))) over s in [s_minus, s_plus] at every
-    point, with Q(s) = sqrt(2 (s - s0)).  g takes (k, n) values of s and
-    Q and the (k, 1) columns of s_minus and s_plus of k points.
+    """The map g -> int g(s, Q(s), sm, sp) ds / (s sqrt((s - sm)(sp - s)))
+    over s in [s_minus, s_plus] at every point of E and L, all with
+    s_minus > 0, where s_minus and s_plus are the turning roots of the
+    radial cubic and Q(s) = sqrt(2 (s - s0)).  g takes (k, n) values of
+    s and Q and the (k, 1) columns of s_minus and s_plus of k points.
 
     Substitutions: s = sm cosh^2(tau) on [sm, (sm+sp)/2] (resolves both
     the sqrt(s - sm) turning point and the 1/s weight, uniformly in the
@@ -211,7 +216,7 @@ def _split_integrals(E, L):
         return ((2.0 / np.sqrt(sm)) * _gauss(f1, 0.0, tau_mid, s0, sm, sp)
                 + _gauss(f2, 0.0, math.pi, s0, sm, sp))
 
-    return sm, sp, integral
+    return integral
 
 
 def _axis_integrals(E: float) -> tuple[float, float]:
@@ -264,7 +269,7 @@ def _radial_action(E: float, L: float, r_minus: float,
     if L == 0.0 and E >= 0.0:
         S_r, T = _axis_integrals(E)
         return RadialAction(S_r, T, False)
-    _, _, integral = _split_integrals(E, L)
+    integral = _split_integrals(E, L)
     (S_r,), (T,) = (integral(lambda s, q, sm, sp: q * (s - sm) * (sp - s)),
                     integral(lambda s, q, sm, sp: s / q))
     return RadialAction(float(S_r), float(T), False)
@@ -273,7 +278,7 @@ def _radial_action(E: float, L: float, r_minus: float,
 def _rotation_numbers(E, L) -> np.ndarray:
     """rotation_number at each point of the arrays E and L, none of them
     on L = 0: one batched quadrature for all of them."""
-    _, _, integral = _split_integrals(E, L)
+    integral = _split_integrals(E, L)
     return np.asarray(L, dtype=float) * integral(lambda s, q, sm, sp: 1.0 / q)
 
 

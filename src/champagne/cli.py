@@ -209,7 +209,7 @@ def _cmd_monodromy(cfg) -> int:
 
 def _make_polygon(cfg, table):
     return ml.make_loop_polygon(
-        table, cfg["loop_radius"], n_top=cfg["n_top"], seed=cfg["seed"],
+        table, cfg["loop_radius"], seed=cfg["seed"],
         center=(cfg["center_x"], cfg["center_n"]),
         enclosing=not cfg["non_enclosing"])
 
@@ -334,8 +334,8 @@ def _reproduce_unwinding(cfg) -> int:
 
 _X_WINDOW = dict(x_min=(float, -10.0), x_max=(float, 10.0))
 _LOOP = dict(spectrum=(str, "spectrum.csv"), loop_radius=(float, 20.0),
-             n_top=(int, None), seed=(int, 0), center_x=(float, 0.0),
-             center_n=(float, 0.0), non_enclosing=(bool, False))
+             seed=(int, 0), center_x=(float, 0.0), center_n=(float, 0.0),
+             non_enclosing=(bool, False))
 _PREFIX = dict(prefix=(str, ""))
 _HELP = {"grid_points": "mesh intervals m; levels are solved on m and 2m",
          "r_max": "the wall; moved alone, it keeps the mesh density"}

@@ -161,11 +161,11 @@ class ChartTransition:
                     and np.array_equal(self.shift, [0, 0]))
 
 
-def local_spacing(points: np.ndarray, center, k: int = 9) -> float:
-    """Median nearest-neighbor distance among the k points nearest center."""
+def local_spacing(points: np.ndarray, center) -> float:
+    """Median nearest-neighbor distance among the 9 points nearest center."""
     pts = _points_array(points)
     d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-    idx = np.argsort(d)[:max(k, 3)]
+    idx = np.argsort(d)[:9]
     sub = pts[idx]
     diff = sub[:, None, :] - sub[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
@@ -264,7 +264,8 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
     refitted until they settle, in at most 8 rounds.  When frame is given
     the refit starts from its (linear, offset): the first round labels
     the disc as frame does and the last as the new chart does, and
-    _check_kept requires the two to agree on frame's disc."""
+    _check_overlap requires the identity between the two on frame's
+    disc."""
     pts = _disc(pts_all, center, radius)
     if len(pts) < MIN_CHART_POINTS:
         raise ChartError(
@@ -292,75 +293,39 @@ def _fit_chart_fixed(pts_all: np.ndarray, center, h: float, radius: float,
     if _condition(linear) >= CHART_CONDITION_MAX:
         raise ChartError(f"ill-conditioned chart at {center}")
     if frame is not None:
-        _check_kept(frame, pts, first, k, f"at {center}")
+        kept = frame.contains(pts)
+        k_old = first[kept]
+        _check_overlap(k_old, k[kept], k_old, f"at {center}")
     return LatticeChart(center=center, linear=linear, offset=offset,
                         radius=float(radius), h=float(h), residual=resid)
 
 
-def _check_kept(frame: LatticeChart, pts: np.ndarray, old: np.ndarray,
-                new: np.ndarray, where: str) -> None:
-    """TransportError unless the rows of pts in frame's disc, the chart
-    overlap, number at least MIN_CHART_POINTS, their labels new do not all
-    lie on one lattice line, and new equals frame's labels old on every
-    one of them.  That is _fit_transition's test of the identity: an
-    integer-affine map that fixes three labels off one line is the
-    identity."""
-    inside = frame.contains(pts)
-    k_old, k_new = old[inside], new[inside]
-    if len(k_new) < MIN_CHART_POINTS:
-        raise TransportError(
-            f"only {len(k_new)} points in the chart overlap {where}")
-    if _collinear(k_new):
-        raise TransportError(
-            f"the {len(k_new)} overlap labels lie on one lattice line "
-            f"{where}")
-    moved = np.flatnonzero(np.any(k_new != k_old, axis=1))
-    if len(moved):
-        raise TransportError(
-            f"the continued frame {where} differs from the old one on "
-            f"{len(moved)} of the {len(k_new)} overlap points, first "
-            f"{k_old[moved[0]].astype(int).tolist()} -> "
-            f"{k_new[moved[0]].astype(int).tolist()}")
+def _check_overlap(k_from: np.ndarray, k_to: np.ndarray,
+                   mapped: np.ndarray, where: str) -> None:
+    """TransportError unless a chart transition holds on a chart overlap.
 
-
-def _collinear(k: np.ndarray) -> bool:
-    """Whether the (m, 2) labels k all lie on one lattice line: every two
-    differences from the first are parallel, zero cross products."""
-    d = k - k[0]
-    return bool(np.array_equal(np.outer(d[:, 0], d[:, 1]),
-                               np.outer(d[:, 1], d[:, 0])))
-
-
-def _fit_transition(chart_from: LatticeChart, chart_to: LatticeChart,
-                    pts: np.ndarray, where: str) -> ChartTransition:
-    """Integer-affine map k_to = T k_from + s between two chart frames.
-
-    T is the rounded chart_to.linear inv(chart_from.linear) and s is read
-    off one overlap point, the overlap being the points of pts, sorted as
-    _points_array returns them, in both discs.
-    Raises TransportError unless the overlap holds MIN_CHART_POINTS
-    points whose labels do not all lie on one lattice line, and
-    k_to = T k_from + s holds exactly on every one of them;
-    ChartTransition rejects |det| != 1.
+    k_from and k_to, both (m, 2), label the overlap's rows in the two
+    frames, and mapped is the transition's image of k_from.  The overlap
+    must hold MIN_CHART_POINTS rows whose labels k_from do not all lie on
+    one lattice line, so that three of them fix the integer-affine map,
+    and k_to must equal mapped on every row.
     """
-    disc = _disc(pts, chart_from.center, chart_from.radius)
-    overlap = disc[chart_to.contains(disc)]
-    if len(overlap) < MIN_CHART_POINTS:
+    m = len(k_from)
+    if m < MIN_CHART_POINTS:
+        raise TransportError(f"only {m} points in the chart overlap {where}")
+    # on one line every two differences from the first label are parallel
+    d = k_from - k_from[0]
+    if np.array_equal(np.outer(d[:, 0], d[:, 1]), np.outer(d[:, 1], d[:, 0])):
         raise TransportError(
-            f"only {len(overlap)} points in the chart overlap {where}")
-    k_from, k_to = chart_from.labels(overlap), chart_to.labels(overlap)
-    if _collinear(k_from):
+            f"the {m} overlap labels lie on one lattice line {where}")
+    moved = np.flatnonzero(np.any(k_to != mapped, axis=1))
+    if len(moved):
+        i = moved[0]
         raise TransportError(
-            f"the {len(overlap)} overlap labels lie on one lattice line "
-            f"{where}")
-    T = np.rint(chart_to.linear @ _inverse(chart_from.linear))
-    T = T.astype(int)
-    s = k_to[0] - T @ k_from[0]
-    if not np.array_equal(k_from @ T.T + s, k_to):
-        raise TransportError(
-            f"transition {T.tolist()}, {s.tolist()} does not hold on the "
-            f"chart overlap {where}")
-    return ChartTransition(T, s)
+            f"the chart transition does not hold on {len(moved)} of the {m} "
+            f"overlap points {where}: the first is labelled "
+            f"{k_to[i].astype(int).tolist()}, not "
+            f"{mapped[i].astype(int).tolist()}")
 
 
 def transport_chart(chart: LatticeChart, new_center, points) -> LatticeChart:
@@ -463,11 +428,18 @@ def unwind(polygon: np.recarray, spectrum) -> UnwindResult:
         charts.append(current)
         labels.append(current.labels(v)[0])
 
-    # monodromy: continued frame vs the original chart on the start disc
-    monodromy = _fit_transition(chart0, current, pts_all,
-                                "of the start and end charts")
+    # monodromy: the continued frame against the first chart, on the rows
+    # of the first disc that the last one holds too, its shift read off
+    # the first of them
+    disc = _disc(pts_all, chart0.center, chart0.radius)
+    overlap = disc[current.contains(disc)]
+    k_from, k_to = chart0.labels(overlap), current.labels(overlap)
+    T = np.rint(current.linear @ _inverse(chart0.linear)).astype(int)
+    image = k_from @ T.T
+    shift = (k_to - image)[:1]
+    _check_overlap(k_from, k_to, image + shift, "of the start and end charts")
     return UnwindResult(vertices=np.array(labels, dtype=int),
-                        monodromy=monodromy, charts=charts)
+                        monodromy=ChartTransition(T, shift[0]), charts=charts)
 
 
 def l0_line(spectrum, charts, monodromy: ChartTransition):
@@ -648,22 +620,21 @@ def _snap(spectrum, n: int, tx: float) -> int:
     return int(lo + np.argmin(np.abs(spectrum.points.x[lo:hi] - tx)))
 
 
-def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
-                      seed: int = 0, center=(0.0, 0.0),
-                      enclosing: bool = True) -> np.recarray:
+def make_loop_polygon(spectrum, radius_x: float, seed: int = 0,
+                      center=(0.0, 0.0), enclosing: bool = True) -> np.recarray:
     """Polygon through spectrum points with one vertex per line per side.
 
     Follows an ellipse of half-width radius_x (zoomed x units) and half-
-    height n_top lines around `center` = (x, n), snapping each lattice
-    line to its eigenvalue nearest the targeted x; every crossed line gets
-    exactly one vertex on each side, so the polygon meets each line in a
-    segment with vertex extremities.  Returns the vertices as rows of
+    height n_top = max(1, round(0.75 radius_x)) lines around `center` =
+    (x, n), snapping each lattice line to its eigenvalue nearest the
+    targeted x; every crossed line gets exactly one vertex on each side,
+    so the polygon meets each line in a segment with vertex extremities.  Returns the vertices as rows of
     spectrum.points in loop order.  Enclosing loops start on the n = 0
     line at x > 0 and contain exactly two n = 0 vertices; a non-enclosing
     loop must not wind around the critical value (DomainError otherwise).
     The radial jitter is seeded for reproducibility.  A radius that is
-    not finite and positive, or a center that is not finite, raises
-    DomainError.
+    not finite and positive, a center that is not finite, or a negative
+    seed raises DomainError before any vertex is snapped.
     """
     cx, cn = float(center[0]), float(center[1])
     if not (math.isfinite(radius_x) and radius_x > 0.0):
@@ -671,9 +642,10 @@ def make_loop_polygon(spectrum, radius_x: float, n_top: int | None = None,
                           "positive")
     if not (math.isfinite(cx) and math.isfinite(cn)):
         raise DomainError(f"loop center ({cx:g}, {cn:g}) is not finite")
+    if seed < 0:
+        raise DomainError(f"loop seed {seed} is negative")
     rng = np.random.default_rng(seed)
-    if n_top is None:
-        n_top = max(1, int(round(0.75 * radius_x)))
+    n_top = max(1, int(round(0.75 * radius_x)))
     n0 = int(round(cn))
 
     def half_width(dn: float) -> float:

@@ -7,6 +7,7 @@ import json
 import math
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import champagne
 from champagne import bohr_sommerfeld as bs
 from champagne import classical_actions as ca
+from champagne import experiments as ex
 from champagne import gap_analysis as ga
 from champagne import monodromy_lattice as ml
 from champagne import radial_spectrum as rs
@@ -328,6 +330,31 @@ def test_loop_parameters_are_checked_before_a_vertex_is_snapped(
         assert run(*argv, "--spectrum", spec, f"{flag}={value}") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("u.json*"))
+
+
+def test_a_negative_loop_seed_is_one_error_line(tmp_path, spec_h5em3,
+                                                capsys, monkeypatch):
+    # the seed is checked with the other loop parameters, before the
+    # jitter's generator is made and before any vertex is snapped
+    spec = str(tmp_path / "table.csv")
+    rs.write_spectrum_csv(spec_h5em3, spec)
+
+    def never(*args):
+        raise AssertionError("a vertex snapped")
+
+    monkeypatch.setattr(ml, "_snap", never)
+    # reproduce unwinding solves the table it names: hand it the same one
+    monkeypatch.setattr(ex, "UNWINDING_LINES",
+                        SimpleNamespace(solve=lambda: spec_h5em3))
+    out = str(tmp_path / "u.json")
+    for argv in (("unwind", "--spectrum", spec, "--out", out),
+                 ("count", "--spectrum", spec),
+                 ("reproduce", "unwinding", "--prefix",
+                  str(tmp_path / "r-"))):
+        assert run(*argv, "--seed=-1") == 1
+        assert capsys.readouterr().err == "error: loop seed -1 is negative\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "table.csv", "table.csv.meta.json"]
 
 
 def test_monodromy_subcommand(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from champagne import monodromy_lattice as ml
 from champagne.errors import ChartError, DomainError, TransportError
 from champagne.monodromy_lattice import (ChartTransition, LatticeChart,
-                                         _fit_transition, count_in_polygon,
+                                         _check_overlap, count_in_polygon,
                                          fit_local_chart, l0_line,
                                          lattice_point_in_polygon,
                                          make_loop_polygon, pick_count,
@@ -120,7 +121,8 @@ def test_transport_rejects_a_frame_that_moved(monkeypatch):
         return linear, offset + ([H, 0.0] if len(solves) == 1 else 0.0)
 
     monkeypatch.setattr(ml, "_affine_fit", shifted)
-    with pytest.raises(TransportError, match="differs from the old one"):
+    with pytest.raises(TransportError,
+                       match=r"does not hold on \d+ of the \d+ overlap points"):
         transport_chart(chart, (3 * H, H), pts)
 
 
@@ -159,12 +161,70 @@ def test_transition_rejects_a_collinear_overlap():
     # labels on one lattice row fix the transition only along that row
     _, pts = square_lattice()
     chart = fit_fixed(pts, (0, 0), 4 * H)
-    row = pts[(pts[:, 1] == 0) & (np.abs(pts[:, 0]) <= 3 * H)]
+    row = chart.labels(pts[(pts[:, 1] == 0) & (np.abs(pts[:, 0]) <= 3 * H)])
     assert len(row) == 7
-    with pytest.raises(TransportError, match="one lattice line"):
-        _fit_transition(chart, chart, row, "on the row")
-    assert _fit_transition(chart, chart, ml._points_array(pts),
-                           "on the disc").is_identity()
+    with pytest.raises(TransportError, match="7 overlap labels lie on one "
+                       "lattice line on the row"):
+        _check_overlap(row, row, row, "on the row")
+    disc = chart.labels(pts[chart.contains(pts)])
+    _check_overlap(disc, disc, disc, "on the disc")
+
+
+def random_unimodular(rng):
+    """A product of 1 to 6 elementary integer matrices, each a
+    transvection, the swap of the two axes, or -1 times the identity."""
+    elementary = [np.array(m) for m in ([[1, 1], [0, 1]], [[1, -1], [0, 1]],
+                                        [[1, 0], [1, 1]], [[1, 0], [-1, 1]],
+                                        [[0, 1], [1, 0]], [[-1, 0], [0, -1]])]
+    T = np.eye(2, dtype=int)
+    for i in rng.integers(len(elementary), size=int(rng.integers(1, 7))):
+        T = elementary[i] @ T
+    return T
+
+
+def on_one_line(k):
+    """Whether the integer labels k lie on one line, pair by pair in
+    Python integers."""
+    (x0, y0), rest = k[0], k[1:]
+    return all((x1 - x0) * (y2 - y0) == (x2 - x0) * (y1 - y0)
+               for x1, y1 in rest for x2, y2 in rest)
+
+
+def test_the_overlap_check_on_seeded_transitions():
+    # labels off one line and their image under a random integer-affine
+    # map pass; one label moved by one, five rows or labels on one line
+    # raise, each with its own message
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        T = random_unimodular(rng)
+        assert abs(round(np.linalg.det(T))) == 1
+        s = rng.integers(-50, 51, 2)
+        while True:
+            k = rng.integers(-30, 31, (int(rng.integers(6, 40)), 2))
+            if not on_one_line(k.tolist()):
+                break
+        m = len(k)
+        (a, b), (c, d) = T.tolist()
+        image = np.array([[a * x + b * y + s[0], c * x + d * y + s[1]]
+                          for x, y in k.tolist()])
+        _check_overlap(k, image, image, "here")
+        moved = image.copy()
+        j = int(rng.integers(m))
+        moved[j, int(rng.integers(2))] += int(rng.choice([-1, 1]))
+        with pytest.raises(TransportError, match=re.escape(
+                f"does not hold on 1 of the {m} overlap points here: the "
+                f"first is labelled {moved[j].tolist()}, not "
+                f"{image[j].tolist()}")):
+            _check_overlap(k, moved, image, "here")
+        with pytest.raises(TransportError,
+                           match="only 5 points in the chart overlap here"):
+            _check_overlap(k[:5], image[:5], image[:5], "here")
+        line = k[0] + np.outer(rng.integers(-9, 10, m), rng.integers(-3, 4, 2))
+        mapped = line @ T.T + s
+        with pytest.raises(TransportError,
+                           match=f"the {m} overlap labels lie on one lattice "
+                           "line here"):
+            _check_overlap(line, mapped, mapped, "here")
 
 
 def test_transition_rejects_non_integral_entries():
@@ -414,7 +474,7 @@ def test_count_matches_a_point_by_point_count(spec_h5em3):
     # the corners are converted once for all the lines; each row placed
     # on its own by lattice_point_in_polygon gives the same N_spec
     for poly in (make_loop_polygon(spec_h5em3, 18.0, seed=7),
-                 make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
+                 make_loop_polygon(spec_h5em3, 4.0, seed=2,
                                    center=(-18.0, -5.0), enclosing=False)):
         corners = np.column_stack([poly.k, poly.n])
         rows = spec_h5em3.points[(spec_h5em3.points.n >= poly.n.min())
@@ -427,7 +487,7 @@ def test_count_matches_a_point_by_point_count(spec_h5em3):
 
 
 def test_unwind_non_enclosing_is_identity(spec_h5em3):
-    poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=1,
+    poly = make_loop_polygon(spec_h5em3, 4.0, seed=1,
                              center=(18.0, 6.0), enclosing=False)
     res = unwind(poly, spec_h5em3)
     assert res.monodromy.is_identity()
@@ -447,7 +507,7 @@ def test_count_equality_and_oracle(spec_h5em3):
 
 
 def test_count_non_enclosing(spec_h5em3):
-    poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
+    poly = make_loop_polygon(spec_h5em3, 4.0, seed=2,
                              center=(-18.0, -5.0), enclosing=False)
     assert winding_around_origin(ml._plane(poly)) == 0
     n_spec, n_pick = count_in_polygon(spec_h5em3, poly,
@@ -467,7 +527,7 @@ def test_count_reads_no_chart(spec_h5em3):
     # N_spec is counted on the table's (k, n) labels, so the same unwound
     # polygon without its charts gives the same counts
     for poly in (make_loop_polygon(spec_h5em3, 18.0, seed=7),
-                 make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=2,
+                 make_loop_polygon(spec_h5em3, 4.0, seed=2,
                                    center=(-18.0, -5.0), enclosing=False)):
         res = unwind(poly, spec_h5em3)
         assert count_in_polygon(spec_h5em3, poly,
@@ -506,7 +566,7 @@ def test_l0_line_is_the_n0_line(spec_h5em3):
 
 
 def test_l0_line_identity_monodromy_warns(spec_h5em3):
-    poly = make_loop_polygon(spec_h5em3, 4.0, n_top=3, seed=1,
+    poly = make_loop_polygon(spec_h5em3, 4.0, seed=1,
                              center=(18.0, 6.0), enclosing=False)
     res = unwind(poly, spec_h5em3)
     with pytest.warns(UserWarning):
@@ -525,26 +585,36 @@ def test_l0_line_warns_when_nothing_is_fixed(spec_h5em3, matrix, shift):
         assert len(l0_line(spec_h5em3, res.charts, monodromy)) == 0
 
 
-def test_transition_rejects_a_non_integral_monodromy(spec_h5em3):
+def test_transition_rejects_a_non_integral_monodromy(spec_h5em3,
+                                                     monkeypatch):
     # a last chart sheared by 0.4 against the first: the end-to-start
     # transition, which unwind takes as the monodromy, rounds to the
     # identity but is not integral
-    p = spec_h5em3.line(0)[-1]
-    first = fit_local_chart(spec_h5em3, (p.E1, p.E2), spec_h5em3.h)
+    line = spec_h5em3.line(0)
+    poly = table_rows([line[-1], line[-2], spec_h5em3.line(1)[-1]])
     shear = np.array([[1.0, 0.4], [0.0, 1.0]])
-    last = LatticeChart(center=first.center, linear=shear @ first.linear,
-                        offset=shear @ first.offset, radius=first.radius,
-                        h=first.h)
-    with pytest.raises(TransportError, match="does not hold"):
-        _fit_transition(first, last, ml._points_array(spec_h5em3),
-                        "of the start and end charts")
+    starts = []
+
+    def sheared(chart, target, pts_all):
+        # every segment ends in the first chart, sheared
+        starts.append(chart)
+        first = starts[0]
+        return LatticeChart(center=first.center, linear=shear @ first.linear,
+                            offset=shear @ first.offset, radius=first.radius,
+                            h=first.h)
+
+    monkeypatch.setattr(ml, "_continue_chart", sheared)
+    with pytest.raises(TransportError,
+                       match="does not hold .* of the start and end charts"):
+        unwind(poly, spec_h5em3)
+    assert starts[0].center == (line[-1].E1, line[-1].E2)
 
 
 def test_disc_and_overlap_rows_are_those_of_a_scan_of_every_row(
         spec_h5em3, monkeypatch):
-    # a disc's rows are found in its E2 band, an overlap's in the band of
-    # the first disc; a scan of every row finds the same rows in the same
-    # order
+    # a disc's rows are found in its E2 band, and the overlap of unwind's
+    # first and last charts in the band of the first disc; a scan of every
+    # row finds the same rows in the same order
     pts = ml._points_array(spec_h5em3)
     h = spec_h5em3.h
     seen = []
@@ -556,6 +626,7 @@ def test_disc_and_overlap_rows_are_those_of_a_scan_of_every_row(
 
     monkeypatch.setattr(LatticeChart, "labels", recording)
     frame = fit_local_chart(spec_h5em3, (20 * math.sqrt(2) * h, 5 * h), h)
+    poly = spec_h5em3.points[:3]
     rng = np.random.default_rng(2110)
     overlaps = 0
     for _ in range(40):
@@ -568,14 +639,20 @@ def test_disc_and_overlap_rows_are_those_of_a_scan_of_every_row(
         one, two = (dataclasses.replace(frame, center=tuple(c), radius=radius)
                     for c in (center, center + radius * rng.uniform(-1, 1, 2)))
         want = pts[one.contains(pts) & two.contains(pts)]
+        # a loop whose first chart is one and whose continued frame ends
+        # as two: both label the overlap, last of all
+        monkeypatch.setattr(ml, "fit_local_chart", lambda *a, c=one: c)
+        monkeypatch.setattr(ml, "_continue_chart", lambda *a, c=two: c)
         seen.clear()
         try:
-            assert _fit_transition(one, two, pts, "here").is_identity()
-        except TransportError:
-            assert not seen
+            assert unwind(poly, spec_h5em3).monodromy.is_identity()
+        except TransportError as exc:
+            assert str(exc) == (f"only {len(want)} points in the chart "
+                                "overlap of the start and end charts")
             continue
         overlaps += 1
-        assert np.array_equal(seen[0], want)
+        assert np.array_equal(seen[-2], want)
+        assert np.array_equal(seen[-1], want)
     assert overlaps >= 20
 
 
